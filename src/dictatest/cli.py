@@ -5,10 +5,12 @@ subcommand takes --seed, --out, --guard-bits, --json and --config (a JSON
 file whose keys are the long option names; explicit flags win).  Reports are
 written atomically (temp file + rename), so a failed run leaves no partial
 output.  Re-running a config reproduces the CSV byte-for-byte except for the
-wall_ms column, regardless of DICTATEST_THREADS.
+wall_ms column.
 
-Exit codes: 2 parse/config error, 3 enumeration guard exceeded, 4 invariant
-violation detected mid-run.
+Exit codes: 0 success; 2 parse/config error (a bad flag, config file or
+fnspec, an argument out of range, flags that contradict each other, or an
+--out that cannot be written); 3 enumeration guard exceeded; 4 invariant
+violation or arithmetic failure detected mid-run.
 """
 
 from __future__ import annotations
@@ -24,7 +26,12 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import GuardExceeded, InvariantViolation, SpecParseError
+from .errors import (
+    DEFAULT_GUARD_BITS,
+    GuardExceeded,
+    InvariantViolation,
+    SpecParseError,
+)
 from .families import (
     build_family,
     load_family,
@@ -66,7 +73,6 @@ __all__ = [
     "write_report",
 ]
 
-DEFAULT_GUARD_BITS = 26
 DEFAULT_TRIALS = 100_000
 DEFAULT_CONFIDENCE = 0.99
 
@@ -136,14 +142,13 @@ class ExperimentConfig:
     coord: int | None = None
     count: int | None = None
     families: int | None = None
-    trials: int | None = None
+    trials: int = DEFAULT_TRIALS
     seed: int = 0
     guard_bits: int = DEFAULT_GUARD_BITS
     method: str | None = None
     law: str | None = None
     out: str | None = None
     as_json: bool = False
-    threads: int = 1
 
 
 def _require(cfg: ExperimentConfig, *names: str) -> None:
@@ -189,14 +194,6 @@ def write_report(rows, columns, out: str | None, as_json: bool) -> None:
         raise
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("DICTATEST_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise SpecParseError(f"DICTATEST_THREADS must be an integer: {raw!r}") from exc
-
-
 def _build_hypergraph(cfg: ExperimentConfig) -> Hypergraph:
     if cfg.complete_k is not None:
         return complete_hypergraph(cfg.complete_k)
@@ -238,10 +235,8 @@ def _run_completeness(cfg: ExperimentConfig) -> list[ReportRow]:
                 value = htest_prob_exact(fam, guard_bits=cfg.guard_bits)
                 ci_low = ci_high = trials = None
             elif method == "mc":
-                trials = cfg.trials or DEFAULT_TRIALS
-                value, ci_low, ci_high = htest_prob_mc(
-                    fam, trials, cfg.seed, threads=cfg.threads
-                )
+                trials = cfg.trials
+                value, ci_low, ci_high = htest_prob_mc(fam, trials, cfg.seed)
             else:
                 raise SpecParseError(f"unknown htest method {method!r}")
             rows.append(
@@ -301,17 +296,18 @@ def _run_completeness(cfg: ExperimentConfig) -> list[ReportRow]:
 
 def _run_soundness(cfg: ExperimentConfig) -> list[ReportRow]:
     _require(cfg, "n")
+    if cfg.members is not None or cfg.family_file is not None:
+        raise SpecParseError("random families replace --members and --family")
+    n_families = 1 if cfg.families is None else cfg.families
+    if n_families < 1:
+        raise SpecParseError(f"need at least one random family, got {n_families}")
     h = _build_hypergraph(cfg)
     budget = query_budget(h)[2]
-    trials = cfg.trials or DEFAULT_TRIALS
-    n_families = cfg.families or 1
     rows = []
     for idx in range(n_families):
         start = time.perf_counter()
         fam = random_family(h, cfg.n, (cfg.seed, 0, idx))
-        value, ci_low, ci_high = htest_prob_mc(
-            fam, trials, (cfg.seed, 1, idx), threads=cfg.threads
-        )
+        value, ci_low, ci_high = htest_prob_mc(fam, cfg.trials, (cfg.seed, 1, idx))
         rows.append(
             ReportRow(
                 "soundness",
@@ -323,7 +319,7 @@ def _run_soundness(cfg: ExperimentConfig) -> list[ReportRow]:
                 value,
                 ci_low,
                 ci_high,
-                trials,
+                cfg.trials,
                 cfg.seed,
                 budget,
                 _elapsed_ms(start),
@@ -429,6 +425,8 @@ def _run_decode(cfg: ExperimentConfig) -> list[ReportRow]:
 def _run_gowers_report(cfg: ExperimentConfig) -> list[GowersRow]:
     """Rows of <constant family of f>_{U_d} = ||f||_{U_d}^{2^d} for d = 1..D."""
     _require(cfg, "n", "fn", "d")
+    if cfg.d < 1:
+        raise SpecParseError(f"gowers needs d >= 1, got {cfg.d}")
     f = parse_fnspec(cfg.fn, cfg.n)
     rows = []
     for d in range(1, cfg.d + 1):
@@ -443,8 +441,7 @@ def _run_gowers_report(cfg: ExperimentConfig) -> list[GowersRow]:
             value = gowers_inner_product_exact(fam, guard_bits=cfg.guard_bits)
             rows.append(GowersRow(d, cfg.n, "exact", value, None))
         else:
-            trials = cfg.trials or DEFAULT_TRIALS
-            value, stderr = gowers_inner_product_mc(fam, trials, cfg.seed)
+            value, stderr = gowers_inner_product_mc(fam, cfg.trials, cfg.seed)
             rows.append(GowersRow(d, cfg.n, "mc", value, stderr))
     return rows
 
@@ -529,14 +526,13 @@ def _config_from_args(args, kind: str) -> ExperimentConfig:
         coord=_merged(args, config, "coord", int),
         count=_merged(args, config, "count", int),
         families=_merged(args, config, "families", int),
-        trials=_merged(args, config, "trials", int),
+        trials=_merged(args, config, "trials", int, DEFAULT_TRIALS),
         seed=_merged(args, config, "seed", int, 0),
         guard_bits=_merged(args, config, "guard_bits", int, DEFAULT_GUARD_BITS),
         method=_merged(args, config, "method", str),
         law=_merged(args, config, "law", str),
         out=_merged(args, config, "out", str),
         as_json=bool(_merged(args, config, "json", bool, False)),
-        threads=_threads_from_env(),
     )
 
 
@@ -690,15 +686,15 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args, kind="")
         _dispatch(args.command, cfg)
-    except SpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvariantViolation, ValueError, ArithmeticError) as exc:
+    except (InvariantViolation, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except (ValueError, OSError) as exc:  # SpecParseError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -1,4 +1,6 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the enumeration guard."""
+
+DEFAULT_GUARD_BITS = 26
 
 
 class DictatestError(Exception):
@@ -15,6 +17,12 @@ class GuardExceeded(DictatestError):
             f"exact enumeration needs 2^{required_bits} points, "
             f"guard allows 2^{guard_bits}"
         )
+
+
+def check_guard(bits: int, guard_bits: int) -> None:
+    """Raise GuardExceeded when an enumeration of 2^bits points is over budget."""
+    if bits > guard_bits:
+        raise GuardExceeded(bits, guard_bits)
 
 
 class SpecParseError(DictatestError, ValueError):

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SpecParseError
+from .fourier import hamming_weights
 from .functions import (
     BitVector,
     BooleanFunction,
@@ -126,9 +127,7 @@ def majority(n: int) -> BooleanFunction:
     check_dimension(n)
     if n % 2 == 0:
         raise ValueError(f"majority needs odd n, got {n}")
-    weights = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        weights = np.concatenate([weights, weights + 1])
+    weights = hamming_weights(n)
     return BooleanFunction(n, np.where(weights * 2 < n, 1, -1).astype(np.int8))
 
 
@@ -217,18 +216,7 @@ def build_family(
 
 def random_family(hypergraph: Hypergraph, n: int, seed) -> FunctionFamily:
     """I.i.d. uniformly random folded members; member j uses stream (seed, j)."""
-    t = hypergraph.t
-    fns = [
-        make_folded(
-            n,
-            1
-            - 2
-            * derive_rng(*seed_key(seed), j)
-            .integers(0, 2, size=1 << (n - 1))
-            .astype(np.int8),
-        )
-        for j in range(t)
-    ]
+    fns = [random_folded(n, (*seed_key(seed), j)) for j in range(hypergraph.t)]
     k = hypergraph.k
     return FunctionFamily(hypergraph, fns[:k], fns[k:])
 
@@ -274,12 +262,5 @@ def planted_decoder_family(
         if mask in planted:
             members[mask] = shared
         else:
-            members[mask] = make_folded(
-                n,
-                1
-                - 2
-                * derive_rng(*seed_key(seed), 1, mask)
-                .integers(0, 2, size=1 << (n - 1))
-                .astype(np.int8),
-            )
+            members[mask] = random_folded(n, (*seed_key(seed), 1, mask))
     return IndexedFamily(d, n, members), (planted[0], planted[1])

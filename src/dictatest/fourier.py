@@ -17,11 +17,11 @@ from .functions import BooleanFunction, RealPointFunction, _freeze, check_dimens
 
 
 def _butterfly(values: np.ndarray) -> np.ndarray:
-    """In-place-style WHT: out[α] = Σ_x values[x] (-1)^{<α,x>}.
+    """Unnormalized WHT out[α] = Σ_x values[x] (-1)^{<α,x>}, in values' dtype.
 
     Fixed stage/summation order; deterministic across runs.
     """
-    out = values.astype(np.float64, copy=True)
+    out = values.copy()
     width = 1
     while width < out.size:
         view = out.reshape(-1, 2 * width)
@@ -67,21 +67,12 @@ class Spectrum:
 
 def wht(f: BooleanFunction | RealPointFunction) -> Spectrum:
     """Fourier transform of a truth table."""
-    return Spectrum(f.n, _butterfly(np.asarray(f.table)) / (1 << f.n))
+    return Spectrum(f.n, _butterfly(np.asarray(f.table, dtype=np.float64)) / (1 << f.n))
 
 
 def spectrum_counts(f: BooleanFunction) -> np.ndarray:
     """Unnormalized integer transform: counts[α] = 2^n * f̂(α), exact."""
-    out = f.table.astype(np.int64)
-    width = 1
-    while width < out.size:
-        view = out.reshape(-1, 2 * width)
-        low = view[:, :width].copy()
-        high = view[:, width:]
-        view[:, :width] = low + high
-        view[:, width:] = low - high
-        width *= 2
-    return out
+    return _butterfly(f.table.astype(np.int64))
 
 
 def inverse_wht(s: Spectrum) -> RealPointFunction:

@@ -220,19 +220,16 @@ class FoldedOracle:
         return FoldedOracle(self.inner)
 
 
-def fold_query(oracle: FoldedOracle, x) -> int:
-    return oracle.fold_query(x)
-
-
 def folded_table(f: BooleanFunction) -> np.ndarray:
-    """The induced folded view of f, materialized through the access rule.
+    """The induced folded view of f: F(x) = f(x) if x_1 = 1, else -f(1⃗+x).
 
-    Enumerators index into this array instead of f.table so that their
-    semantics cannot drift from the oracle path.  For a folded f it equals
-    f.table.
+    This is FoldedOracle's access rule applied to every point at once; the
+    tests compare it with a per-point FoldedOracle loop, its reference.
+    Enumerators index into this array instead of f.table.  For a folded f
+    it equals f.table.
     """
-    oracle = FoldedOracle(f)
-    return np.array([oracle.fold_query(j) for j in range(1 << f.n)], dtype=np.int8)
+    idx = np.arange(1 << f.n)
+    return np.where(idx & 1, f.table, -f.table[idx ^ ((1 << f.n) - 1)])
 
 
 def make_folded(n: int, half_table) -> BooleanFunction:

@@ -3,8 +3,8 @@
 Exact values are computed by enumeration (or by the standard recursion for
 the norm) whenever the total randomness fits the guard; the inner products
 fall back to seeded Monte Carlo beyond it.  All Monte Carlo paths derive
-per-chunk sub-streams by counter, so estimates are reproducible and
-independent of worker count.
+per-chunk sub-streams by counter (``rng.mc_chunks``), so estimates are
+reproducible.
 """
 
 from __future__ import annotations
@@ -14,13 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GuardExceeded
+from .errors import DEFAULT_GUARD_BITS, GuardExceeded, check_guard
 from .fourier import Spectrum, influence, low_degree_influence, wht, _butterfly
 from .functions import BooleanFunction, RealPointFunction, check_dimension
-from .rng import derive_rng, seed_key
-
-DEFAULT_GUARD_BITS = 26
-_MC_CHUNK = 4096
+from .rng import mc_chunks
 
 
 def _as_real(f) -> RealPointFunction:
@@ -79,11 +76,6 @@ class IndexedFamily:
         return cls(d, f.n, {m: f for m in range(1 << d)})
 
 
-def _check_guard(bits: int, guard_bits: int) -> None:
-    if bits > guard_bits:
-        raise GuardExceeded(bits, guard_bits)
-
-
 def _subset_shifts(shifts: tuple[int, ...], d: int) -> list[int]:
     """XOR of the chosen shifts over every subset mask of [d]."""
     sums = [0] * (1 << d)
@@ -106,53 +98,29 @@ def _norm_pow_recursive(table: np.ndarray, d: int) -> float:
     return total / table.size
 
 
-def _norm_pow_definition(table: np.ndarray, d: int) -> float:
-    points = table.size
-    idx = np.arange(points)
-    total = 0.0
-    for shifts in itertools.product(range(points), repeat=d):
-        prod = np.ones(points)
-        for shift in _subset_shifts(shifts, d):
-            prod = prod * table[idx ^ shift]
-        total += float(prod.mean())
-    return total / points**d
-
-
-def gowers_norm_pow(
-    f,
-    d: int,
-    *,
-    method: str = "recursive",
-    guard_bits: int = DEFAULT_GUARD_BITS,
-) -> float:
-    """||f||_{U_d}^{2^d}, by the recursion or by definitional enumeration.
+def gowers_norm_pow(f, d: int, *, guard_bits: int = DEFAULT_GUARD_BITS) -> float:
+    """||f||_{U_d}^{2^d}, by the recursion over derivative shifts.
 
     The recursion averages ||f * f(.+h)||_{U_{d-1}}^{2^{d-1}} over all shifts
-    h, bottoming out at (E g)^2 for d=1 and Σ ĝ(α)^4 for d=2; the definition
-    enumerates all (x, x_1, ..., x_d) tuples.  Both cost at most
-    2^{(d+1) n}, which must fit the guard.
+    h, bottoming out at (E g)^2 for d=1 and Σ ĝ(α)^4 for d=2.  It costs at
+    most 2^{(d+1) n}, which must fit the guard; the definitional enumeration
+    is gowers_inner_product_exact of the constant family.
     """
     f = _as_real(f)
     d = int(d)
     if d < 1:
         raise ValueError(f"norm dimension must be >= 1, got {d}")
-    _check_guard((d + 1) * f.n, guard_bits)
-    if method == "recursive":
-        return _norm_pow_recursive(np.asarray(f.table), d)
-    if method == "definition":
-        return _norm_pow_definition(np.asarray(f.table), d)
-    raise ValueError(f"unknown method {method!r}")
+    check_guard((d + 1) * f.n, guard_bits)
+    return _norm_pow_recursive(np.asarray(f.table), d)
 
 
-def gowers_norm(
-    f, d: int, *, method: str = "recursive", guard_bits: int = DEFAULT_GUARD_BITS
-) -> float:
+def gowers_norm(f, d: int, *, guard_bits: int = DEFAULT_GUARD_BITS) -> float:
     """||f||_{U_d}: the 2^d-th root of gowers_norm_pow.
 
     Tiny negative accumulations (>= -1e-12) are clamped to 0 before the
     root; anything more negative is an arithmetic failure and raises.
     """
-    power = gowers_norm_pow(f, d, method=method, guard_bits=guard_bits)
+    power = gowers_norm_pow(f, d, guard_bits=guard_bits)
     if power < 0.0:
         if power < -1e-12:
             raise ArithmeticError(f"norm power accumulated to {power}")
@@ -168,7 +136,7 @@ def gowers_inner_product_exact(
     fam: IndexedFamily, *, guard_bits: int = DEFAULT_GUARD_BITS
 ) -> float:
     """<{f_S}>_{U_d}: E over (x, x_1..x_d) of Π_S f_S(x + Σ_{i in S} x_i)."""
-    _check_guard((fam.d + 1) * fam.n, guard_bits)
+    check_guard((fam.d + 1) * fam.n, guard_bits)
     tables = _family_tables(fam)
     points = 1 << fam.n
     idx = np.arange(points)
@@ -189,7 +157,7 @@ def linear_gowers_inner_product_exact(
     The empty subset contributes the constant f_∅(0⃗).  The first shift is
     vectorized; the remaining d-1 are enumerated.
     """
-    _check_guard(fam.d * fam.n, guard_bits)
+    check_guard(fam.d * fam.n, guard_bits)
     tables = _family_tables(fam)
     d, points = fam.d, 1 << fam.n
     x1 = np.arange(points)
@@ -208,19 +176,12 @@ def linear_gowers_inner_product_exact(
 
 def _mc_mean(sample_chunk, trials: int, seed: int) -> tuple[float, float]:
     """Chunked MC mean with standard error; chunk c uses sub-stream (seed, c)."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     total = 0.0
     total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        m = min(_MC_CHUNK, trials - done)
-        values = sample_chunk(derive_rng(*seed_key(seed), chunk_index), m)
+    for rng, m in mc_chunks(trials, seed):
+        values = sample_chunk(rng, m)
         total += float(values.sum())
         total_sq += float((values**2).sum())
-        done += m
-        chunk_index += 1
     mean = total / trials
     variance = max(total_sq / trials - mean**2, 0.0)
     stderr = (variance / trials) ** 0.5

@@ -2,12 +2,14 @@
 
 Every randomized operation takes an integer seed and derives independent
 sub-streams by counter, so any trial (or chunk of trials) is reproducible in
-isolation and results never depend on worker count or scheduling.
+isolation.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+_MC_CHUNK = 4096
 
 
 def derive_rng(*key: int) -> np.random.Generator:
@@ -20,3 +22,18 @@ def seed_key(seed) -> tuple[int, ...]:
     if isinstance(seed, (tuple, list)):
         return tuple(int(s) for s in seed)
     return (int(seed),)
+
+
+def mc_chunks(trials: int, seed):
+    """The Monte Carlo chunks of ``trials`` draws, as (rng, m) pairs.
+
+    Chunk c holds m <= _MC_CHUNK trials drawn from the sub-stream (seed, c);
+    the m's sum to ``trials``.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    key = seed_key(seed)
+    return (
+        (derive_rng(*key, c), min(_MC_CHUNK, trials - start))
+        for c, start in enumerate(range(0, trials, _MC_CHUNK))
+    )

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GuardExceeded
+from .errors import DEFAULT_GUARD_BITS, check_guard
 from .fourier import hamming_weights, subset_zeta, wht
 from .functions import (
     BitVector,
@@ -30,11 +30,12 @@ from .functions import (
     folded_table,
     require_folded,
 )
-from .rng import derive_rng, seed_key
+# _MC_CHUNK is bound here for bench/spans.py, which counts htest_prob_mc chunks.
+from .rng import _MC_CHUNK, mc_chunks  # noqa: F401
 from .stats import wilson_interval
 
-DEFAULT_GUARD_BITS = 26
-_MC_CHUNK = 4096
+# Upper bound on the grid elements htest_prob_exact evaluates at once.
+_EXACT_CHUNK = 1 << 18
 
 
 def _as_mask(x, n: int) -> int:
@@ -46,11 +47,6 @@ def _as_mask(x, n: int) -> int:
     if not 0 <= j < 1 << n:
         raise ValueError(f"index {j} out of range for n={n}")
     return j
-
-
-def _check_guard(bits: int, guard_bits: int) -> None:
-    if bits > guard_bits:
-        raise GuardExceeded(bits, guard_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +301,7 @@ def basic_test_prob_exact(
     """
     require_folded(f)
     n = f.n
-    _check_guard(4 * n, guard_bits)
+    check_guard(4 * n, guard_bits)
     table = folded_table(f).astype(np.int64)
     points = 1 << n
     ones = points - 1
@@ -339,144 +335,93 @@ def basic_test_prob_fourier(f: BooleanFunction) -> float:
     return 0.5 + 0.5 * float(terms.sum())
 
 
+def _htest_verdicts(vertex_tables, edge_tables, edges, xs, ys, zv, ze):
+    """Accept mask of the hypergraph test over broadcastable draw arrays.
+
+    xs, ys, zv hold one array per vertex and ze one per edge; each draw is
+    read from the folded tables exactly as in run_hypergraph_test, and the
+    mask has the broadcast shape of xs[0] and the arrays the edge equations
+    touch.
+    """
+    ones = vertex_tables[0].size - 1
+    shifts = [np.where(t[y] < 0, y ^ ones, y) for t, y in zip(vertex_tables, ys)]
+    signs = [t[x ^ (s & z)] for t, x, s, z in zip(vertex_tables, xs, shifts, zv)]
+    ok = np.ones(np.shape(xs[0]), dtype=bool)
+    for table, edge, z in zip(edge_tables, edges, ze):
+        lhs, x_sum, shift_sum = 1, 0, 0
+        for i in edge:
+            lhs = lhs * signs[i - 1]
+            x_sum = x_sum ^ xs[i - 1]
+            shift_sum = shift_sum ^ shifts[i - 1]
+        ok = ok & (lhs == table[x_sum ^ (shift_sum & z)])
+    return ok
+
+
+def _folded_tables(fam: FunctionFamily):
+    return (
+        [folded_table(f) for f in fam.vertex_functions],
+        [folded_table(f) for f in fam.edge_functions],
+        [sorted(e) for e in fam.hypergraph.edges],
+    )
+
+
 def htest_prob_exact(
     fam: FunctionFamily, *, guard_bits: int = DEFAULT_GUARD_BITS
 ) -> float:
     """Exact hypergraph-test acceptance probability by full enumeration.
 
-    Enumerates every (x_1..x_k, y_1..y_k) assignment in a Python loop and,
-    for each, counts accepting z assignments over the (k + |E|)-fold product
-    space with one broadcast array per edge equation.  Total randomness is
-    (3k + |E|)·n bits and must fit the guard.
+    Evaluates the verdict on a grid with the (x_1..x_k, y_1..y_k)
+    assignments along axis 0, in chunks of about _EXACT_CHUNK grid elements,
+    and one z axis per vertex and per edge.  Accepts are counted as an
+    integer; a vertex z axis that no edge reads counts 2^n times.  Total
+    randomness is (3k + |E|)·n bits and must fit the guard.
     """
     h = fam.hypergraph
     k, n = h.k, fam.n
     n_edges = len(h.edges)
-    _check_guard((3 * k + n_edges) * n, guard_bits)
+    check_guard((3 * k + n_edges) * n, guard_bits)
+    tables = _folded_tables(fam)
 
     points = 1 << n
-    ones = points - 1
-    vertex_tables = [folded_table(f) for f in fam.vertex_functions]
-    edge_tables = [folded_table(f) for f in fam.edge_functions]
-    edge_members = [sorted(e) for e in h.edges]
-
     z_dims = k + n_edges
-    zs = np.arange(points)
-
-    def axis_view(vec: np.ndarray, axis: int) -> np.ndarray:
-        shape = [1] * z_dims
-        shape[axis] = points
-        return vec.reshape(shape)
-
+    # z axis a is grid axis 1 + a
+    zs = [
+        np.arange(points).reshape(-1, *(1,) * (z_dims - 1 - a)) for a in range(z_dims)
+    ]
+    free = k - len(set().union(*h.edges))
+    combos = points ** (2 * k)
+    step = max(1, _EXACT_CHUNK // points ** (z_dims - free))
+    digit_shifts = n * np.arange(2 * k)
     accepts = 0
-    for combo in range(points ** (2 * k)):
-        rest = combo
-        xs = []
-        ys = []
-        for _ in range(k):
-            xs.append(rest % points)
-            rest //= points
-        for _ in range(k):
-            ys.append(rest % points)
-            rest //= points
-
-        shifts = []
-        vertex_sign_vecs = []
-        for i in range(k):
-            v = (1 - int(vertex_tables[i][ys[i]])) // 2
-            shift = ys[i] ^ (ones if v else 0)
-            shifts.append(shift)
-            vertex_sign_vecs.append(vertex_tables[i][xs[i] ^ (shift & zs)])
-
-        ok = None
-        for j, members in enumerate(edge_members):
-            lhs = axis_view(vertex_sign_vecs[members[0] - 1], members[0] - 1)
-            for i in members[1:]:
-                lhs = lhs * axis_view(vertex_sign_vecs[i - 1], i - 1)
-            x_sum = 0
-            shift_sum = 0
-            for i in members:
-                x_sum ^= xs[i - 1]
-                shift_sum ^= shifts[i - 1]
-            rhs = axis_view(edge_tables[j][x_sum ^ (shift_sum & zs)], k + j)
-            eq = lhs == rhs
-            ok = eq if ok is None else ok & eq
-
-        if ok is None:
-            accepts += points**z_dims
-        else:
-            # unconstrained z axes are broadcast dimensions of size 1
-            accepts += int(ok.sum()) * points ** (z_dims - sum(
-                dim == points for dim in ok.shape
-            ))
-    return accepts / points ** (3 * k + n_edges)
+    for start in range(0, combos, step):
+        combo = np.arange(start, min(start + step, combos))
+        digits = (combo[:, None] >> digit_shifts) & (points - 1)
+        xs_ys = list(digits.T.reshape(2 * k, -1, *(1,) * z_dims))
+        ok = _htest_verdicts(*tables, xs_ys[:k], xs_ys[k:], zs[:k], zs[k:])
+        accepts += int(np.count_nonzero(ok))
+    return accepts * points**free / points ** (3 * k + n_edges)
 
 
 def htest_prob_mc(
-    fam: FunctionFamily, trials: int, seed, *, threads: int = 1
+    fam: FunctionFamily, trials: int, seed
 ) -> tuple[float, float, float]:
     """Monte Carlo acceptance estimate with a 99% Wilson interval.
 
     Verdicts follow the same two-pass procedure as run_hypergraph_test, drawn
-    and evaluated in vectorized chunks; chunk c uses the sub-stream
-    (seed, c) and chunk counts are summed, so the estimate is deterministic
-    and independent of how chunks are distributed over workers.
+    and evaluated in vectorized chunks in one thread; chunk c uses the
+    sub-stream (seed, c) and chunk counts are summed, so the estimate is
+    deterministic given (fam, trials, seed).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    h = fam.hypergraph
-    k, n = h.k, fam.n
-    points = 1 << n
-    ones = points - 1
-    vertex_tables = [folded_table(f) for f in fam.vertex_functions]
-    edge_tables = [folded_table(f) for f in fam.edge_functions]
-    edge_members = [sorted(e) for e in h.edges]
-    key = seed_key(seed)
-
-    def chunk_accepts(chunk_index: int, m: int) -> int:
-        rng = derive_rng(*key, chunk_index)
-        xs = rng.integers(0, points, size=(m, k))
-        ys = rng.integers(0, points, size=(m, k))
-        zv = rng.integers(0, points, size=(m, k))
-        ze = rng.integers(0, points, size=(m, len(h.edges)))
-
-        shifts = np.empty((m, k), dtype=np.int64)
-        vertex_signs = np.empty((m, k), dtype=np.int64)
-        for i in range(k):
-            v = (1 - vertex_tables[i][ys[:, i]]) // 2
-            shifts[:, i] = ys[:, i] ^ (v.astype(np.int64) * ones)
-            vertex_signs[:, i] = vertex_tables[i][
-                xs[:, i] ^ (shifts[:, i] & zv[:, i])
-            ]
-
-        ok = np.ones(m, dtype=bool)
-        for j, members in enumerate(edge_members):
-            lhs = np.ones(m, dtype=np.int64)
-            x_sum = np.zeros(m, dtype=np.int64)
-            shift_sum = np.zeros(m, dtype=np.int64)
-            for i in members:
-                lhs *= vertex_signs[:, i - 1]
-                x_sum ^= xs[:, i - 1]
-                shift_sum ^= shifts[:, i - 1]
-            rhs = edge_tables[j][x_sum ^ (shift_sum & ze[:, j])]
-            ok &= lhs == rhs
-        return int(ok.sum())
-
-    chunks = []
-    done = 0
-    while done < trials:
-        m = min(_MC_CHUNK, trials - done)
-        chunks.append((len(chunks), m))
-        done += m
-
-    if threads > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            accepts = sum(pool.map(lambda c: chunk_accepts(*c), chunks))
-    else:
-        accepts = sum(chunk_accepts(*c) for c in chunks)
-
+    chunks = mc_chunks(trials, seed)
+    tables = _folded_tables(fam)
+    k, n_edges, points = fam.hypergraph.k, len(fam.hypergraph.edges), 1 << fam.n
+    accepts = 0
+    for rng, m in chunks:
+        xs, ys, zv, ze = (
+            rng.integers(0, points, size=(m, c)).T for c in (k, k, k, n_edges)
+        )
+        ok = _htest_verdicts(*tables, xs, ys, zv, ze)
+        accepts += int(np.count_nonzero(ok))
     low, high = wilson_interval(accepts, trials)
     return accepts / trials, low, high
 
@@ -498,7 +443,7 @@ def noise_and_operator(
     n = f.n
     c = _as_mask(c, n)
     c_prime = _as_mask(c_prime, n)
-    _check_guard(3 * n, guard_bits)
+    check_guard(3 * n, guard_bits)
     points = 1 << n
     xs = np.arange(points)
     zs = np.arange(points)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dictatest import (
     BitVector,
@@ -135,6 +137,34 @@ def test_folded_view_has_zero_mean():
     for _ in range(20):
         inner = BooleanFunction(3, 1 - 2 * rng.integers(0, 2, size=8))
         assert int(folded_table(inner).sum()) == 0
+
+
+def oracle_view(f):
+    """Reference folded view: one FoldedOracle query per point."""
+    oracle = FoldedOracle(f)
+    return np.array([oracle.fold_query(j) for j in range(1 << f.n)], dtype=np.int8)
+
+
+def test_folded_table_matches_oracle_loop():
+    rng = np.random.default_rng(11)
+    for n in range(1, 11):
+        for _ in range(3):
+            inner = BooleanFunction(n, 1 - 2 * rng.integers(0, 2, size=1 << n))
+            view = folded_table(inner)
+            assert view.dtype == np.int8
+            assert np.array_equal(view, oracle_view(inner))
+
+
+SIGN_TABLES = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.sampled_from([-1, 1]), min_size=1 << n, max_size=1 << n)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SIGN_TABLES)
+def test_folded_table_matches_oracle_loop_property(signs):
+    inner = BooleanFunction(len(signs).bit_length() - 1, np.array(signs))
+    assert np.array_equal(folded_table(inner), oracle_view(inner))
 
 
 def test_make_folded_n1():

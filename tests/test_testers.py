@@ -25,8 +25,16 @@ from dictatest import (
     soundness_identity_holds,
     wht,
 )
-from dictatest.families import dictator, parity, random_family, random_folded
+from dictatest.families import (
+    dictator,
+    majority,
+    noisy_dictator,
+    parity,
+    random_family,
+    random_folded,
+)
 from dictatest.rng import derive_rng
+from dictatest.testers import _folded_tables, _htest_verdicts
 
 EDGE_12 = Hypergraph(2, [frozenset({1, 2})])
 
@@ -324,8 +332,7 @@ def test_htest_mc_validation_and_determinism():
         htest_prob_mc(fam, 0, 1)
     a = htest_prob_mc(fam, 9_000, 5)
     b = htest_prob_mc(fam, 9_000, 5)
-    c = htest_prob_mc(fam, 9_000, 5, threads=4)
-    assert a == b == c
+    assert a == b
 
 
 def test_htest_mc_seed_consistency_across_reruns():
@@ -339,6 +346,80 @@ def test_htest_exact_guard():
     fam = FunctionFamily.uniform(complete_hypergraph(3), dictator(3, 1))
     with pytest.raises(GuardExceeded):
         htest_prob_exact(fam)  # (9 + 4) * 3 = 39 bits
+
+
+def noisy_family(h, n, seed):
+    fns = [noisy_dictator(n, 1, 0.3, (seed, j)) for j in range(h.t)]
+    return FunctionFamily(h, fns[: h.k], fns[h.k :])
+
+
+def test_verdict_kernel_matches_oracle_run_draw_for_draw():
+    """The vectorised kernel on (1,) draw arrays reproduces run_hypergraph_test."""
+    for h in (EDGE_12, complete_hypergraph(3)):
+        k, n_edges = h.k, len(h.edges)
+        for n in (2, 3):
+            for make in (random_family, noisy_family):
+                fam = make(h, n, 40 + n)
+                tables = _folded_tables(fam)
+                points = 1 << n
+                verdicts = set()
+                for seed in range(200):
+                    expected = run_hypergraph_test(fam, derive_rng(90, seed)).verdict
+                    rng = derive_rng(90, seed)
+                    xs, ys, zv, ze = (
+                        rng.integers(0, points, size=(1, c)).T
+                        for c in (k, k, k, n_edges)
+                    )
+                    ok = _htest_verdicts(*tables, xs, ys, zv, ze)
+                    assert ok.shape == (1,)
+                    assert bool(ok[0]) == expected
+                    verdicts.add(expected)
+                assert verdicts == {True, False}
+
+
+class ScriptedDraws:
+    """Stands in for a Generator: hands out a fixed draw sequence in order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def integers(self, low, high, size):
+        return np.array([next(self.values) for _ in range(size)])
+
+
+def oracle_accept_count(fam):
+    """Accepting draws of run_hypergraph_test over every possible draw."""
+    h = fam.hypergraph
+    bits = 3 * h.k + len(h.edges)
+    return sum(
+        run_hypergraph_test(fam, ScriptedDraws(draws)).verdict
+        for draws in itertools.product(range(1 << fam.n), repeat=bits)
+    )
+
+
+def test_htest_exact_equals_scalar_oracle_enumeration():
+    path = Hypergraph(3, [frozenset({1, 2}), frozenset({2, 3})])
+    vertex_3_unread = Hypergraph(3, [frozenset({1, 2})])
+    cases = [(EDGE_12, n) for n in (1, 2)] + [(path, 1), (vertex_3_unread, 1)]
+    for h, n in cases:
+        families = [random_family(h, n, s) for s in (8, 9)] + [noisy_family(h, n, 3)]
+        if n % 2:
+            families.append(FunctionFamily.uniform(h, majority(n)))
+        for fam in families:
+            bits = (3 * h.k + len(h.edges)) * n
+            assert htest_prob_exact(fam) == oracle_accept_count(fam) / 2**bits
+
+
+def test_htest_exact_grid_equals_flat_enumeration():
+    """The chunked (x, y) x z-axes grid counts the same accepts as the kernel
+    on one flat array per draw over all 2^{(3k+|E|)n} draws."""
+    for h, n in ((EDGE_12, 3), (Hypergraph(3, [frozenset({1, 3})]), 2)):
+        k, bits = h.k, 3 * h.k + len(h.edges)
+        for fam in (random_family(h, n, 0), noisy_family(h, n, 1)):
+            draws = np.indices((1 << n,) * bits, dtype=np.uint8).reshape(bits, -1)
+            xs, ys, zv, ze = np.split(draws, [k, 2 * k, 3 * k])
+            ok = _htest_verdicts(*_folded_tables(fam), xs, ys, zv, ze)
+            assert htest_prob_exact(fam) == np.count_nonzero(ok) / 2 ** (bits * n)
 
 
 def test_htest_no_edges_always_accepts():
