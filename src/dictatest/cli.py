@@ -74,7 +74,6 @@ __all__ = [
 ]
 
 DEFAULT_TRIALS = 100_000
-DEFAULT_CONFIDENCE = 0.99
 
 REPORT_COLUMNS = [
     "experiment",
@@ -461,6 +460,8 @@ def run_experiment(cfg: ExperimentConfig):
     runner = _KIND_RUNNERS.get(cfg.kind)
     if runner is None:
         raise SpecParseError(f"unknown experiment kind {cfg.kind!r}")
+    if cfg.count is not None and cfg.count < 1:
+        raise SpecParseError(f"'count' must be >= 1, got {cfg.count}")
     return runner(cfg)
 
 

@@ -2,6 +2,9 @@
 
 DEFAULT_GUARD_BITS = 26
 
+# Upper bound on the array elements an exact route evaluates at once.
+_EXACT_CHUNK = 1 << 18
+
 
 class DictatestError(Exception):
     """Base class for package errors."""

@@ -19,11 +19,12 @@ from .functions import BooleanFunction, RealPointFunction, _freeze, check_dimens
 def _butterfly(values: np.ndarray) -> np.ndarray:
     """Unnormalized WHT out[α] = Σ_x values[x] (-1)^{<α,x>}, in values' dtype.
 
-    Fixed stage/summation order; deterministic across runs.
+    Transforms along the last axis.  Fixed stage/summation order;
+    deterministic across runs.
     """
     out = values.copy()
     width = 1
-    while width < out.size:
+    while width < out.shape[-1]:
         view = out.reshape(-1, 2 * width)
         low = view[:, :width].copy()
         high = view[:, width:]
@@ -114,15 +115,20 @@ def low_degree_influence(s: Spectrum, i: int, w: int) -> float:
     return float(np.sum(s.coeffs[sel] ** 2))
 
 
-def subset_zeta(s: Spectrum) -> np.ndarray:
-    """out[α] = Σ_{β ⊆ α} coeffs[β], by the O(n 2^n) subset-sum transform."""
-    out = s.coeffs.astype(np.float64, copy=True)
+def _subset_sums(values: np.ndarray) -> np.ndarray:
+    """out[α] = Σ_{β ⊆ α} values[β] along the last axis, in values' dtype."""
+    out = values.copy()
     width = 1
-    while width < out.size:
+    while width < out.shape[-1]:
         view = out.reshape(-1, 2 * width)
         view[:, width:] += view[:, :width]
         width *= 2
     return out
+
+
+def subset_zeta(s: Spectrum) -> np.ndarray:
+    """out[α] = Σ_{β ⊆ α} coeffs[β], by the O(n 2^n) subset-sum transform."""
+    return _subset_sums(s.coeffs)
 
 
 def product_function(fs: list[RealPointFunction]) -> RealPointFunction:

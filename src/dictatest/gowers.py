@@ -1,20 +1,19 @@
 """Gowers uniformity norms, inner products, and the influential-pair decoder.
 
-Exact values are computed by enumeration (or by the standard recursion for
-the norm) whenever the total randomness fits the guard; the inner products
-fall back to seeded Monte Carlo beyond it.  All Monte Carlo paths derive
-per-chunk sub-streams by counter (``rng.mc_chunks``), so estimates are
-reproducible.
+Exact values come from the derivative recursion <{f_S}>_{U_d} =
+E_h <{f_S · f_{S∪{d}}(· + h)}>_{U_{d-1}} whenever the definition's randomness
+fits the guard; the inner products fall back to seeded Monte Carlo beyond it.
+All Monte Carlo paths derive per-chunk sub-streams by counter
+(``rng.mc_chunks``), so estimates are reproducible.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DEFAULT_GUARD_BITS, GuardExceeded, check_guard
+from .errors import _EXACT_CHUNK, DEFAULT_GUARD_BITS, GuardExceeded, check_guard
 from .fourier import Spectrum, influence, low_degree_influence, wht, _butterfly
 from .functions import BooleanFunction, RealPointFunction, check_dimension
 from .rng import mc_chunks
@@ -76,42 +75,10 @@ class IndexedFamily:
         return cls(d, f.n, {m: f for m in range(1 << d)})
 
 
-def _subset_shifts(shifts: tuple[int, ...], d: int) -> list[int]:
-    """XOR of the chosen shifts over every subset mask of [d]."""
-    sums = [0] * (1 << d)
-    for mask in range(1, 1 << d):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] ^ shifts[low.bit_length() - 1]
-    return sums
-
-
-def _norm_pow_recursive(table: np.ndarray, d: int) -> float:
-    if d == 1:
-        return float(table.mean()) ** 2
-    if d == 2:
-        coeffs = _butterfly(table) / table.size
-        return float(np.sum(coeffs**4))
-    idx = np.arange(table.size)
-    total = 0.0
-    for h in range(table.size):
-        total += _norm_pow_recursive(table * table[idx ^ h], d - 1)
-    return total / table.size
-
-
 def gowers_norm_pow(f, d: int, *, guard_bits: int = DEFAULT_GUARD_BITS) -> float:
-    """||f||_{U_d}^{2^d}, by the recursion over derivative shifts.
-
-    The recursion averages ||f * f(.+h)||_{U_{d-1}}^{2^{d-1}} over all shifts
-    h, bottoming out at (E g)^2 for d=1 and Σ ĝ(α)^4 for d=2.  It costs at
-    most 2^{(d+1) n}, which must fit the guard; the definitional enumeration
-    is gowers_inner_product_exact of the constant family.
-    """
-    f = _as_real(f)
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"norm dimension must be >= 1, got {d}")
-    check_guard((d + 1) * f.n, guard_bits)
-    return _norm_pow_recursive(np.asarray(f.table), d)
+    """||f||_{U_d}^{2^d}: gowers_inner_product_exact of the constant family {f}."""
+    check_guard((int(d) + 1) * f.n, guard_bits)
+    return gowers_inner_product_exact(IndexedFamily.constant(d, f), guard_bits=guard_bits)
 
 
 def gowers_norm(f, d: int, *, guard_bits: int = DEFAULT_GUARD_BITS) -> float:
@@ -132,21 +99,50 @@ def _family_tables(fam: IndexedFamily) -> list[np.ndarray]:
     return [np.asarray(m.table) for m in fam.members]
 
 
+def _derivative_recursion(stack: np.ndarray, bottom, members: int) -> float:
+    """Σ_b of the inner products of the families stack[b] (member S at [b, S]).
+
+    A shift h of the top coordinate d leaves {f_S · f_{S∪{d}}(· + h)} over
+    S ⊆ [d-1], whose inner products average to the family's.  Shifts run in
+    chunks of about _EXACT_CHUNK entries; bottom takes over at ``members``.
+    """
+    batch, size, points = stack.shape
+    if size == members:
+        return bottom(stack)
+    half, idx = size // 2, np.arange(points)
+    step = max(1, _EXACT_CHUNK // (batch * size * points))
+    total = 0.0
+    for start in range(0, points, step):
+        hs = idx[start : start + step, None]
+        shifted = np.moveaxis(stack[:, half:, idx ^ hs], 2, 1)
+        derived = (stack[:, None, :half] * shifted).reshape(-1, half, points)
+        total += _derivative_recursion(derived, bottom, members)
+    return total / points
+
+
+def _u2_sum(stack: np.ndarray) -> float:
+    """Σ_b Σ_α Π_S f̂_S(α): the U_2 inner products of a batch."""
+    return float(np.prod(_butterfly(stack), axis=1).sum()) / stack.shape[-1] ** 4
+
+
+def _lu1_sum(stack: np.ndarray) -> float:
+    """Σ_b f_∅(0) · E f_1: the LU_1 inner products of a batch."""
+    return float((stack[:, 0, 0] * stack[:, 1].mean(axis=-1)).sum())
+
+
 def gowers_inner_product_exact(
     fam: IndexedFamily, *, guard_bits: int = DEFAULT_GUARD_BITS
 ) -> float:
-    """<{f_S}>_{U_d}: E over (x, x_1..x_d) of Π_S f_S(x + Σ_{i in S} x_i)."""
+    """<{f_S}>_{U_d}: E over (x, x_1..x_d) of Π_S f_S(x + Σ_{i in S} x_i).
+
+    By the derivative recursion down to Σ_α Π_S f̂_S(α) (d = 2) or
+    E f_∅ · E f_{1} (d = 1); the definition's (d + 1)·n bits must fit the guard.
+    """
     check_guard((fam.d + 1) * fam.n, guard_bits)
-    tables = _family_tables(fam)
-    points = 1 << fam.n
-    idx = np.arange(points)
-    total = 0.0
-    for shifts in itertools.product(range(points), repeat=fam.d):
-        prod = np.ones(points)
-        for mask, shift in enumerate(_subset_shifts(shifts, fam.d)):
-            prod = prod * tables[mask][idx ^ shift]
-        total += float(prod.mean())
-    return total / points**fam.d
+    stack = np.stack(_family_tables(fam))[None]
+    if fam.d == 1:
+        return float(stack[0, 0].mean() * stack[0, 1].mean())
+    return _derivative_recursion(stack, _u2_sum, 4)
 
 
 def linear_gowers_inner_product_exact(
@@ -154,24 +150,11 @@ def linear_gowers_inner_product_exact(
 ) -> float:
     """<{f_S}>_{LU_d}: E over (x_1..x_d) of Π_S f_S(Σ_{i in S} x_i).
 
-    The empty subset contributes the constant f_∅(0⃗).  The first shift is
-    vectorized; the remaining d-1 are enumerated.
+    The empty subset contributes the constant f_∅(0⃗).  By the derivative
+    recursion down to f_∅(0)·E f_{1} (d = 1); d·n bits must fit the guard.
     """
     check_guard(fam.d * fam.n, guard_bits)
-    tables = _family_tables(fam)
-    d, points = fam.d, 1 << fam.n
-    x1 = np.arange(points)
-    total = 0.0
-    for rest in itertools.product(range(points), repeat=d - 1):
-        partial = _subset_shifts((0, *rest), d)
-        prod = np.ones(points)
-        for mask in range(1 << d):
-            if mask & 1:
-                prod = prod * tables[mask][partial[mask] ^ x1]
-            else:
-                prod = prod * tables[mask][partial[mask]]
-        total += float(prod.mean())
-    return total / points ** (d - 1)
+    return _derivative_recursion(np.stack(_family_tables(fam))[None], _lu1_sum, 2)
 
 
 def _mc_mean(sample_chunk, trials: int, seed: int) -> tuple[float, float]:
@@ -188,24 +171,27 @@ def _mc_mean(sample_chunk, trials: int, seed: int) -> tuple[float, float]:
     return mean, stderr
 
 
+def _cube_product(tables, base: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Π_S tables[S][base + Σ_{i in S} draws[:, i]], one value per draw row."""
+    prod = np.ones(len(draws))
+    for mask, table in enumerate(tables):
+        shift = base.copy()
+        for i in range(draws.shape[1]):
+            if mask >> i & 1:
+                shift ^= draws[:, i]
+        prod = prod * table[shift]
+    return prod
+
+
 def gowers_inner_product_mc(
     fam: IndexedFamily, trials: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the Gowers inner product: (estimate, stderr)."""
-    tables = _family_tables(fam)
-    d, points = fam.d, 1 << fam.n
+    tables, points = _family_tables(fam), 1 << fam.n
 
     def sample_chunk(rng, m):
-        draws = rng.integers(0, points, size=(m, d + 1))
-        base = draws[:, 0]
-        prod = np.ones(m)
-        for mask in range(1 << d):
-            shift = base.copy()
-            for i in range(d):
-                if mask >> i & 1:
-                    shift ^= draws[:, i + 1]
-            prod = prod * tables[mask][shift]
-        return prod
+        draws = rng.integers(0, points, size=(m, fam.d + 1))
+        return _cube_product(tables, draws[:, 0], draws[:, 1:])
 
     return _mc_mean(sample_chunk, trials, seed)
 
@@ -214,19 +200,11 @@ def linear_gowers_inner_product_mc(
     fam: IndexedFamily, trials: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the linear Gowers inner product."""
-    tables = _family_tables(fam)
-    d, points = fam.d, 1 << fam.n
+    tables, points = _family_tables(fam), 1 << fam.n
 
     def sample_chunk(rng, m):
-        draws = rng.integers(0, points, size=(m, d))
-        prod = np.ones(m)
-        for mask in range(1 << d):
-            shift = np.zeros(m, dtype=np.int64)
-            for i in range(d):
-                if mask >> i & 1:
-                    shift ^= draws[:, i]
-            prod = prod * tables[mask][shift]
-        return prod
+        draws = rng.integers(0, points, size=(m, fam.d))
+        return _cube_product(tables, np.zeros(m, dtype=np.int64), draws)
 
     return _mc_mean(sample_chunk, trials, seed)
 
@@ -238,7 +216,7 @@ def gowers_inner_product(
     trials: int = 100_000,
     seed: int = 0,
 ) -> float:
-    """Exact by enumeration when the guard allows, otherwise the MC estimate."""
+    """Exact when the guard allows, otherwise the MC estimate."""
     try:
         return gowers_inner_product_exact(fam, guard_bits=guard_bits)
     except GuardExceeded:
@@ -252,7 +230,7 @@ def linear_gowers_inner_product(
     trials: int = 100_000,
     seed: int = 0,
 ) -> float:
-    """Exact by enumeration when the guard allows, otherwise the MC estimate."""
+    """Exact when the guard allows, otherwise the MC estimate."""
     try:
         return linear_gowers_inner_product_exact(fam, guard_bits=guard_bits)
     except GuardExceeded:

@@ -6,10 +6,10 @@ family {f_a} indexed by the vertices and edges of a hypergraph, reusing the
 per-vertex queries across edges.  Both are two-pass: the first pass reads
 f(y) values and the bits v = (1 - f(y))/2 steer the second, nonadaptive pass.
 
-Each tester comes with an exact acceptance-probability enumerator (all
-randomness enumerated, integer accept counts, guarded by a randomness-bit
-budget) and the basic test additionally with a closed-form spectral
-evaluator.  All oracle access goes through the folding rule.
+Each tester has an exact acceptance probability: an integer accept count
+over all its randomness (guarded by that bit budget), computed from an
+identity rather than draw by draw.  The basic test also has a closed-form
+spectral evaluator.  All oracle access goes through the folding rule.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DEFAULT_GUARD_BITS, check_guard
-from .fourier import hamming_weights, subset_zeta, wht
+from .errors import _EXACT_CHUNK, DEFAULT_GUARD_BITS, check_guard
+from .fourier import _butterfly, _subset_sums, hamming_weights, spectrum_counts
+from .fourier import subset_zeta, wht
 from .functions import (
     BitVector,
     BooleanFunction,
@@ -33,9 +34,6 @@ from .functions import (
 # _MC_CHUNK is bound here for bench/spans.py, which counts htest_prob_mc chunks.
 from .rng import _MC_CHUNK, mc_chunks  # noqa: F401
 from .stats import wilson_interval
-
-# Upper bound on the grid elements htest_prob_exact evaluates at once.
-_EXACT_CHUNK = 1 << 18
 
 
 def _as_mask(x, n: int) -> int:
@@ -291,34 +289,32 @@ def run_hypergraph_test(
 # ---------------------------------------------------------------------------
 
 
+def _count_dtype(bits: int):
+    """int64 for counts below 2^bits while they fit 62 bits, else Python ints."""
+    return np.int64 if bits <= 62 else object
+
+
 def basic_test_prob_exact(
     f: BooleanFunction, *, guard_bits: int = DEFAULT_GUARD_BITS
 ) -> float:
     """Exact acceptance probability over all (x_i, x_j, y, z) tuples.
 
-    Counts accepting tuples as an integer over 2^{4n}, so the returned float
-    is the exact dyadic rational.  Requires a folded input and 4n guard bits.
+    pair_count[w] = #{(x_i, x_j) : f(x_i) f(x_j) = f(x_i + x_j + w)} is
+    (4^n + 2^{-n}·WHT(c^3)(w))/2 with c = spectrum_counts(f), and with
+    s = v·1⃗ + y, Σ_z pair_count[s ∧ z] = 2^{n-|s|} Σ_{u ⊆ s} pair_count[u].
+    The accept count over 2^{4n} tuples is an integer, so the float is the
+    exact dyadic rational.  Requires a folded input and 4n guard bits.
     """
     require_folded(f)
     n = f.n
     check_guard(4 * n, guard_bits)
-    table = folded_table(f).astype(np.int64)
     points = 1 << n
-    ones = points - 1
+    counts = spectrum_counts(f).astype(_count_dtype(4 * n))
+    pair_count = (points * points + _butterfly(counts**3) // points) // 2
     idx = np.arange(points)
-
-    # pair_count[w] = #{(x_i, x_j) : f(x_i) f(x_j) = f(x_i + x_j + w)}
-    pair_product = table[:, None] * table[None, :]
-    triple_index = (idx[:, None] ^ idx[None, :])[:, :, None] ^ idx[None, None, :]
-    pair_count = (pair_product[:, :, None] == table[triple_index]).sum(axis=(0, 1))
-
-    accepts = 0
-    zs = np.arange(points)
-    for y in range(points):
-        v = (1 - table[y]) // 2
-        shift = y ^ (ones if v else 0)
-        accepts += int(pair_count[shift & zs].sum())
-    return accepts / points**4
+    shifts = np.where(folded_table(f) < 0, idx ^ (points - 1), idx)
+    per_y = _subset_sums(pair_count)[shifts] << (n - hamming_weights(n)[shifts])
+    return int(per_y.sum()) / points**4
 
 
 def basic_test_prob_fourier(f: BooleanFunction) -> float:
@@ -368,38 +364,49 @@ def _folded_tables(fam: FunctionFamily):
 def htest_prob_exact(
     fam: FunctionFamily, *, guard_bits: int = DEFAULT_GUARD_BITS
 ) -> float:
-    """Exact hypergraph-test acceptance probability by full enumeration.
+    """Exact hypergraph-test acceptance probability from the edge expansion.
 
-    Evaluates the verdict on a grid with the (x_1..x_k, y_1..y_k)
-    assignments along axis 0, in chunks of about _EXACT_CHUNK grid elements,
-    and one z axis per vertex and per edge.  Accepts are counted as an
-    integer; a vertex z axis that no edge reads counts 2^n times.  Total
-    randomness is (3k + |E|)·n bits and must fit the guard.
+    With L_i the pass-2 vertex answers, l_e = Π_{i∈e} L_i and r_e the edge
+    answer, a draw accepts with indicator Π_e (1 + l_e r_e)/2 = 2^{-|E|}
+    Σ_{F ⊆ E} Π_{e∈F} r_e Π_{i: deg_F(i) odd} L_i.  Summing each z through
+    G(a, s) = Σ_z f(a + s ∧ z) turns r_e into G_e(Σ_{i∈e} x_i, Σ_{i∈e} s_i),
+    L_i into G_i(x_i, s_i) and an unread z into 2^n.  The sum over F runs
+    edge by edge on chunks of _EXACT_CHUNK (x, y) assignments, and the
+    (3k + |E|)·n bits of randomness must fit the guard.
     """
     h = fam.hypergraph
     k, n = h.k, fam.n
-    n_edges = len(h.edges)
-    check_guard((3 * k + n_edges) * n, guard_bits)
-    tables = _folded_tables(fam)
-
+    bits = (3 * k + len(h.edges)) * n
+    check_guard(bits, guard_bits)
+    vertex_tables, edge_tables, _ = _folded_tables(fam)
+    dtype = _count_dtype(bits + len(h.edges))
+    vertex_sums = [_and_sums(t, dtype) for t in vertex_tables]
+    edge_sums = [_and_sums(t, dtype) for t in edge_tables]
     points = 1 << n
-    z_dims = k + n_edges
-    # z axis a is grid axis 1 + a
-    zs = [
-        np.arange(points).reshape(-1, *(1,) * (z_dims - 1 - a)) for a in range(z_dims)
-    ]
-    free = k - len(set().union(*h.edges))
+    ones = points - 1
     combos = points ** (2 * k)
-    step = max(1, _EXACT_CHUNK // points ** (z_dims - free))
     digit_shifts = n * np.arange(2 * k)
-    accepts = 0
-    for start in range(0, combos, step):
-        combo = np.arange(start, min(start + step, combos))
-        digits = (combo[:, None] >> digit_shifts) & (points - 1)
-        xs_ys = list(digits.T.reshape(2 * k, -1, *(1,) * z_dims))
-        ok = _htest_verdicts(*tables, xs_ys[:k], xs_ys[k:], zs[:k], zs[k:])
-        accepts += int(np.count_nonzero(ok))
-    return accepts * points**free / points ** (3 * k + n_edges)
+    total = 0
+    for start in range(0, combos, _EXACT_CHUNK):
+        combo = np.arange(start, min(start + _EXACT_CHUNK, combos))
+        xs, ys = np.split((combo >> digit_shifts[:, None]) & ones, 2)
+        shifts = [np.where(t[y] < 0, y ^ ones, y) for t, y in zip(vertex_tables, ys)]
+        # by_odd[m]: Σ over the subsets F of the edges so far whose odd-degree
+        # vertex set is m of Π_{e∈F} G_e · 2^{n·(edges so far not in F)}
+        by_odd = {frozenset(): np.ones(combo.size, dtype=dtype)}
+        for g, edge in zip(edge_sums, h.edges):
+            x_sum = np.bitwise_xor.reduce([xs[i - 1] for i in edge])
+            answer = g[x_sum, np.bitwise_xor.reduce([shifts[i - 1] for i in edge])]
+            grown = {m: p * points for m, p in by_odd.items()}
+            for m, p in by_odd.items():
+                grown[m ^ edge] = grown.get(m ^ edge, 0) + p * answer
+            by_odd = grown
+        vertex_answers = [g[x, s] for g, x, s in zip(vertex_sums, xs, shifts)]
+        for m, p in by_odd.items():
+            for i, answer in enumerate(vertex_answers, start=1):
+                p = p * (answer if i in m else points)
+            total += int(p.sum())
+    return (total >> len(h.edges)) / 2**bits
 
 
 def htest_prob_mc(
@@ -431,29 +438,35 @@ def htest_prob_mc(
 # ---------------------------------------------------------------------------
 
 
+def _and_sums(table: np.ndarray, dtype) -> np.ndarray:
+    """G[a, s] = Σ_z f(a + s ∧ z) as integers, for a ±1 table of f.
+
+    s ∧ z runs over the subsets u of s, each 2^{n-|s|} times, so G[a, s] is
+    2^{n-|s|} times the subset sum over u ⊆ s of f(a + u).
+    """
+    n = table.size.bit_length() - 1
+    idx = np.arange(table.size)
+    shifted = table.astype(dtype)[idx[:, None] ^ idx]  # [a, u] -> f(a + u)
+    return _subset_sums(shifted) << (n - hamming_weights(n))
+
+
 def noise_and_operator(
     f: BooleanFunction, c, c_prime, *, guard_bits: int = DEFAULT_GUARD_BITS
 ) -> RealPointFunction:
     """g(x; y) = E_z f(c' + x + (c + y) ∧ z), as a table on 2n variables.
 
     The output point (x; y) is encoded as x | (y << n), matching the
-    spectrum encoding (α; β) -> α | (β << n).  Each entry is an integer sum
-    over all 2^n values of z divided by 2^n, hence exact.
+    spectrum encoding (α; β) -> α | (β << n).  Each entry is G[c' + x, c + y]
+    / 2^n with the integer sums G of ``_and_sums``, hence exact.  The guard
+    charges the 3n bits of (x, y, z).
     """
     n = f.n
     c = _as_mask(c, n)
     c_prime = _as_mask(c_prime, n)
     check_guard(3 * n, guard_bits)
-    points = 1 << n
-    xs = np.arange(points)
-    zs = np.arange(points)
-    table = np.empty(points * points, dtype=np.float64)
-    f_int = f.table.astype(np.int64)
-    for y in range(points):
-        u = c ^ y
-        probe = (c_prime ^ xs)[:, None] ^ (u & zs)[None, :]
-        table[(y << n) : (y << n) + points] = f_int[probe].sum(axis=1) / points
-    return RealPointFunction(2 * n, table)
+    idx = np.arange(1 << n)
+    sums = _and_sums(f.table, np.int64)[c_prime ^ idx[None, :], c ^ idx[:, None]]
+    return RealPointFunction(2 * n, sums.reshape(-1) / (1 << n))
 
 
 def noisy_spectrum_law_deviation(
@@ -464,9 +477,8 @@ def noisy_spectrum_law_deviation(
     g = noise_and_operator(f, c, c_prime, guard_bits=guard_bits)
     g_sq = wht(g).coeffs ** 2
     f_sq = wht(f).coeffs ** 2
-    alphas = np.arange(1 << n)
-    betas = np.arange(1 << n)
-    subset = (betas[:, None] & ~alphas[None, :]) == 0  # [β, α] -> β ⊆ α
+    idx = np.arange(1 << n)
+    subset = (idx[:, None] & ~idx[None, :]) == 0  # [β, α] -> β ⊆ α
     weights = hamming_weights(n).astype(np.float64)
     expected = f_sq[None, :] * subset * np.exp2(-2.0 * weights)[None, :]
     actual = g_sq.reshape(1 << n, 1 << n)  # [β, α] after the (x; y) encoding

@@ -55,6 +55,24 @@ def test_config_errors_exit_2(argv, capsys):
     assert out.err.startswith("error: ")
 
 
+NONPOSITIVE_COUNTS = {
+    "xcheck-basic-count-0": "xcheck --law basic --n 3 --count 0",
+    "xcheck-noise-count-0": "xcheck --law noise --n 3 --count 0",
+    "xcheck-basic-count-negative": "xcheck --law basic --n 3 --count -1",
+    "xcheck-noise-count-negative": "xcheck --law noise --n 3 --count -2",
+    "decode-count-0": "decode --n 4 --d 2 --coord 1 --rho 0.1 --tau 0.3 --count 0",
+}
+
+
+@pytest.mark.parametrize("argv", NONPOSITIVE_COUNTS.values(), ids=NONPOSITIVE_COUNTS.keys())
+def test_nonpositive_count_exits_2_naming_count(argv, capsys):
+    code, out = run(argv.split(), capsys)
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+    assert "'count'" in out.err
+
+
 def test_unreadable_config_file_exits_2(tmp_path, capsys):
     code, _ = run(["wht", "--config", tmp_path / "missing.json"], capsys)
     assert code == 2

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dictatest import (
     GuardExceeded,
@@ -41,6 +43,48 @@ def brute_norm_pow(table, d):
             prod *= table[point]
         total += prod
     return total / size ** (d + 1)
+
+
+def subset_shifts(shifts, d):
+    """XOR of the chosen shifts over every subset mask of [d]."""
+    sums = [0] * (1 << d)
+    for mask in range(1, 1 << d):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] ^ shifts[low.bit_length() - 1]
+    return sums
+
+
+def definition_inner_product(fam):
+    """<{f_S}>_{U_d} by its definition: one (x_1..x_d) tuple at a time,
+    vectorized over x."""
+    tables = [np.asarray(m.table) for m in fam.members]
+    points = 1 << fam.n
+    idx = np.arange(points)
+    total = 0.0
+    for shifts in itertools.product(range(points), repeat=fam.d):
+        prod = np.ones(points)
+        for mask, shift in enumerate(subset_shifts(shifts, fam.d)):
+            prod = prod * tables[mask][idx ^ shift]
+        total += float(prod.mean())
+    return total / points**fam.d
+
+
+def definition_linear_inner_product(fam):
+    """<{f_S}>_{LU_d} by its definition: x_1 vectorized, x_2..x_d one at a time."""
+    tables = [np.asarray(m.table) for m in fam.members]
+    d, points = fam.d, 1 << fam.n
+    x1 = np.arange(points)
+    total = 0.0
+    for rest in itertools.product(range(points), repeat=d - 1):
+        partial = subset_shifts((0, *rest), d)
+        prod = np.ones(points)
+        for mask in range(1 << d):
+            if mask & 1:
+                prod = prod * tables[mask][partial[mask] ^ x1]
+            else:
+                prod = prod * tables[mask][partial[mask]]
+        total += float(prod.mean())
+    return total / points ** (d - 1)
 
 
 def brute_linear_inner(tables, d):
@@ -91,7 +135,7 @@ def test_recursion_matches_definition_and_brute_force():
             f = random_real(n, rng)
             for d in (1, 2, 3):
                 rec = gowers_norm_pow(f, d)
-                enum = gowers_inner_product_exact(IndexedFamily.constant(d, f))
+                enum = definition_inner_product(IndexedFamily.constant(d, f))
                 assert abs(rec - enum) <= 1e-10
                 if n <= 2 and d <= 2:
                     assert abs(rec - brute_norm_pow(list(f.table), d)) <= 1e-10
@@ -163,6 +207,54 @@ def test_inner_product_dispatcher_falls_back_to_mc():
     assert -1.0 <= value <= 1.0
     with pytest.raises(GuardExceeded):
         gowers_inner_product_exact(fam, guard_bits=26)
+
+
+def sign_families(d, n, seed):
+    rng = np.random.default_rng(seed)
+    signs = {m: RealPointFunction(n, 1 - 2 * rng.integers(0, 2, size=1 << n))
+             for m in range(1 << d)}
+    constants = [random_folded(n, (seed, d)), parity(n, (1 << n) - 1), dictator(n, n)]
+    return [IndexedFamily(d, n, signs)] + [IndexedFamily.constant(d, f) for f in constants]
+
+
+def test_inner_products_equal_definition_exactly_on_sign_families():
+    for d in (1, 2, 3, 4):
+        for n in (1, 2, 3):
+            for fam in sign_families(d, n, 10 * d + n):
+                assert gowers_inner_product_exact(fam) == definition_inner_product(fam)
+                linear = linear_gowers_inner_product_exact(fam)
+                assert linear == definition_linear_inner_product(fam)
+
+
+def test_inner_products_match_definition_on_real_families():
+    rng = np.random.default_rng(41)
+    for d in (1, 2, 3, 4):
+        for n in (1, 2, 3):
+            fam = IndexedFamily(d, n, {m: random_real(n, rng) for m in range(1 << d)})
+            exact = gowers_inner_product_exact(fam)
+            assert abs(exact - definition_inner_product(fam)) <= 1e-12
+            linear = linear_gowers_inner_product_exact(fam)
+            assert abs(linear - definition_linear_inner_product(fam)) <= 1e-12
+
+
+@st.composite
+def small_indexed_families(draw):
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    values = st.sampled_from([-1.0, 1.0]) if draw(st.booleans()) else st.floats(-1, 1)
+    tables = draw(st.lists(st.lists(values, min_size=1 << n, max_size=1 << n),
+                           min_size=1 << d, max_size=1 << d))
+    return IndexedFamily(d, n, {m: RealPointFunction(n, t) for m, t in enumerate(tables)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_indexed_families())
+def test_inner_products_match_definition_property(fam):
+    signs = all(np.all(np.abs(m.table) == 1.0) for m in fam.members)
+    tolerance = 0.0 if signs else 1e-12
+    exact = gowers_inner_product_exact(fam)
+    assert abs(exact - definition_inner_product(fam)) <= tolerance
+    linear = linear_gowers_inner_product_exact(fam)
+    assert abs(linear - definition_linear_inner_product(fam)) <= tolerance
 
 
 def test_linear_inner_product_all_dictators_is_one():

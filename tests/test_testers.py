@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dictatest import (
     BooleanFunction,
@@ -33,10 +35,13 @@ from dictatest.families import (
     random_family,
     random_folded,
 )
+from dictatest.functions import folded_table
+from dictatest import testers
 from dictatest.rng import derive_rng
-from dictatest.testers import _folded_tables, _htest_verdicts
+from dictatest.testers import _EXACT_CHUNK, _folded_tables, _htest_verdicts
 
 EDGE_12 = Hypergraph(2, [frozenset({1, 2})])
+PATH_3 = Hypergraph(3, [frozenset({1, 2}), frozenset({2, 3})])
 
 
 def all_hypergraphs(k):
@@ -221,6 +226,61 @@ def test_exact_guard():
     with pytest.raises(GuardExceeded):
         basic_test_prob_exact(dictator(7, 1), guard_bits=26)
     assert basic_test_prob_exact(dictator(7, 1), guard_bits=28) == 1.0
+
+
+def triple_index_accept_count(f):
+    """Accepting (x_i, x_j, y, z) tuples of the basic test, by enumeration.
+
+    pair_count[w] counts the (x_i, x_j) with f(x_i) f(x_j) = f(x_i + x_j + w)
+    over a 2^{3n} (x_i, x_j, w) index array; each y then sums pair_count over
+    s ∧ z for every z.
+    """
+    table = folded_table(f).astype(np.int64)
+    points = 1 << f.n
+    ones = points - 1
+    idx = np.arange(points)
+    pair_product = table[:, None] * table[None, :]
+    triple_index = (idx[:, None] ^ idx[None, :])[:, :, None] ^ idx[None, None, :]
+    pair_count = (pair_product[:, :, None] == table[triple_index]).sum(axis=(0, 1))
+    accepts = 0
+    for y in range(points):
+        shift = y ^ (ones if table[y] < 0 else 0)
+        accepts += int(pair_count[shift & idx].sum())
+    return accepts
+
+
+def basic_families(n):
+    """Every folded function for n <= 3; structured and random ones beyond."""
+    if n <= 3:
+        halves = itertools.product((-1, 1), repeat=1 << (n - 1))
+        return [make_folded(n, half) for half in halves]
+    fs = [dictator(n, 1), dictator(n, n), noisy_dictator(n, 2, 0.2, n), parity(n, 0b111)]
+    fs += [random_folded(n, (61, n, t)) for t in range(3)]
+    return fs + ([majority(n)] if n % 2 else [])
+
+
+def test_basic_exact_equals_triple_index_enumeration():
+    for n in range(1, 8):
+        for f in basic_families(n):
+            count = triple_index_accept_count(f)
+            assert basic_test_prob_exact(f, guard_bits=4 * n) == count / 2 ** (4 * n)
+
+
+HALF_TABLES = st.sampled_from([1, 2, 4, 8, 16, 32]).flatmap(
+    lambda size: st.lists(st.sampled_from([-1, 1]), min_size=size, max_size=size)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(HALF_TABLES)
+def test_basic_exact_equals_enumeration_property(half):
+    f = make_folded(len(half).bit_length(), half)
+    assert basic_test_prob_exact(f) == triple_index_accept_count(f) / 2 ** (4 * f.n)
+
+
+def test_basic_exact_dictator_completeness_n12():
+    for ell in range(1, 13):
+        assert basic_test_prob_exact(dictator(12, ell), guard_bits=48) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +482,105 @@ def test_htest_exact_grid_equals_flat_enumeration():
             assert htest_prob_exact(fam) == np.count_nonzero(ok) / 2 ** (bits * n)
 
 
+def grid_accept_count(fam):
+    """Accepting draws of the hypergraph test over all 2^{(3k+|E|)n} draws.
+
+    Evaluates the verdict kernel on a grid with the (x_1..x_k, y_1..y_k)
+    assignments along axis 0, in chunks of about _EXACT_CHUNK grid elements,
+    and one z axis per vertex and per edge; a vertex z axis that no edge
+    reads counts 2^n times.
+    """
+    h = fam.hypergraph
+    k, n = h.k, fam.n
+    tables = _folded_tables(fam)
+    points = 1 << n
+    z_dims = k + len(h.edges)
+    zs = [np.arange(points).reshape(-1, *(1,) * (z_dims - 1 - a)) for a in range(z_dims)]
+    free = k - len(set().union(*h.edges))
+    combos = points ** (2 * k)
+    step = max(1, _EXACT_CHUNK // points ** (z_dims - free))
+    digit_shifts = n * np.arange(2 * k)
+    accepts = 0
+    for start in range(0, combos, step):
+        combo = np.arange(start, min(start + step, combos))
+        digits = (combo[:, None] >> digit_shifts) & (points - 1)
+        xs_ys = list(digits.T.reshape(2 * k, -1, *(1,) * z_dims))
+        ok = _htest_verdicts(*tables, xs_ys[:k], xs_ys[k:], zs[:k], zs[k:])
+        accepts += int(np.count_nonzero(ok))
+    return accepts * points**free
+
+
+def htest_families(h, n):
+    fams = [random_family(h, n, s) for s in (5, 6)] + [noisy_family(h, n, 7)]
+    fams.append(FunctionFamily.uniform(h, dictator(n, n)))
+    if n % 2:
+        fams.append(FunctionFamily.uniform(h, majority(n)))
+    return fams
+
+
+def test_htest_exact_equals_grid_enumeration():
+    cases = [(EDGE_12, n) for n in (1, 2, 3)] + [(PATH_3, n) for n in (1, 2)]
+    cases += [(complete_hypergraph(3), 1), (complete_hypergraph(3), 2)]
+    for h, n in cases:
+        bits = (3 * h.k + len(h.edges)) * n
+        for fam in htest_families(h, n):
+            expected = grid_accept_count(fam) / 2**bits
+            assert htest_prob_exact(fam, guard_bits=bits) == expected
+
+
+EDGE_POOL = [frozenset(e) for e in ({1}, {2}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3})]
+
+
+@st.composite
+def small_families(draw):
+    k = draw(st.integers(1, 3))
+    pool = [e for e in EDGE_POOL if max(e) <= k]
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=3))
+    h = Hypergraph(k, edges, allow_singletons=True)
+    n = draw(st.integers(1, 2 if (3 * k + len(edges)) * 2 <= 22 else 1))
+    half = 1 << (n - 1)
+    signs = st.lists(st.sampled_from([-1, 1]), min_size=half, max_size=half)
+    halves = draw(st.lists(signs, min_size=h.t, max_size=h.t))
+    fns = [make_folded(n, values) for values in halves]
+    return FunctionFamily(h, fns[:k], fns[k:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_families())
+def test_htest_exact_equals_grid_enumeration_property(fam):
+    bits = (3 * fam.hypergraph.k + len(fam.hypergraph.edges)) * fam.n
+    assert htest_prob_exact(fam) == grid_accept_count(fam) / 2**bits
+
+
+def test_exact_counts_in_python_ints_match_int64(monkeypatch):
+    """Counts too wide for int64 switch to Python ints; force that path."""
+    fams = htest_families(PATH_3, 2) + htest_families(complete_hypergraph(3), 1)
+    fs = basic_families(3) + basic_families(6)
+
+    def values():
+        return [htest_prob_exact(fam) for fam in fams] + [basic_test_prob_exact(f) for f in fs]
+
+    expected = values()
+    monkeypatch.setattr(testers, "_count_dtype", lambda bits: object)
+    assert values() == expected
+
+
+def test_basic_exact_beyond_int64_counts():
+    # 4n = 64 bits: the counts are Python ints
+    assert basic_test_prob_exact(dictator(16, 3), guard_bits=64) == 1.0
+    f = random_folded(16, 62)
+    exact = basic_test_prob_exact(f, guard_bits=64)
+    assert abs(exact - basic_test_prob_fourier(f)) <= 1e-10
+
+
+def test_htest_exact_perfect_completeness_beyond_the_old_enumerator():
+    path_4 = Hypergraph(4, [frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4})])
+    for h, n in ((complete_hypergraph(3), 2), (complete_hypergraph(3), 3), (path_4, 2)):
+        for ell in range(1, n + 1):
+            fam = FunctionFamily.uniform(h, dictator(n, ell))
+            assert htest_prob_exact(fam, guard_bits=39) == 1.0
+
+
 def test_htest_no_edges_always_accepts():
     h = Hypergraph(2, [])
     fam = FunctionFamily(h, [random_folded(2, 1), random_folded(2, 2)], [])
@@ -459,6 +618,28 @@ def test_noise_operator_spectrum_law_random():
         c_prime = int(rng.integers(0, 8))
         worst = max(worst, noisy_spectrum_law_deviation(f, c, c_prime))
     assert worst <= 1e-10
+
+
+def per_y_noise_table(f, c, c_prime):
+    """g(x; y) at x | (y << n), summing f(c' + x + (c + y) ∧ z) over z per y."""
+    n, points = f.n, 1 << f.n
+    idx = np.arange(points)
+    table = np.empty(points * points, dtype=np.float64)
+    f_int = f.table.astype(np.int64)
+    for y in range(points):
+        probe = (c_prime ^ idx)[:, None] ^ ((c ^ y) & idx)[None, :]
+        table[(y << n) : (y << n) + points] = f_int[probe].sum(axis=1) / points
+    return table
+
+
+def test_noise_operator_equals_per_y_sums():
+    rng = np.random.default_rng(91)
+    for n in range(1, 7):
+        for _ in range(4):
+            f = BooleanFunction(n, 1 - 2 * rng.integers(0, 2, size=1 << n))
+            c, c_prime = (int(v) for v in rng.integers(0, 1 << n, size=2))
+            g = noise_and_operator(f, c, c_prime)
+            assert np.array_equal(g.table, per_y_noise_table(f, c, c_prime))
 
 
 def test_noise_operator_dimension_mismatch():
