@@ -193,8 +193,8 @@ class FoldedOracle:
     induced function F therefore satisfies F(1⃗+x) = -F(x) for every x and
     has mean exactly 0, regardless of the wrapped table.
 
-    One oracle instance belongs to a single logical thread; use ``fresh()``
-    to give each worker its own counter.
+    ``fresh()`` returns an oracle over the same table with its query count
+    at zero.
     """
 
     __slots__ = ("inner", "query_count")

@@ -380,8 +380,14 @@ def htest_prob_exact(
     check_guard(bits, guard_bits)
     vertex_tables, edge_tables, _ = _folded_tables(fam)
     dtype = _count_dtype(bits + len(h.edges))
-    vertex_sums = [_and_sums(t, dtype) for t in vertex_tables]
-    edge_sums = [_and_sums(t, dtype) for t in edge_tables]
+    # one G table per distinct member; BooleanFunction compares by its table
+    sums = {}
+    members = fam.vertex_functions + fam.edge_functions
+    for f, t in zip(members, vertex_tables + edge_tables):
+        if f not in sums:
+            sums[f] = _and_sums(t, dtype)
+    vertex_sums = [sums[f] for f in fam.vertex_functions]
+    edge_sums = [sums[f] for f in fam.edge_functions]
     points = 1 << n
     ones = points - 1
     combos = points ** (2 * k)

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,3 +178,21 @@ def test_rerun_reproduces_csv_except_wall_ms(argv, tmp_path, capsys):
         texts.append((tmp_path / name).read_text())
     assert len(csv_without_wall_ms(texts[0])) > 1
     assert csv_without_wall_ms(texts[0]) == csv_without_wall_ms(texts[1])
+
+
+# ---------------------------------------------------------------------------
+# Import path
+# ---------------------------------------------------------------------------
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, dictatest.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

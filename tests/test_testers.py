@@ -581,6 +581,24 @@ def test_htest_exact_perfect_completeness_beyond_the_old_enumerator():
             assert htest_prob_exact(fam, guard_bits=39) == 1.0
 
 
+def test_htest_exact_builds_one_and_table_per_distinct_member(monkeypatch):
+    h = complete_hypergraph(3)
+    uniform = FunctionFamily.uniform(h, random_folded(2, 9))
+    mixed = random_family(h, 2, 5)
+    bits = (3 * h.k + len(h.edges)) * 2
+    calls = []
+    and_sums = testers._and_sums
+    monkeypatch.setattr(
+        testers, "_and_sums", lambda t, dtype: calls.append(1) or and_sums(t, dtype)
+    )
+    for fam in (uniform, mixed):
+        calls.clear()
+        assert htest_prob_exact(fam, guard_bits=bits) == grid_accept_count(fam) / 2**bits
+        distinct = set(fam.vertex_functions + fam.edge_functions)
+        assert len(calls) == len(distinct)
+    assert len(distinct) > 1
+
+
 def test_htest_no_edges_always_accepts():
     h = Hypergraph(2, [])
     fam = FunctionFamily(h, [random_folded(2, 1), random_folded(2, 2)], [])
