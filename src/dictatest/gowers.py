@@ -1,8 +1,9 @@
 """Gowers uniformity norms, inner products, and the influential-pair decoder.
 
 Exact values come from the derivative recursion <{f_S}>_{U_d} =
-E_h <{f_S · f_{S∪{d}}(· + h)}>_{U_{d-1}} whenever the definition's randomness
-fits the guard; the inner products fall back to seeded Monte Carlo beyond it.
+E_h <{f_S · f_{S∪{d}}(· + h)}>_{U_{d-1}}; an exact route raises GuardExceeded
+when the definition's randomness exceeds the guard.  Each inner product also
+has a seeded Monte Carlo route, and the caller picks the route and reports it.
 All Monte Carlo paths derive per-chunk sub-streams by counter
 (``rng.mc_chunks``), so estimates are reproducible.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _EXACT_CHUNK, DEFAULT_GUARD_BITS, GuardExceeded, check_guard
+from .errors import _EXACT_CHUNK, DEFAULT_GUARD_BITS, check_guard
 from .fourier import Spectrum, influence, low_degree_influence, wht, _butterfly
 from .functions import BooleanFunction, RealPointFunction, check_dimension
 from .rng import mc_chunks
@@ -62,11 +63,6 @@ class IndexedFamily:
 
     def member(self, mask: int) -> RealPointFunction:
         return self.members[int(mask)]
-
-    def replace(self, mask: int, f) -> "IndexedFamily":
-        members = {m: fn for m, fn in enumerate(self.members)}
-        members[int(mask)] = _as_real(f)
-        return IndexedFamily(self.d, self.n, members)
 
     @classmethod
     def constant(cls, d: int, f) -> "IndexedFamily":
@@ -207,34 +203,6 @@ def linear_gowers_inner_product_mc(
         return _cube_product(tables, np.zeros(m, dtype=np.int64), draws)
 
     return _mc_mean(sample_chunk, trials, seed)
-
-
-def gowers_inner_product(
-    fam: IndexedFamily,
-    *,
-    guard_bits: int = DEFAULT_GUARD_BITS,
-    trials: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Exact when the guard allows, otherwise the MC estimate."""
-    try:
-        return gowers_inner_product_exact(fam, guard_bits=guard_bits)
-    except GuardExceeded:
-        return gowers_inner_product_mc(fam, trials, seed)[0]
-
-
-def linear_gowers_inner_product(
-    fam: IndexedFamily,
-    *,
-    guard_bits: int = DEFAULT_GUARD_BITS,
-    trials: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Exact when the guard allows, otherwise the MC estimate."""
-    try:
-        return linear_gowers_inner_product_exact(fam, guard_bits=guard_bits)
-    except GuardExceeded:
-        return linear_gowers_inner_product_mc(fam, trials, seed)[0]
 
 
 def find_influential_pair(

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import os
@@ -86,6 +87,24 @@ def test_guard_exceeded_exits_3(capsys):
     code, out = run("basictest --fn dict:1 --n 8 --guard-bits 10".split(), capsys)
     assert code == 3
     assert "guard allows 2^10" in out.err
+    code, out = run("gowers --fn dict:1 --n 5 --d 4 --method exact --guard-bits 24".split(),
+                    capsys)
+    assert code == 3
+    assert out.out == ""
+    assert "guard allows 2^24" in out.err
+
+
+@pytest.mark.parametrize("guard", [9, 10, 14, 15, 19, 20, 25])
+def test_gowers_auto_is_exact_exactly_where_the_guard_allows(guard, capsys):
+    n = 5
+    argv = f"gowers --fn random:3 --n {n} --d 4 --trials 200 --guard-bits {guard}"
+    code, out = run(argv.split(), capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out.out)))
+    assert [r["method"] for r in rows] == [
+        "exact" if (d + 1) * n <= guard else "mc" for d in (1, 2, 3, 4)
+    ]
+    assert [r["stderr"] == "" for r in rows] == [r["method"] == "exact" for r in rows]
 
 
 def test_invariant_violation_exits_4(capsys):
@@ -146,6 +165,101 @@ def test_flags_override_config_file(tmp_path, capsys):
     ]
 
 
+UNKNOWN_KEYS = {
+    "dashed-long-name": ("basictest", {"fn": "dict:1", "n": 8, "guard-bits": 10}, "guard-bits"),
+    "flag-name-not-key": ("influence", {"fn": "dict:1", "n": 3, "degree": 1}, "degree"),
+    "misspelt": ("htest", {"complete_k": 2, "n": 2, "members": "all=dict:1", "trails": 5},
+                 "trails"),
+    "other-command": ("wht", {"fn": "dict:1", "n": 2, "count": 3}, "count"),
+}
+
+
+@pytest.mark.parametrize("command, doc, key", UNKNOWN_KEYS.values(), ids=UNKNOWN_KEYS.keys())
+def test_unknown_config_key_exits_2_naming_it(command, doc, key, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code, out = run([command, "--config", config], capsys)
+    assert code == 2
+    assert out.out == ""
+    assert f"unknown key {key!r}" in out.err
+
+
+MISTYPED_VALUES = {
+    "json-string": {"fn": "dict:1", "n": 2, "json": "false"},
+    "json-number": {"fn": "dict:1", "n": 2, "json": 0},
+    "int-float": {"fn": "dict:1", "n": 3.7},
+    "int-bool": {"fn": "dict:1", "n": True},
+    "int-string": {"fn": "dict:1", "n": "3"},
+    "str-number": {"fn": 1, "n": 3},
+}
+
+
+@pytest.mark.parametrize("doc", MISTYPED_VALUES.values(), ids=MISTYPED_VALUES.keys())
+def test_mistyped_config_value_exits_2(doc, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code, out = run(["wht", "--config", config], capsys)
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: bad value for ")
+
+
+FAMILY_FILE = {"n": 2, "k": 2, "edges": [[1, 2]], "members": "all=dict:2"}
+# Every option of every subcommand, so that each can be moved into a config file.
+ALL_OPTIONS = [
+    "wht --fn dict:2 --n 3 --seed 1 --guard-bits 20 --json",
+    "influence --fn random:4 --n 4 --degree 2 --seed 1 --guard-bits 20",
+    "gowers --fn random:3 --n 5 --d 3 --method auto --trials 300 --seed 2 --guard-bits 15",
+    "basictest --fn random:5 --n 3 --method both --seed 3 --guard-bits 12",
+    "htest --k 3 --edges 1,2;2,3 --n 3 --members all=random:1 --method mc --trials 300"
+    " --seed 4 --guard-bits 30",
+    "htest --complete-k 2 --n 2 --random-families 2 --trials 200 --seed 5",
+    "htest --family FAMILY --method exact --guard-bits 30",
+    "xcheck --law noise --n 3 --count 2 --seed 6 --guard-bits 20",
+    "decode --n 4 --d 2 --coord 2 --rho 0.1 --tau 0.2 --w 2 --count 2 --seed 7",
+]
+CONFIG_KEYS = {"--random-families": "families", "--degree": "w"}
+
+
+def json_value(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+@pytest.mark.parametrize("argv", ALL_OPTIONS, ids=lambda argv: argv.split()[0])
+def test_each_option_gives_the_same_report_as_flag_or_config_key(argv, tmp_path, capsys):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(FAMILY_FILE))
+    report, config = tmp_path / "report", tmp_path / "config.json"
+    command, *tokens = argv.replace("FAMILY", str(family)).split() + ["--out", str(report)]
+    options = []  # (flag, value text or None for a bare flag)
+    for token in tokens:
+        if token.startswith("--"):
+            options.append((token, None))
+        else:
+            options[-1] = (options[-1][0], token)
+
+    def report_of(opts, doc):
+        config.write_text(json.dumps(doc))
+        flags = [t for flag, value in opts for t in (flag, value) if t is not None]
+        code, _ = run([command, *flags, "--config", config], capsys)
+        assert code == 0
+        text = report.read_text()
+        report.unlink()
+        return csv_without_wall_ms(text)
+
+    expected = report_of(options, {})
+    assert len(expected) > 1
+    for i, (flag, value) in enumerate(options):
+        key = CONFIG_KEYS.get(flag, flag[2:].replace("-", "_"))
+        doc = {key: True if value is None else json_value(value)}
+        assert report_of(options[:i] + options[i + 1:], doc) == expected, flag
+
+
 # ---------------------------------------------------------------------------
 # Reproducibility
 # ---------------------------------------------------------------------------
@@ -183,6 +297,12 @@ def test_rerun_reproduces_csv_except_wall_ms(argv, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # Import path
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("module", ["dictatest", "dictatest.cli"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_cli_import_loads_no_scipy():
