@@ -25,7 +25,7 @@ import sys
 import tempfile
 import time
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import DEFAULT_GUARD_BITS, GuardExceeded, InvariantViolation, SpecParseError
@@ -33,7 +33,7 @@ from .families import (
     build_family, load_family, parse_fnspec, planted_decoder_family, random_family,
     random_folded,
 )
-from .fourier import hamming_weights, influence, low_degree_influence, wht
+from .fourier import hamming_weights, influences, wht
 from .functions import BooleanFunction, table_to_hex
 from .gowers import (
     IndexedFamily, find_influential_pair, gowers_inner_product_exact,
@@ -92,6 +92,9 @@ class Config:
     def __post_init__(self):
         if isinstance(self.edges, str):
             self.edges = _parse_edges(self.edges)
+        elif self.edges is not None and not all(
+                type(e) is list and all(type(v) is int for v in e) for e in self.edges):
+            raise SpecParseError(f"bad value for 'edges': {self.edges!r}")
 
 
 def _field_types() -> dict[str, tuple]:
@@ -164,16 +167,15 @@ def _format_cell(value) -> str:
 
 
 def write_report(rows, columns, out: str | None, as_json: bool) -> None:
-    """Serialize rows; atomic rename when writing to a file."""
-    records = [asdict(r) for r in rows]
+    """Serialize each row's ``columns``; atomic rename when writing to a file."""
     if as_json:
+        records = [{c: getattr(r, c) for c in columns} for r in rows]
         text = json.dumps(records, indent=2) + "\n"
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
-        for record in records:
-            writer.writerow([_format_cell(record[c]) for c in columns])
+        writer.writerows([_format_cell(getattr(r, c)) for c in columns] for r in rows)
         text = buffer.getvalue()
     if out is None:
         sys.stdout.write(text)
@@ -212,21 +214,16 @@ def _hypergraph(cfg: Config) -> Hypergraph:
 def _run_wht(cfg: Config) -> list[SpectrumRow]:
     _require(cfg, "n", "fn")
     spectrum = wht(parse_fnspec(cfg.fn, cfg.n))
-    weights = hamming_weights(cfg.n)
-    return [
-        SpectrumRow(format(alpha, "x"), int(weights[alpha]), float(coeff))
-        for alpha, coeff in enumerate(spectrum.coeffs)
-    ]
+    alphas = (format(alpha, "x") for alpha in range(1 << cfg.n))
+    return list(map(SpectrumRow, alphas, hamming_weights(cfg.n).tolist(),
+                    spectrum.coeffs.tolist()))
 
 
 def _run_influence(cfg: Config) -> list[InfluenceRow]:
     _require(cfg, "n", "fn")
     spectrum = wht(parse_fnspec(cfg.fn, cfg.n))
-    return [
-        InfluenceRow(i, influence(spectrum, i),
-                     None if cfg.w is None else low_degree_influence(spectrum, i, cfg.w))
-        for i in range(1, cfg.n + 1)
-    ]
+    low = [None] * cfg.n if cfg.w is None else influences(spectrum, cfg.w)
+    return list(map(InfluenceRow, range(1, cfg.n + 1), influences(spectrum), low))
 
 
 def _gowers_row(cfg: Config, fam: IndexedFamily, method: str) -> GowersRow:
@@ -292,6 +289,8 @@ def _run_htest(cfg: Config) -> list[ReportRow]:
             raise SpecParseError("random families replace --members and --family")
         if cfg.families < 1:
             raise SpecParseError(f"need at least one random family, got {cfg.families}")
+        if cfg.method not in (None, "mc"):
+            raise SpecParseError(f"random families run only --method mc, got {cfg.method!r}")
         h = _hypergraph(cfg)
         rows = []
         for idx in range(cfg.families):

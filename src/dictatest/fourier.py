@@ -4,7 +4,11 @@ Coefficients follow the averaging convention: coeffs[α] = 2^{-n} Σ_x f(x)
 (-1)^{<α,x>}, with the character index α encoded like a point (bit i-1 is
 α_i).  The butterfly accumulates unnormalized integer-valued sums and divides
 once at the end, so boolean inputs give exactly representable dyadic
-coefficients at small n.
+coefficients at small n.  Each butterfly stage reads one buffer and writes
+the other, so no stage copies its input.  ``influences`` gives all n
+(low-degree) influences from one squared spectrum, each summed over a
+contiguous index-ordered copy so that it is the float a one-coordinate sum
+gives.
 """
 
 from __future__ import annotations
@@ -19,19 +23,20 @@ from .functions import BooleanFunction, RealPointFunction, _freeze, check_dimens
 def _butterfly(values: np.ndarray) -> np.ndarray:
     """Unnormalized WHT out[α] = Σ_x values[x] (-1)^{<α,x>}, in values' dtype.
 
-    Transforms along the last axis.  Fixed stage/summation order;
-    deterministic across runs.
+    Transforms along the last axis.  Stage t maps each pair (low, high) at
+    distance 2^t to (low + high, low - high), reading one buffer and writing
+    the other; the first stage reads ``values``, which is left unchanged.
+    Fixed stage/summation order; deterministic across runs.
     """
-    out = values.copy()
+    src, dst = values, np.empty(values.shape, values.dtype)
     width = 1
-    while width < out.shape[-1]:
-        view = out.reshape(-1, 2 * width)
-        low = view[:, :width].copy()
-        high = view[:, width:]
-        view[:, :width] = low + high
-        view[:, width:] = low - high
+    while width < values.shape[-1]:
+        pairs, out = src.reshape(-1, 2, width), dst.reshape(-1, 2, width)
+        np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
+        src, dst = dst, np.empty_like(dst) if src is values else src
         width *= 2
-    return out
+    return values.copy() if src is values else src
 
 
 def hamming_weights(n: int) -> np.ndarray:
@@ -88,12 +93,29 @@ def _check_coordinate(n: int, i: int) -> int:
     return i
 
 
+def influences(s: Spectrum, w: int | None = None) -> list[float]:
+    """[I_1(f), ..., I_n(f)], or the low-degree I_i^{<=w}(f) given w.
+
+    Squares the spectrum and builds the |α| <= w mask once for all n
+    coordinates.  Entry i-1 sums the α_i = 1 squares copied contiguously in
+    index order, so it is the float the one-coordinate sum would give.
+    """
+    if w is not None and not 0 <= int(w) <= s.n:
+        raise ValueError(f"degree bound {int(w)} out of range for n={s.n}")
+    squares = s.coeffs**2
+    keep = None if w is None else hamming_weights(s.n) <= int(w)
+    out = []
+    for i in range(1, s.n + 1):
+        half = squares.reshape(-1, 2, 1 << (i - 1))[:, 1]  # the α_i = 1 blocks
+        if keep is not None:
+            half = half[keep.reshape(-1, 2, 1 << (i - 1))[:, 1]]
+        out.append(float(np.sum(half.ravel())))
+    return out
+
+
 def influence(s: Spectrum, i: int) -> float:
     """I_i(f) = Σ_{α: α_i = 1} f̂(α)^2."""
-    i = _check_coordinate(s.n, i)
-    alphas = np.arange(1 << s.n)
-    sel = (alphas >> (i - 1)) & 1 == 1
-    return float(np.sum(s.coeffs[sel] ** 2))
+    return influences(s)[_check_coordinate(s.n, i) - 1]
 
 
 def influence_combinatorial(f: BooleanFunction, i: int) -> float:
@@ -107,12 +129,7 @@ def influence_combinatorial(f: BooleanFunction, i: int) -> float:
 def low_degree_influence(s: Spectrum, i: int, w: int) -> float:
     """I_i^{<=w}(f): the influence sum restricted to |α| <= w."""
     i = _check_coordinate(s.n, i)
-    w = int(w)
-    if not 0 <= w <= s.n:
-        raise ValueError(f"degree bound {w} out of range for n={s.n}")
-    alphas = np.arange(1 << s.n)
-    sel = ((alphas >> (i - 1)) & 1 == 1) & (hamming_weights(s.n) <= w)
-    return float(np.sum(s.coeffs[sel] ** 2))
+    return influences(s, w)[i - 1]
 
 
 def _subset_sums(values: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import _EXACT_CHUNK, DEFAULT_GUARD_BITS, check_guard
-from .fourier import Spectrum, influence, low_degree_influence, wht, _butterfly
+from .fourier import _butterfly, influences, wht
 from .functions import BooleanFunction, RealPointFunction, check_dimension
 from .rng import mc_chunks
 
@@ -217,17 +217,11 @@ def find_influential_pair(
     """
     if tau <= 0.0:
         raise ValueError(f"threshold must be positive, got {tau}")
-    spectra = [wht(m) for m in fam.members]
-
-    def infl(s: Spectrum, i: int) -> float:
-        if w is None:
-            return influence(s, i)
-        return low_degree_influence(s, i, w)
+    table = [influences(wht(m), w) for m in fam.members]  # table[S][i-1]
 
     best: tuple[int, int, int] | None = None
     best_value = tau
-    for i in range(1, fam.n + 1):
-        values = [infl(s, i) for s in spectra]
+    for i, values in enumerate(zip(*table), start=1):
         order = sorted(range(len(values)), key=lambda m: (-values[m], m))
         s_mask, t_mask = sorted(order[:2])
         pair_value = min(values[s_mask], values[t_mask])

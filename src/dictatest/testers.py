@@ -327,7 +327,13 @@ def basic_test_prob_fourier(f: BooleanFunction) -> float:
     spectrum = wht(f)
     zeta = subset_zeta(spectrum)
     weights = hamming_weights(f.n)
-    terms = spectrum.coeffs**3 * np.exp2(-weights.astype(np.float64)) * (1.0 + zeta)
+    # c = count/2^n: c*c*c and pow give the exact cube while |count| <= 2^17;
+    # beyond, pow (which can round ties differently) keeps coeffs**3's floats.
+    c = spectrum.coeffs
+    cube = c * c * c
+    wide = np.abs(c) > 2.0 ** (17 - f.n)
+    cube[wide] = c[wide] ** 3
+    terms = cube * np.exp2(-weights.astype(np.float64)) * (1.0 + zeta)
     return 0.5 + 0.5 * float(terms.sum())
 
 

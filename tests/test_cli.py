@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dictatest import cli, fourier
 from dictatest.cli import main
 from dictatest.families import random_folded
 from dictatest.functions import BooleanFunction, table_to_hex
@@ -47,6 +49,10 @@ CONFIG_ERRORS = {
         "decode --n 4 --d 2 --coord 1 --rho 0.9 --tau 0.3 --count 1",
     "complete-k-1": "htest --complete-k 1 --n 2 --members all=dict:1",
     "xcheck-n-0": "xcheck --n 0 --count 1",
+    "random-families-method-exact":
+        "htest --complete-k 2 --n 2 --random-families 1 --method exact --trials 100",
+    "random-families-method-unknown":
+        "htest --complete-k 2 --n 2 --random-families 1 --method bogus --trials 100",
     "bad-fnspec": "basictest --fn nope:1 --n 3",
     "missing-argument": "basictest --fn dict:1",
 }
@@ -76,6 +82,14 @@ def test_nonpositive_count_exits_2_naming_count(argv, capsys):
     assert out.out == ""
     assert out.err.startswith("error: ")
     assert "'count'" in out.err
+
+
+@pytest.mark.parametrize("w", [-1, 4])
+def test_influence_degree_out_of_range_exits_2_naming_it(w, capsys):
+    code, out = run(["influence", "--fn", "random:1", "--n", 3, "--degree", w], capsys)
+    assert code == 2
+    assert out.out == ""
+    assert out.err == f"error: degree bound {w} out of range for n=3\n"
 
 
 def test_unreadable_config_file_exits_2(tmp_path, capsys):
@@ -204,6 +218,20 @@ def test_mistyped_config_value_exits_2(doc, tmp_path, capsys):
     assert out.err.startswith("error: bad value for ")
 
 
+BAD_EDGES = {"integers": [1, 2], "strings": ["1,2"], "float-vertex": [[1, 2.0]],
+             "bool-vertex": [[1, True]], "object": [{"1": 2}]}
+
+
+@pytest.mark.parametrize("edges", BAD_EDGES.values(), ids=BAD_EDGES.keys())
+def test_config_edges_must_be_a_string_or_integer_lists(edges, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k": 2, "edges": edges, "n": 2, "members": "all=dict:1"}))
+    code, out = run(["htest", "--config", config], capsys)
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: bad value for 'edges'")
+
+
 FAMILY_FILE = {"n": 2, "k": 2, "edges": [[1, 2]], "members": "all=dict:2"}
 # Every option of every subcommand, so that each can be moved into a config file.
 ALL_OPTIONS = [
@@ -213,7 +241,7 @@ ALL_OPTIONS = [
     "basictest --fn random:5 --n 3 --method both --seed 3 --guard-bits 12",
     "htest --k 3 --edges 1,2;2,3 --n 3 --members all=random:1 --method mc --trials 300"
     " --seed 4 --guard-bits 30",
-    "htest --complete-k 2 --n 2 --random-families 2 --trials 200 --seed 5",
+    "htest --complete-k 2 --n 2 --random-families 2 --method mc --trials 200 --seed 5",
     "htest --family FAMILY --method exact --guard-bits 30",
     "xcheck --law noise --n 3 --count 2 --seed 6 --guard-bits 20",
     "decode --n 4 --d 2 --coord 2 --rho 0.1 --tau 0.2 --w 2 --count 2 --seed 7",
@@ -258,6 +286,76 @@ def test_each_option_gives_the_same_report_as_flag_or_config_key(argv, tmp_path,
         key = CONFIG_KEYS.get(flag, flag[2:].replace("-", "_"))
         doc = {key: True if value is None else json_value(value)}
         assert report_of(options[:i] + options[i + 1:], doc) == expected, flag
+
+
+# ---------------------------------------------------------------------------
+# Report writer
+# ---------------------------------------------------------------------------
+
+ASDICT = dataclasses.asdict
+
+
+def report_by_asdict(rows, columns, as_json):
+    """The report text built from a deep-copied record per row; the reference
+    for write_report."""
+    records = [ASDICT(r) for r in rows]
+    if as_json:
+        return json.dumps(records, indent=2) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for record in records:
+        writer.writerow([cli._format_cell(record[c]) for c in columns])
+    return buffer.getvalue()
+
+
+def test_write_report_equals_the_asdict_report_without_calling_asdict(
+        tmp_path, monkeypatch):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(FAMILY_FILE))
+    parser = cli.build_parser()
+    cases = []  # (rows, columns) of every subcommand, so of every row dataclass
+    for argv in ALL_OPTIONS + ["influence --fn random:4 --n 4"]:
+        args = parser.parse_args(argv.replace("FAMILY", str(family)).split())
+        command = cli.COMMANDS[args.command]
+        rows = command.run(cli._config(args))
+        cases.append((rows, [f.name for f in dataclasses.fields(command.row)]))
+    assert {type(rows[0]) for rows, _ in cases} == {c.row for c in cli.COMMANDS.values()}
+    expected = [report_by_asdict(rows, columns, as_json)
+                for rows, columns in cases for as_json in (False, True)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("asdict called")
+
+    monkeypatch.setattr(dataclasses, "asdict", refuse)
+    monkeypatch.setattr(cli, "asdict", refuse, raising=False)
+    out = tmp_path / "report"
+    texts = []
+    for rows, columns in cases:
+        for as_json in (False, True):
+            cli.write_report(rows, columns, str(out), as_json)
+            texts.append(out.read_text())
+    assert texts == expected
+
+
+def test_influence_builds_one_weight_table_and_no_per_coordinate_sums(
+        monkeypatch, capsys):
+    argv = ["influence", "--fn", "random:5", "--n", 6, "--degree", 2]
+    code, expected = run(argv, capsys)
+    assert code == 0
+    calls = []
+    weights = fourier.hamming_weights
+    monkeypatch.setattr(fourier, "hamming_weights", lambda n: calls.append(n) or weights(n))
+
+    def refuse(*args):
+        raise AssertionError("per-coordinate influence called")
+
+    for module in (fourier, cli):
+        for name in ("influence", "low_degree_influence"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    code, out = run(argv, capsys)
+    assert (code, out.out) == (0, expected.out)
+    assert calls == [6]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dictatest import (
     BooleanFunction,
@@ -15,6 +17,7 @@ from dictatest import (
     wht,
 )
 from dictatest.families import dictator, parity, random_folded
+from dictatest.fourier import _butterfly, hamming_weights, influences
 
 
 def naive_wht(table):
@@ -65,6 +68,47 @@ def test_wht_matches_naive_definition():
             assert np.allclose(wht(f).coeffs, naive_wht(f.table), atol=1e-12)
             g = RealPointFunction(n, rng.uniform(-1, 1, size=1 << n))
             assert np.allclose(wht(g).coeffs, naive_wht(g.table), atol=1e-12)
+
+
+def copying_butterfly(values):
+    """The butterfly that copies each stage's low half; the reference for
+    _butterfly, which must give the same array bit for bit."""
+    out = values.copy()
+    width = 1
+    while width < out.shape[-1]:
+        view = out.reshape(-1, 2 * width)
+        low = view[:, :width].copy()
+        high = view[:, width:]
+        view[:, :width] = low + high
+        view[:, width:] = low - high
+        width *= 2
+    return out
+
+
+def assert_butterfly_matches_copying(values):
+    before = values.copy()
+    out = _butterfly(values)
+    expected = copying_butterfly(values)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert np.array_equal(out, expected)
+    assert np.array_equal(values, before)  # the input is left unchanged
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_butterfly_equals_copying_butterfly(n):
+    rng = np.random.default_rng(100 + n)
+    size = 1 << n
+    for shape in ((size,), (3, 4, size)):  # one table; a Gowers (batch, member) stack
+        assert_butterfly_matches_copying(rng.integers(-(1 << 20), 1 << 20, size=shape))
+        assert_butterfly_matches_copying(rng.uniform(-1, 1, size=shape))
+        assert_butterfly_matches_copying(1 - 2 * rng.integers(0, 2, size=shape))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda n: st.lists(
+    st.floats(-1e6, 1e6, allow_nan=False), min_size=1 << n, max_size=1 << n)))
+def test_butterfly_equals_copying_butterfly_property(table):
+    assert_butterfly_matches_copying(np.array(table, dtype=np.float64))
 
 
 def test_spectrum_counts_exact():
@@ -175,6 +219,30 @@ def test_low_degree_influence_monotone_and_caps_at_full():
             values = [low_degree_influence(s, i, w) for w in range(5)]
             assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
             assert values[-1] == influence(s, i)
+
+
+def influence_by_mask(s, i, w=None):
+    """One coordinate at a time, by a boolean mask over every index; the
+    reference for influences."""
+    alphas = np.arange(1 << s.n)
+    sel = (alphas >> (i - 1)) & 1 == 1
+    if w is not None:
+        sel &= hamming_weights(s.n) <= w
+    return float(np.sum(s.coeffs[sel] ** 2))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_influences_equal_the_per_coordinate_masked_sums(n):
+    rng = np.random.default_rng(200 + n)
+    for f in (random_boolean(n, rng), RealPointFunction(n, rng.uniform(-1, 1, size=1 << n))):
+        s = wht(f)
+        for w in (None, *range(n + 1)):
+            expected = [influence_by_mask(s, i, w) for i in range(1, n + 1)]
+            assert influences(s, w) == expected
+            if w is None:
+                assert [influence(s, i) for i in range(1, n + 1)] == expected
+            else:
+                assert [low_degree_influence(s, i, w) for i in range(1, n + 1)] == expected
 
 
 def test_low_degree_influence_range_checks():

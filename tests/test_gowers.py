@@ -14,10 +14,13 @@ from dictatest import (
     gowers_inner_product_mc,
     gowers_norm,
     gowers_norm_pow,
+    influence,
     linear_gowers_inner_product_exact,
     linear_gowers_inner_product_mc,
+    low_degree_influence,
     wht,
 )
+from dictatest import fourier, gowers
 from dictatest.families import dictator, noisy_dictator, parity, random_folded
 
 
@@ -335,6 +338,59 @@ def test_decoder_planted_noisy_dictator():
     assert singleton_sq == (1 - 4 * m / 2**6) ** 2
     assert singleton_sq >= 0.2
     assert low_degree_influence(wht(planted), 3, 2) >= 0.2
+
+
+def decode_per_coordinate(fam, w, tau):
+    """The decoder with one influence call per (member, coordinate); the
+    reference for find_influential_pair."""
+    spectra = [wht(m) for m in fam.members]
+    best, best_value = None, tau
+    for i in range(1, fam.n + 1):
+        values = [influence(s, i) if w is None else low_degree_influence(s, i, w)
+                  for s in spectra]
+        order = sorted(range(len(values)), key=lambda m: (-values[m], m))
+        s_mask, t_mask = sorted(order[:2])
+        pair_value = min(values[s_mask], values[t_mask])
+        if pair_value > best_value or (pair_value == best_value and best is None):
+            best, best_value = (s_mask, t_mask, i), pair_value
+    return best
+
+
+def decoder_families():
+    rng = np.random.default_rng(41)
+    planted = noisy_dictator(6, 4, 0.1, 7)
+    yield IndexedFamily(2, 6, {0: random_folded(6, 1), 1: planted, 3: planted})
+    yield IndexedFamily(3, 5, {m: random_real(5, rng) for m in range(8)})
+    yield IndexedFamily.constant(2, parity(4, 0b0110))
+
+
+def test_decoder_equals_per_coordinate_decoder():
+    for fam in decoder_families():
+        for w in (None, *range(fam.n + 1)):
+            for tau in (1e-9, 0.05, 0.2, 0.5):
+                assert find_influential_pair(fam, w, tau) == decode_per_coordinate(fam, w, tau)
+
+
+def test_decoder_builds_one_weight_table_per_spectrum(monkeypatch):
+    """Influences come from fourier.influences: hamming_weights is built at
+    most once per member spectrum, and no per-coordinate sum is called."""
+    expected = {(i, w): decode_per_coordinate(fam, w, 0.05)
+                for i, fam in enumerate(decoder_families()) for w in (None, 2)}
+    calls = []
+    weights = fourier.hamming_weights
+    monkeypatch.setattr(fourier, "hamming_weights", lambda n: calls.append(n) or weights(n))
+
+    def refuse(*args):
+        raise AssertionError("per-coordinate influence called")
+
+    for module in (fourier, gowers):
+        for name in ("influence", "low_degree_influence"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for i, fam in enumerate(decoder_families()):
+        for w in (None, 2):
+            calls.clear()
+            assert find_influential_pair(fam, w, 0.05) == expected[i, w]
+            assert len(calls) <= (0 if w is None else len(fam.members))
 
 
 def test_decoder_rejects_nonpositive_threshold():

@@ -16,6 +16,7 @@ from dictatest import (
     basic_test_prob_exact,
     basic_test_prob_fourier,
     complete_hypergraph,
+    hamming_weights,
     htest_prob_exact,
     htest_prob_mc,
     make_folded,
@@ -25,6 +26,7 @@ from dictatest import (
     run_basic_test,
     run_hypergraph_test,
     soundness_identity_holds,
+    subset_zeta,
     wht,
 )
 from dictatest.families import (
@@ -32,6 +34,7 @@ from dictatest.families import (
     majority,
     noisy_dictator,
     parity,
+    parse_fnspec,
     random_family,
     random_folded,
 )
@@ -563,6 +566,18 @@ def test_exact_counts_in_python_ints_match_int64(monkeypatch):
     expected = values()
     monkeypatch.setattr(testers, "_count_dtype", lambda bits: object)
     assert values() == expected
+
+
+def test_basic_fourier_cube_keeps_the_pow_floats():
+    """Sum with coeffs**3 as the reference.  At n = 20 a noisy dictator's
+    singleton coefficient has |count| > 2^17, where c*c*c and pow may round a
+    tie differently; the value must stay the pow one."""
+    for spec in ("noisydict:1:0.1:22", "noisydict:1:0.1:24", "random:3"):
+        f = parse_fnspec(spec, 20)
+        spectrum = wht(f)
+        weights = np.exp2(-hamming_weights(20).astype(np.float64))
+        terms = spectrum.coeffs**3 * weights * (1.0 + subset_zeta(spectrum))
+        assert basic_test_prob_fourier(f) == 0.5 + 0.5 * float(terms.sum())
 
 
 def test_basic_exact_beyond_int64_counts():
