@@ -90,6 +90,8 @@ class Config:
     json: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise SpecParseError(f"'seed' must be >= 0, got {self.seed}")
         if isinstance(self.edges, str):
             self.edges = _parse_edges(self.edges)
         elif self.edges is not None and not all(

@@ -62,7 +62,10 @@ def vertex_label(i: int) -> str:
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """H = ([k], E): vertices 1..k and a list of distinct vertex subsets."""
+    """H = ([k], E): vertices 1..k and a list of distinct vertex subsets.
+
+    Edges need at least 2 vertices unless ``allow_singletons`` is set.
+    """
 
     k: int
     edges: tuple
@@ -80,7 +83,7 @@ class Hypergraph:
             if not e <= set(range(1, k + 1)):
                 raise ValueError(f"edge {sorted(e)} not a subset of [{k}]")
             if len(e) < 2 and not allow_singletons:
-                raise ValueError(f"singleton edge {sorted(e)} (pass allow_singletons=True)")
+                raise ValueError(f"singleton edge {sorted(e)}: edges need at least 2 vertices")
             if e in seen:
                 raise ValueError(f"duplicate edge {sorted(e)}")
             seen.add(e)
@@ -343,20 +346,32 @@ def _htest_verdicts(vertex_tables, edge_tables, edges, xs, ys, zv, ze):
     xs, ys, zv hold one array per vertex and ze one per edge; each draw is
     read from the folded tables exactly as in run_hypergraph_test, and the
     mask has the broadcast shape of xs[0] and the arrays the edge equations
-    touch.
+    touch.  ``edges`` lists each edge's vertices in increasing order.
+
+    Every table is folded, f(p + 1⃗) = -f(p), so the vertex answer
+    L_i = f_i(x_i + s_i ∧ z_i) folds into its point: with
+    w_i = x_i + [L_i = -1]·1⃗, edge e's equation
+    Π_{i∈e} L_i = f_e(Σ_{i∈e} x_i + (Σ_{i∈e} s_i) ∧ z_e) holds iff
+    f_e(Σ_{i∈e} w_i + (Σ_{i∈e} s_i) ∧ z_e) = +1, and no sign is multiplied.
+    The sums over an edge extend the sums over its longest proper prefix, so
+    edges that share a prefix share its XORs.
     """
     ones = vertex_tables[0].size - 1
-    shifts = [np.where(t[y] < 0, y ^ ones, y) for t, y in zip(vertex_tables, ys)]
-    signs = [t[x ^ (s & z)] for t, x, s, z in zip(vertex_tables, xs, shifts, zv)]
-    ok = np.ones(np.shape(xs[0]), dtype=bool)
+    sums = {}  # (i_1, ..., i_j) -> (Σ w_i, Σ s_i) over those vertices
+    for i in set().union(*edges):
+        t, x, y = vertex_tables[i - 1], xs[i - 1], ys[i - 1]
+        s = y ^ ((t[y] < 0) * ones)
+        sums[(i,)] = (x ^ ((t[x ^ (s & zv[i - 1])] < 0) * ones), s)
+    bad = np.zeros(np.shape(xs[0]), dtype=bool)
     for table, edge, z in zip(edge_tables, edges, ze):
-        lhs, x_sum, shift_sum = 1, 0, 0
-        for i in edge:
-            lhs = lhs * signs[i - 1]
-            x_sum = x_sum ^ xs[i - 1]
-            shift_sum = shift_sum ^ shifts[i - 1]
-        ok = ok & (lhs == table[x_sum ^ (shift_sum & z)])
-    return ok
+        for j in range(2, len(edge) + 1):
+            prefix = tuple(edge[:j])
+            if prefix not in sums:
+                (w, s), (w_i, s_i) = sums[prefix[:-1]], sums[prefix[-1:]]
+                sums[prefix] = (w ^ w_i, s ^ s_i)
+        w, s = sums[tuple(edge)]
+        bad = bad | (table[w ^ (s & z)] < 0)
+    return ~bad
 
 
 def _folded_tables(fam: FunctionFamily):
@@ -436,8 +451,11 @@ def htest_prob_mc(
     k, n_edges, points = fam.hypergraph.k, len(fam.hypergraph.edges), 1 << fam.n
     accepts = 0
     for rng, m in chunks:
+        # four draw calls in this order pin the stream; each block is copied
+        # once so that every vertex's and edge's draws are one contiguous row
         xs, ys, zv, ze = (
-            rng.integers(0, points, size=(m, c)).T for c in (k, k, k, n_edges)
+            np.ascontiguousarray(rng.integers(0, points, size=(m, c)).T)
+            for c in (k, k, k, n_edges)
         )
         ok = _htest_verdicts(*tables, xs, ys, zv, ze)
         accepts += int(np.count_nonzero(ok))

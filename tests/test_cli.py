@@ -84,6 +84,30 @@ def test_nonpositive_count_exits_2_naming_count(argv, capsys):
     assert "'count'" in out.err
 
 
+NEGATIVE_SEEDS = {
+    "htest-mc": "htest --complete-k 2 --n 2 --members all=dict:1 --method mc --trials 10",
+    "gowers-mc": "gowers --fn dict:1 --n 3 --d 1 --method mc --trials 10",
+    "wht": "wht --fn dict:1 --n 3",
+}
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SEEDS.values(), ids=NEGATIVE_SEEDS.keys())
+def test_negative_seed_exits_2_naming_seed(argv, capsys, tmp_path):
+    code, out = run(argv.split() + ["--seed", -1], capsys)
+    assert (code, out.out, out.err) == (2, "", "error: 'seed' must be >= 0, got -1\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -5}))
+    code, out = run(argv.split() + ["--config", config], capsys)
+    assert (code, out.out, out.err) == (2, "", "error: 'seed' must be >= 0, got -5\n")
+
+
+def test_singleton_edge_error_names_no_library_argument(capsys):
+    argv = ["htest", "--k", 2, "--edges", "1;1,2", "--n", 2, "--members", "all=dict:1"]
+    code, out = run(argv, capsys)
+    assert (code, out.out) == (2, "")
+    assert out.err == "error: singleton edge [1]: edges need at least 2 vertices\n"
+
+
 @pytest.mark.parametrize("w", [-1, 4])
 def test_influence_degree_out_of_range_exits_2_naming_it(w, capsys):
     code, out = run(["influence", "--fn", "random:1", "--n", 3, "--degree", w], capsys)

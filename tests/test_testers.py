@@ -383,10 +383,54 @@ def test_htest_exact_vs_mc_three_sigma():
 
 
 def test_htest_mc_dictator_family_hits_one():
-    fam = FunctionFamily.uniform(complete_hypergraph(3), dictator(4, 2))
-    estimate, low, high = htest_prob_mc(fam, 20_000, 3)
-    assert estimate == 1.0
-    assert high == 1.0
+    for k, n, ell in ((3, 4, 2), (4, 10, 7)):
+        fam = FunctionFamily.uniform(complete_hypergraph(k), dictator(n, ell))
+        estimate, low, high = htest_prob_mc(fam, 20_000, 3)
+        assert estimate == 1.0
+        assert high == 1.0
+
+
+MC_TRIALS = 2 * 4096 + 3  # two full chunks and a partial one
+
+
+def pinned_mc_families():
+    h4 = complete_hypergraph(4)
+    mixed = Hypergraph(3, [frozenset({1}), frozenset({1, 2}), frozenset({2, 3})],
+                       allow_singletons=True)
+    noisy = [noisy_dictator(5, 2, 0.05, (9, j)) for j in range(mixed.t)]
+    noisy4 = [noisy_dictator(10, 3, 0.02, (4, j)) for j in range(h4.t)]
+    return {
+        "random-k4": random_family(h4, 10, 21),
+        "random-k3": random_family(complete_hypergraph(3), 12, 5),
+        "noisy-singleton": FunctionFamily(mixed, noisy[:3], noisy[3:]),
+        "noisy-k4": FunctionFamily(h4, noisy4[:4], noisy4[4:]),
+    }
+
+
+# (family, seed) -> (estimate, ci_low, ci_high) over MC_TRIALS draws; the
+# accept counts are 1, 2, 486, 6085, 5850 and 5780.
+PINNED_MC = [
+    ("random-k4", 7,
+     (0.00012202562538133008, 1.4326637302385938e-05, 0.0010384996235446738)),
+    ("random-k4", (7, 1, 0),
+     (0.00024405125076266016, 4.7647125335547225e-05, 0.001249032955538158)),
+    ("random-k3", (3, 1, 2),
+     (0.05930445393532642, 0.052933587748398465, 0.06638834122537161)),
+    ("noisy-singleton", 11,
+     (0.7425259304453935, 0.7298919366844717, 0.7547675306184859)),
+    ("noisy-k4", 13, (0.713849908480781, 0.7008208883942102, 0.726532931202486)),
+    ("noisy-k4", (13, 1, 2),
+     (0.7053081147040878, 0.6921739361485976, 0.7181101160462332)),
+]
+
+
+def test_htest_mc_stream_and_verdicts_are_pinned():
+    """htest_prob_mc is a fixed function of (family, trials, seed): the draws
+    come from the (seed, chunk) sub-streams in a fixed order, and a change to
+    the draws or to the verdict kernel moves these values."""
+    families = pinned_mc_families()
+    for name, seed, expected in PINNED_MC:
+        assert htest_prob_mc(families[name], MC_TRIALS, seed) == expected
 
 
 def test_htest_mc_validation_and_determinism():
@@ -416,6 +460,24 @@ def noisy_family(h, n, seed):
     return FunctionFamily(h, fns[: h.k], fns[h.k :])
 
 
+def reference_verdicts(vertex_tables, edge_tables, edges, xs, ys, zv, ze):
+    """Verdicts as run_hypergraph_test states them: each edge compares the
+    product of its vertex answers with its edge answer.  Takes the same
+    broadcastable draws as _htest_verdicts and gives the same mask shape."""
+    ones = vertex_tables[0].size - 1
+    shifts = [np.where(t[y] < 0, y ^ ones, y) for t, y in zip(vertex_tables, ys)]
+    signs = [t[x ^ (s & z)] for t, x, s, z in zip(vertex_tables, xs, shifts, zv)]
+    ok = np.ones(np.shape(xs[0]), dtype=bool)
+    for table, edge, z in zip(edge_tables, edges, ze):
+        lhs, x_sum, shift_sum = 1, 0, 0
+        for i in edge:
+            lhs = lhs * signs[i - 1]
+            x_sum = x_sum ^ xs[i - 1]
+            shift_sum = shift_sum ^ shifts[i - 1]
+        ok = ok & (lhs == table[x_sum ^ (shift_sum & z)])
+    return ok
+
+
 def test_verdict_kernel_matches_oracle_run_draw_for_draw():
     """The vectorised kernel on (1,) draw arrays reproduces run_hypergraph_test."""
     for h in (EDGE_12, complete_hypergraph(3)):
@@ -436,8 +498,42 @@ def test_verdict_kernel_matches_oracle_run_draw_for_draw():
                     ok = _htest_verdicts(*tables, xs, ys, zv, ze)
                     assert ok.shape == (1,)
                     assert bool(ok[0]) == expected
+                    assert np.array_equal(ok, reference_verdicts(*tables, xs, ys, zv, ze))
                     verdicts.add(expected)
                 assert verdicts == {True, False}
+
+
+@st.composite
+def verdict_cases(draw):
+    """A hypergraph on k <= 5 vertices whose edges may be singletons, share
+    prefixes or be absent, a family of folded members at n <= 5 and one seed
+    for the draws."""
+    k = draw(st.integers(1, 5))
+    pool = [frozenset(i + 1 for i in range(k) if mask >> i & 1) for mask in range(1, 1 << k)]
+    h = Hypergraph(k, draw(st.lists(st.sampled_from(pool), unique=True, max_size=10)),
+                   allow_singletons=True)
+    n = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rho = draw(st.sampled_from([None, 0.0, 0.1]))
+    if rho is None:
+        fam = random_family(h, n, seed)
+    else:
+        fns = [noisy_dictator(n, 1, rho, (seed, j)) for j in range(h.t)]
+        fam = FunctionFamily(h, fns[:k], fns[k:])
+    return fam, draw(st.sampled_from([np.uint8, np.int64])), seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(verdict_cases())
+def test_verdict_kernel_equals_reference_property(case):
+    fam, dtype, seed = case
+    h = fam.hypergraph
+    tables = _folded_tables(fam)
+    rng = derive_rng(91, seed)
+    draws = rng.integers(0, 1 << fam.n, size=(3 * h.k + len(h.edges), 512), dtype=dtype)
+    xs, ys, zv, ze = np.split(draws, [h.k, 2 * h.k, 3 * h.k])
+    ok = _htest_verdicts(*tables, xs, ys, zv, ze)
+    assert np.array_equal(ok, reference_verdicts(*tables, xs, ys, zv, ze))
 
 
 class ScriptedDraws:
@@ -481,7 +577,9 @@ def test_htest_exact_grid_equals_flat_enumeration():
         for fam in (random_family(h, n, 0), noisy_family(h, n, 1)):
             draws = np.indices((1 << n,) * bits, dtype=np.uint8).reshape(bits, -1)
             xs, ys, zv, ze = np.split(draws, [k, 2 * k, 3 * k])
-            ok = _htest_verdicts(*_folded_tables(fam), xs, ys, zv, ze)
+            tables = _folded_tables(fam)
+            ok = _htest_verdicts(*tables, xs, ys, zv, ze)
+            assert np.array_equal(ok, reference_verdicts(*tables, xs, ys, zv, ze))
             assert htest_prob_exact(fam) == np.count_nonzero(ok) / 2 ** (bits * n)
 
 
@@ -508,7 +606,9 @@ def grid_accept_count(fam):
         combo = np.arange(start, min(start + step, combos))
         digits = (combo[:, None] >> digit_shifts) & (points - 1)
         xs_ys = list(digits.T.reshape(2 * k, -1, *(1,) * z_dims))
-        ok = _htest_verdicts(*tables, xs_ys[:k], xs_ys[k:], zs[:k], zs[k:])
+        draws = xs_ys[:k], xs_ys[k:], zs[:k], zs[k:]
+        ok = _htest_verdicts(*tables, *draws)
+        assert np.array_equal(ok, reference_verdicts(*tables, *draws))
         accepts += int(np.count_nonzero(ok))
     return accepts * points**free
 
