@@ -305,10 +305,13 @@ def _run_htest(cfg: Config) -> list[ReportRow]:
                 seed=cfg.seed))
         return rows
     if cfg.family is not None:
-        fam = load_family(cfg.family)
+        if extra := [key for key in ("n", "k", "edges", "complete_k", "members")
+                     if getattr(cfg, key) is not None]:
+            raise SpecParseError(f"a family file fixes the family; drop {', '.join(extra)}")
+        fam, family = load_family(cfg.family), "family-file"
     else:
         _require(cfg, "n", "members")
-        fam = build_family(_hypergraph(cfg), cfg.n, cfg.members)
+        fam, family = build_family(_hypergraph(cfg), cfg.n, cfg.members), cfg.members
     method = cfg.method or "exact"
     start = time.perf_counter()
     if method == "exact":
@@ -319,7 +322,6 @@ def _run_htest(cfg: Config) -> list[ReportRow]:
         value, low, high = htest_prob_mc(fam, trials, cfg.seed)
     else:
         raise SpecParseError(f"unknown htest method {method!r}")
-    family = "family-file" if cfg.members is None else cfg.members
     return [_htest_row(
         fam.hypergraph, start, experiment="completeness", n=fam.n, family=family,
         method=method, value=value, ci_low=low, ci_high=high, trials=trials,

@@ -24,6 +24,21 @@ def seed_key(seed) -> tuple[int, ...]:
     return (int(seed),)
 
 
+def _draw_blocks(rng: np.random.Generator, m: int, n: int, cols) -> list[np.ndarray]:
+    """rng.integers(0, 2^n, size=(m, c)).T for each c in turn, as (c, m) uint32.
+
+    For a fresh generator and 1 <= n <= 32, numpy's integers takes each value
+    as the top n bits of the next 32-bit half of random_raw, low half first:
+    Lemire's method never rejects a power-of-two range.
+    """
+    if not 1 <= n <= 32:
+        raise ValueError(f"n must be in [1, 32], got {n}")
+    raw = rng.bit_generator.random_raw(-(-m * sum(cols) // 2)).astype("<u8", copy=False)
+    return [np.right_shift(raw.view("<u4")[a:a + m * c].reshape(m, c).T, 32 - n,
+                           out=np.empty((c, m), dtype=np.uint32))
+            for a, c in zip(m * np.cumsum([0, *cols]), cols)]
+
+
 def mc_chunks(trials: int, seed):
     """The Monte Carlo chunks of ``trials`` draws, as (rng, m) pairs.
 

@@ -32,7 +32,7 @@ from .functions import (
     require_folded,
 )
 # _MC_CHUNK is bound here for bench/spans.py, which counts htest_prob_mc chunks.
-from .rng import _MC_CHUNK, mc_chunks  # noqa: F401
+from .rng import _MC_CHUNK, _draw_blocks, mc_chunks  # noqa: F401
 from .stats import wilson_interval
 
 
@@ -354,9 +354,10 @@ def _htest_verdicts(vertex_tables, edge_tables, edges, xs, ys, zv, ze):
     Π_{i∈e} L_i = f_e(Σ_{i∈e} x_i + (Σ_{i∈e} s_i) ∧ z_e) holds iff
     f_e(Σ_{i∈e} w_i + (Σ_{i∈e} s_i) ∧ z_e) = +1, and no sign is multiplied.
     The sums over an edge extend the sums over its longest proper prefix, so
-    edges that share a prefix share its XORs.
+    edges that share a prefix share its XORs.  The XORs stay in the draws'
+    dtype (that of xs[0]), so uint32 draws are not widened to int64.
     """
-    ones = vertex_tables[0].size - 1
+    ones = np.asarray(xs[0]).dtype.type(vertex_tables[0].size - 1)
     sums = {}  # (i_1, ..., i_j) -> (Σ w_i, Σ s_i) over those vertices
     for i in set().union(*edges):
         t, x, y = vertex_tables[i - 1], xs[i - 1], ys[i - 1]
@@ -375,9 +376,10 @@ def _htest_verdicts(vertex_tables, edge_tables, edges, xs, ys, zv, ze):
 
 
 def _folded_tables(fam: FunctionFamily):
+    # FunctionFamily requires folded members, whose folded_table is f.table
     return (
-        [folded_table(f) for f in fam.vertex_functions],
-        [folded_table(f) for f in fam.edge_functions],
+        [f.table for f in fam.vertex_functions],
+        [f.table for f in fam.edge_functions],
         [sorted(e) for e in fam.hypergraph.edges],
     )
 
@@ -444,20 +446,16 @@ def htest_prob_mc(
     Verdicts follow the same two-pass procedure as run_hypergraph_test, drawn
     and evaluated in vectorized chunks in one thread; chunk c uses the
     sub-stream (seed, c) and chunk counts are summed, so the estimate is
-    deterministic given (fam, trials, seed).
+    deterministic given (fam, trials, seed).  The draws are
+    rng.integers(0, 2^n, size=(m, c)) for c = k, k, k, |E| in turn, made by
+    _draw_blocks as the top n bits of each 32-bit half of one random_raw
+    block; test_htest_mc_stream_and_verdicts_are_pinned pins them.
     """
-    chunks = mc_chunks(trials, seed)
     tables = _folded_tables(fam)
-    k, n_edges, points = fam.hypergraph.k, len(fam.hypergraph.edges), 1 << fam.n
+    cols = (fam.hypergraph.k,) * 3 + (len(fam.hypergraph.edges),)
     accepts = 0
-    for rng, m in chunks:
-        # four draw calls in this order pin the stream; each block is copied
-        # once so that every vertex's and edge's draws are one contiguous row
-        xs, ys, zv, ze = (
-            np.ascontiguousarray(rng.integers(0, points, size=(m, c)).T)
-            for c in (k, k, k, n_edges)
-        )
-        ok = _htest_verdicts(*tables, xs, ys, zv, ze)
+    for rng, m in mc_chunks(trials, seed):
+        ok = _htest_verdicts(*tables, *_draw_blocks(rng, m, fam.n, cols))
         accepts += int(np.count_nonzero(ok))
     low, high = wilson_interval(accepts, trials)
     return accepts / trials, low, high

@@ -312,6 +312,39 @@ def test_each_option_gives_the_same_report_as_flag_or_config_key(argv, tmp_path,
         assert report_of(options[:i] + options[i + 1:], doc) == expected, flag
 
 
+FAMILY_OPTIONS = {"n": ("--n", "5"), "k": ("--k", "2"), "edges": ("--edges", "1,2"),
+                  "complete_k": ("--complete-k", "4"), "members": ("--members", "all=dict:2")}
+
+
+@pytest.mark.parametrize("key", FAMILY_OPTIONS)
+def test_family_file_with_a_family_option_exits_2_naming_it(key, tmp_path, capsys):
+    """A family file fixes the hypergraph, n and members; a flag or config key
+    that also sets one of them contradicts it."""
+    family, config = tmp_path / "family.json", tmp_path / "config.json"
+    family.write_text(json.dumps(FAMILY_FILE))
+    flag, value = FAMILY_OPTIONS[key]
+    expected = (2, "", f"error: a family file fixes the family; drop {key}\n")
+    argv = ["htest", "--family", family, "--method", "mc", "--trials", 50]
+    code, out = run(argv + [flag, value], capsys)
+    assert (code, out.out, out.err) == expected
+    config.write_text(json.dumps({key: json_value(value)}))
+    code, out = run(argv + ["--config", config], capsys)
+    assert (code, out.out, out.err) == expected
+    config.write_text(json.dumps({"family": str(family)}))
+    code, out = run(["htest", "--config", config, flag, value], capsys)
+    assert (code, out.out, out.err) == expected
+
+
+def test_family_file_names_every_conflicting_option(tmp_path, capsys):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(FAMILY_FILE))
+    argv = ["htest", "--family", family, "--n", 5, "--complete-k", 4,
+            "--members", "all=dict:2"]
+    code, out = run(argv, capsys)
+    assert (code, out.out) == (2, "")
+    assert out.err == "error: a family file fixes the family; drop n, complete_k, members\n"
+
+
 # ---------------------------------------------------------------------------
 # Report writer
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from dictatest.families import (
 )
 from dictatest.functions import folded_table
 from dictatest import testers
+from dictatest import rng as rng_module
 from dictatest.rng import derive_rng
 from dictatest.testers import _EXACT_CHUNK, _folded_tables, _htest_verdicts
 
@@ -433,6 +434,40 @@ def test_htest_mc_stream_and_verdicts_are_pinned():
         assert htest_prob_mc(families[name], MC_TRIALS, seed) == expected
 
 
+class NoIntegers(np.random.Generator):
+    """A Generator whose integers method fails; Generator itself is an
+    immutable extension type, so its method cannot be patched in place."""
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("Generator.integers was called")
+
+
+def test_htest_mc_draws_without_calling_integers(monkeypatch):
+    families = pinned_mc_families()
+    monkeypatch.setattr(
+        rng_module, "derive_rng",
+        lambda *key: NoIntegers(np.random.PCG64(np.random.SeedSequence(key))))
+    for name, seed, expected in PINNED_MC:
+        assert htest_prob_mc(families[name], MC_TRIALS, seed) == expected
+    with pytest.raises(AssertionError, match="integers was called"):
+        rng_module.derive_rng(0).integers(0, 2)
+
+
+def test_folded_tables_are_the_members_int8_folded_views():
+    h = complete_hypergraph(3)
+    for n in (1, 4, 9):
+        families = [random_family(h, n, 6), FunctionFamily.uniform(h, dictator(n, n)),
+                    noisy_family(h, n, 2)]
+        for fam in families:
+            vertex_tables, edge_tables, edges = _folded_tables(fam)
+            members = fam.vertex_functions + fam.edge_functions
+            assert len(vertex_tables + edge_tables) == len(members)
+            for table, f in zip(vertex_tables + edge_tables, members):
+                assert table.dtype == np.int8
+                assert np.array_equal(table, folded_table(f))
+            assert edges == [sorted(e) for e in h.edges]
+
+
 def test_htest_mc_validation_and_determinism():
     fam = FunctionFamily.uniform(EDGE_12, dictator(2, 1))
     with pytest.raises(ValueError):
@@ -520,7 +555,7 @@ def verdict_cases(draw):
     else:
         fns = [noisy_dictator(n, 1, rho, (seed, j)) for j in range(h.t)]
         fam = FunctionFamily(h, fns[:k], fns[k:])
-    return fam, draw(st.sampled_from([np.uint8, np.int64])), seed
+    return fam, draw(st.sampled_from([np.uint8, np.uint32, np.int64])), seed
 
 
 @settings(max_examples=150, deadline=None)
