@@ -203,15 +203,11 @@ def build_family(
             raise SpecParseError(
                 f"member labels mismatch: missing {missing}, unexpected {extra}"
             )
-    resolved = {
-        label: _resolve_member(spec_map[label], n, fold) for label in labels
-    }
-    k = hypergraph.k
-    return FunctionFamily(
-        hypergraph,
-        [resolved[vertex_label(i)] for i in range(1, k + 1)],
-        [resolved[edge_label(e)] for e in hypergraph.edges],
-    )
+    specs = [spec_map[label] for label in labels]
+    # each distinct spec is parsed and folded once, and its members share it
+    resolved = {spec: _resolve_member(spec, n, fold) for spec in dict.fromkeys(specs)}
+    fns = [resolved[spec] for spec in specs]
+    return FunctionFamily(hypergraph, fns[: hypergraph.k], fns[hypergraph.k :])
 
 
 def random_family(hypergraph: Hypergraph, n: int, seed) -> FunctionFamily:

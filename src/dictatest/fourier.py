@@ -4,11 +4,12 @@ Coefficients follow the averaging convention: coeffs[α] = 2^{-n} Σ_x f(x)
 (-1)^{<α,x>}, with the character index α encoded like a point (bit i-1 is
 α_i).  The butterfly accumulates unnormalized integer-valued sums and divides
 once at the end, so boolean inputs give exactly representable dyadic
-coefficients at small n.  Each butterfly stage reads one buffer and writes
-the other, so no stage copies its input.  ``influences`` gives all n
-(low-degree) influences from one squared spectrum, each summed over a
-contiguous index-ordered copy so that it is the float a one-coordinate sum
-gives.
+coefficients at small n.  The butterfly has constant geometry (Pease): each
+stage combines adjacent entries into the other buffer, sums to its low half
+and differences to its high half, which leaves natural order and the
+in-place butterfly's sum tree.  ``influences`` gives all n (low-degree)
+influences from one squared spectrum, each summed over a contiguous
+index-ordered copy so that it is the float a one-coordinate sum gives.
 """
 
 from __future__ import annotations
@@ -23,19 +24,21 @@ from .functions import BooleanFunction, RealPointFunction, _freeze, check_dimens
 def _butterfly(values: np.ndarray) -> np.ndarray:
     """Unnormalized WHT out[α] = Σ_x values[x] (-1)^{<α,x>}, in values' dtype.
 
-    Transforms along the last axis.  Stage t maps each pair (low, high) at
-    distance 2^t to (low + high, low - high), reading one buffer and writing
-    the other; the first stage reads ``values``, which is left unchanged.
-    Fixed stage/summation order; deterministic across runs.
+    Transforms along the last axis in constant geometry: every stage maps
+    each adjacent pair (low, high) = (src[2j], src[2j+1]) to dst[j] = low +
+    high and dst[half + j] = low - high, so it is two ufunc calls half the
+    axis long, and the first stage reads ``values``, which is left unchanged.
+    Stage t pairs on bit t of x and puts α_t on the top bit; each later
+    stage shifts it down one, so the output comes out in natural order.
+    Every output is the in-place butterfly's sum tree (bit 0 first, always
+    low ± high), so the result is bit-identical to it for any dtype.
     """
+    half = values.shape[-1] // 2
     src, dst = values, np.empty(values.shape, values.dtype)
-    width = 1
-    while width < values.shape[-1]:
-        pairs, out = src.reshape(-1, 2, width), dst.reshape(-1, 2, width)
-        np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
-        np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
+    for _ in range(half.bit_length()):
+        np.add(src[..., 0::2], src[..., 1::2], out=dst[..., :half])
+        np.subtract(src[..., 0::2], src[..., 1::2], out=dst[..., half:])
         src, dst = dst, np.empty_like(dst) if src is values else src
-        width *= 2
     return values.copy() if src is values else src
 
 

@@ -226,10 +226,12 @@ def folded_table(f: BooleanFunction) -> np.ndarray:
     This is FoldedOracle's access rule applied to every point at once; the
     tests compare it with a per-point FoldedOracle loop, its reference.
     Enumerators index into this array instead of f.table.  For a folded f
-    it equals f.table.
+    it equals f.table.  Since 1⃗+x = 1⃗-x, the x_1 = 0 half reads f.table
+    reversed.
     """
-    idx = np.arange(1 << f.n)
-    return np.where(idx & 1, f.table, -f.table[idx ^ ((1 << f.n) - 1)])
+    table = -f.table[::-1]
+    table[1::2] = f.table[1::2]
+    return table
 
 
 def make_folded(n: int, half_table) -> BooleanFunction:
@@ -248,9 +250,7 @@ def make_folded(n: int, half_table) -> BooleanFunction:
         raise ValueError("half table entries must be -1 or +1")
     table = np.empty(1 << n, dtype=np.int8)
     table[1::2] = half
-    ones = (1 << n) - 1
-    even = np.arange(0, 1 << n, 2)
-    table[even] = -table[even ^ ones]
+    table[0::2] = -half[::-1]  # the point 2m has complement 2(2^{n-1}-1-m)+1
     return BooleanFunction(n, table)
 
 
@@ -260,10 +260,8 @@ def refold(f: BooleanFunction) -> BooleanFunction:
 
 
 def is_folded(f: BooleanFunction) -> bool:
-    """True iff f(1⃗+x) = -f(x) for all x."""
-    ones = (1 << f.n) - 1
-    idx = np.arange(1 << f.n)
-    return bool(np.all(f.table[idx ^ ones] == -f.table))
+    """True iff f(1⃗+x) = -f(x) for all x; 1⃗+x = 1⃗-x reads f.table reversed."""
+    return bool(np.all(f.table[::-1] == -f.table))
 
 
 def require_folded(f: BooleanFunction, what: str = "input") -> None:

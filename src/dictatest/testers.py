@@ -145,7 +145,7 @@ class FunctionFamily:
             )
         members = vertex_functions + edge_functions
         n = members[0].n
-        for f in members:
+        for f in {id(f): f for f in members}.values():  # a shared member once
             if f.n != n:
                 raise ValueError("all family members must share one dimension")
             require_folded(f, "family member")

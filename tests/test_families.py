@@ -27,6 +27,8 @@ from dictatest.families import (
     random_family,
     random_folded,
 )
+from dictatest.functions import refold
+from dictatest.testers import complete_hypergraph, edge_label, vertex_label
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +186,34 @@ def test_build_family_all_spec():
     fam = build_family(h, 3, "all=dict:1")
     assert isinstance(fam, FunctionFamily)
     assert all(f == dictator(3, 1) for _, f in fam.members())
+
+
+def test_build_family_parses_and_checks_each_distinct_spec_once(monkeypatch):
+    import dictatest.families as families_module
+    import dictatest.functions as functions_module
+
+    calls = {"parse_fnspec": 0, "is_folded": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(families_module, "parse_fnspec", counted("parse_fnspec", parse_fnspec))
+    monkeypatch.setattr(functions_module, "is_folded", counted("is_folded", is_folded))
+    h = complete_hypergraph(3)
+    fam = build_family(h, 5, "all=random:7")
+    assert calls == {"parse_fnspec": 1, "is_folded": 1}
+    labels = [vertex_label(i) for i in (1, 2, 3)] + [edge_label(e) for e in h.edges]
+    mixed = build_family(h, 5, {label: "dict:2" if label[0] == "v" else "parity:7"
+                                for label in labels})
+    assert calls == {"parse_fnspec": 3, "is_folded": 3}
+    monkeypatch.undo()
+    assert all(f == refold(random_folded(5, 7)) for _, f in fam.members())
+    assert mixed.vertex_functions == (dictator(5, 2),) * 3
+    assert all(f == refold(parity(5, 7)) for f in mixed.edge_functions)
 
 
 def test_build_family_per_member_and_labels():

@@ -91,6 +91,8 @@ def assert_butterfly_matches_copying(values):
     expected = copying_butterfly(values)
     assert out.dtype == expected.dtype and out.shape == expected.shape
     assert np.array_equal(out, expected)
+    if out.dtype != object:  # bytes also tell -0.0 from 0.0
+        assert out.tobytes() == expected.tobytes()
     assert np.array_equal(values, before)  # the input is left unchanged
 
 
@@ -102,6 +104,26 @@ def test_butterfly_equals_copying_butterfly(n):
         assert_butterfly_matches_copying(rng.integers(-(1 << 20), 1 << 20, size=shape))
         assert_butterfly_matches_copying(rng.uniform(-1, 1, size=shape))
         assert_butterfly_matches_copying(1 - 2 * rng.integers(0, 2, size=shape))
+        assert_butterfly_matches_copying(1.0 - 2 * rng.integers(0, 2, size=shape))
+        assert_butterfly_matches_copying(rng.choice([-0.0, 0.0, -1.0, 1.0], size=shape))
+
+
+def test_butterfly_equals_copying_butterfly_on_python_ints_past_2_63():
+    # the object-dtype path basic_test_prob_exact takes past 62 bits
+    rng = np.random.default_rng(99)
+    for n in (1, 4, 7):
+        values = np.array([int(v) << 70 for v in rng.integers(-(1 << 20), 1 << 20, 1 << n)],
+                          dtype=object)
+        out = _butterfly(values)
+        assert all(type(v) is int for v in out)
+        assert max(abs(v) for v in out) > 1 << 63
+        assert_butterfly_matches_copying(values)
+
+
+def test_butterfly_equals_copying_butterfly_at_n20():
+    rng = np.random.default_rng(2020)
+    assert_butterfly_matches_copying(1.0 - 2 * rng.integers(0, 2, size=1 << 20))
+    assert_butterfly_matches_copying(rng.uniform(-1, 1, size=1 << 20))
 
 
 @settings(max_examples=100, deadline=None)
