@@ -8,7 +8,9 @@ that --random-families is ``families`` and --degree is ``w``.  ``json`` takes
 true or false.  Explicit flags win; an unknown key or a value of the wrong
 JSON type is a config error.  Reports are written atomically (temp file +
 rename), so a failed run leaves no partial output.  Re-running a config
-reproduces the CSV byte-for-byte except for the wall_ms column.
+reproduces the CSV byte-for-byte except for the wall_ms column.  ``main``
+reuses one parser per process, built on its first call; ``write_report``
+leaves the formatting of each cell to ``csv.writer``.
 
 Exit codes: 0 success; 2 parse/config error (a bad flag, config file or
 fnspec, an argument out of range, flags that contradict each other, or an
@@ -20,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import operator
 import os
 import sys
 import tempfile
@@ -34,7 +37,7 @@ from .families import (
     random_folded,
 )
 from .fourier import hamming_weights, influences, wht
-from .functions import BooleanFunction, table_to_hex
+from .functions import BooleanFunction, check_dimension, table_to_hex
 from .gowers import (
     IndexedFamily, find_influential_pair, gowers_inner_product_exact,
     gowers_inner_product_mc,
@@ -48,6 +51,7 @@ from .testers import (
 __all__ = ["build_parser", "main", "write_report"]
 
 DEFAULT_TRIALS = 100_000
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main() call
 
 
 def _parse_edges(text: str) -> list[list[int]]:
@@ -160,16 +164,9 @@ def _count(cfg: Config) -> range:
     return range(cfg.count)
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def write_report(rows, columns, out: str | None, as_json: bool) -> None:
-    """Serialize each row's ``columns``; atomic rename when writing to a file."""
+    """Serialize each row's ``columns`` (at least two, so that attrgetter gives
+    a tuple per row); atomic rename when writing to a file."""
     if as_json:
         records = [{c: getattr(r, c) for c in columns} for r in rows]
         text = json.dumps(records, indent=2) + "\n"
@@ -177,7 +174,7 @@ def write_report(rows, columns, out: str | None, as_json: bool) -> None:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([_format_cell(getattr(r, c)) for c in columns] for r in rows)
+        writer.writerows(map(operator.attrgetter(*columns), rows))
         text = buffer.getvalue()
     if out is None:
         sys.stdout.write(text)
@@ -335,6 +332,7 @@ def _run_xcheck(cfg: Config) -> list[ReportRow]:
     if law not in ("basic", "noise"):
         raise SpecParseError(f"unknown xcheck law {law!r}")
     _require(cfg, "n")
+    check_dimension(cfg.n)
     rows = []
     for t in _count(cfg):
         if law == "basic":
@@ -480,7 +478,9 @@ def _config(args: argparse.Namespace) -> Config:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    _PARSER = _PARSER or build_parser()
+    args = _PARSER.parse_args(argv)
     command = COMMANDS[args.command]
     try:
         cfg = _config(args)

@@ -141,7 +141,11 @@ def _subset_sums(values: np.ndarray) -> np.ndarray:
     width = 1
     while width < out.shape[-1]:
         view = out.reshape(-1, 2 * width)
-        view[:, width:] += view[:, :width]
+        if width < 8:  # strided 1-D adds beat a 2-D add with inner length 2 or 4
+            for j in range(width):
+                view[:, width + j] += view[:, j]
+        else:
+            view[:, width:] += view[:, :width]
         width *= 2
     return out
 

@@ -66,6 +66,18 @@ def test_config_errors_exit_2(argv, capsys):
     assert out.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("law", ["basic", "noise"])
+def test_xcheck_checks_n_before_drawing_anything(law, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew a table before checking n")
+
+    monkeypatch.setattr(cli, "derive_rng", refuse)
+    monkeypatch.setattr(cli, "random_folded", refuse)
+    code, out = run(["xcheck", "--law", law, "--n", 25, "--count", 1], capsys)
+    assert (code, out.out) == (2, "")
+    assert out.err == "error: dimension must be in [1, 24], got 25\n"
+
+
 NONPOSITIVE_COUNTS = {
     "xcheck-basic-count-0": "xcheck --law basic --n 3 --count 0",
     "xcheck-noise-count-0": "xcheck --law noise --n 3 --count 0",
@@ -352,6 +364,14 @@ def test_family_file_names_every_conflicting_option(tmp_path, capsys):
 ASDICT = dataclasses.asdict
 
 
+def _format_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
 def report_by_asdict(rows, columns, as_json):
     """The report text built from a deep-copied record per row; the reference
     for write_report."""
@@ -362,7 +382,7 @@ def report_by_asdict(rows, columns, as_json):
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
     for record in records:
-        writer.writerow([cli._format_cell(record[c]) for c in columns])
+        writer.writerow([_format_cell(record[c]) for c in columns])
     return buffer.getvalue()
 
 
@@ -393,6 +413,23 @@ def test_write_report_equals_the_asdict_report_without_calling_asdict(
             cli.write_report(rows, columns, str(out), as_json)
             texts.append(out.read_text())
     assert texts == expected
+
+
+BUILTIN_SCALARS = {int, float, str, bool, type(None)}
+
+
+def test_report_rows_hold_only_builtin_scalars(tmp_path):
+    """csv.writer formats a numpy scalar by its own str or repr, which need not
+    be the builtin's (np.float32(0.1) writes as 0.1, not 0.10000000149011612)."""
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(FAMILY_FILE))
+    parser = cli.build_parser()
+    for argv in ALL_OPTIONS + ["influence --fn random:4 --n 4"]:
+        args = parser.parse_args(argv.replace("FAMILY", str(family)).split())
+        rows = cli.COMMANDS[args.command].run(cli._config(args))
+        assert rows, argv
+        kinds = {type(getattr(r, f.name)) for r in rows for f in dataclasses.fields(r)}
+        assert kinds <= BUILTIN_SCALARS, (argv, kinds)
 
 
 def test_influence_builds_one_weight_table_and_no_per_coordinate_sums(
@@ -447,6 +484,53 @@ def test_rerun_reproduces_csv_except_wall_ms(argv, tmp_path, capsys):
         texts.append((tmp_path / name).read_text())
     assert len(csv_without_wall_ms(texts[0])) > 1
     assert csv_without_wall_ms(texts[0]) == csv_without_wall_ms(texts[1])
+
+
+def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for argv in ["wht --fn dict:1 --n 2", "basictest --fn nope:1 --n 3",
+                 "xcheck --n 3 --count 1", "gowers --fn dict:1 --n 3 --d 2"]:
+        run(argv.split(), capsys)
+    with pytest.raises(SystemExit):
+        main(["wht", "--n", "x"])
+    assert builds == [1]
+
+
+def fresh_interpreter_report(argv, out):
+    """Run main(argv) alone in a new interpreter; the report text."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys; from dictatest.cli import main; sys.exit(main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)],
+                   env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    return out.read_text()
+
+
+def without_wall_ms(text):
+    """The report's bytes, or its CSV cells with wall_ms emptied when it has one."""
+    return csv_without_wall_ms(text) if "wall_ms" in text else text
+
+
+def test_reused_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsys):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(FAMILY_FILE))
+    argvs = [argv.replace("FAMILY", str(family)).split() for argv in ALL_OPTIONS]
+    out = tmp_path / "report"
+    expected = [without_wall_ms(fresh_interpreter_report(argv, out)) for argv in argvs]
+    reports = {}
+    for order in (range(len(argvs)), reversed(range(len(argvs)))):
+        for i in order:
+            assert main(argvs[i] + ["--out", str(out)]) == 0
+            reports.setdefault(i, []).append(without_wall_ms(out.read_text()))
+        with pytest.raises(SystemExit) as exit_2:
+            main(["htest", "--n", "x", "--complete-k", "2"])
+        with pytest.raises(SystemExit) as help_0:
+            main(["htest", "--help"])
+        assert (exit_2.value.code, help_0.value.code) == (2, 0)
+    capsys.readouterr()
+    assert [reports[i] for i in range(len(argvs))] == [[e, e] for e in expected]
 
 
 # ---------------------------------------------------------------------------

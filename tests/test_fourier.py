@@ -17,7 +17,7 @@ from dictatest import (
     wht,
 )
 from dictatest.families import dictator, parity, random_folded
-from dictatest.fourier import _butterfly, hamming_weights, influences
+from dictatest.fourier import _butterfly, _subset_sums, hamming_weights, influences
 
 
 def naive_wht(table):
@@ -304,6 +304,32 @@ def test_subset_zeta_matches_naive_double_loop():
     for _ in range(20):
         s = Spectrum(3, rng.uniform(-1, 1, size=8))
         assert np.allclose(subset_zeta(s), naive_subset_sums(s.coeffs), atol=1e-12)
+
+
+def block_add_subset_sums(values):
+    """The subset-sum transform as one 2-D block add per stage."""
+    out = values.copy()
+    width = 1
+    while width < out.shape[-1]:
+        view = out.reshape(-1, 2 * width)
+        view[:, width:] += view[:, :width]
+        width *= 2
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_subset_sums_equal_the_block_add_loop_bit_for_bit(dtype, rows):
+    rng = np.random.default_rng(18)
+    for n in range(1, 11):
+        shape = (1 << n,) if rows is None else (rows, 1 << n)
+        if dtype is np.float64:
+            values = rng.uniform(-1, 1, size=shape)
+        else:
+            values = rng.integers(-(1 << 40), 1 << 40, size=shape)
+        out = _subset_sums(values)
+        assert out.dtype == dtype
+        assert np.array_equal(out, block_add_subset_sums(values)), n
 
 
 # ---------------------------------------------------------------------------
