@@ -10,7 +10,7 @@ JSON type is a config error.  Reports are written atomically (temp file +
 rename), so a failed run leaves no partial output.  Re-running a config
 reproduces the CSV byte-for-byte except for the wall_ms column.  ``main``
 reuses one parser per process, built on its first call; ``write_report``
-leaves the formatting of each cell to ``csv.writer``.
+leaves the formatting to ``csv.writer`` and to json's C encoder.
 
 Exit codes: 0 success; 2 parse/config error (a bad flag, config file or
 fnspec, an argument out of range, flags that contradict each other, or an
@@ -164,12 +164,21 @@ def _count(cfg: Config) -> range:
     return range(cfg.count)
 
 
+def _json_text(records: list) -> str:
+    """``json.dumps(records, indent=2) + "\n"`` for nonempty flat records, from
+    the C encoder that ``indent`` turns off.  An encoded string holds no raw
+    newline, so "},\n    {" only occurs between records."""
+    text = json.dumps(records, separators=(",\n    ", ": "))
+    if records:
+        text = "[\n  {\n    %s\n  }\n]" % text[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+    return text + "\n"
+
+
 def write_report(rows, columns, out: str | None, as_json: bool) -> None:
     """Serialize each row's ``columns`` (at least two, so that attrgetter gives
     a tuple per row); atomic rename when writing to a file."""
     if as_json:
-        records = [{c: getattr(r, c) for c in columns} for r in rows]
-        text = json.dumps(records, indent=2) + "\n"
+        text = _json_text([{c: getattr(r, c) for c in columns} for r in rows])
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

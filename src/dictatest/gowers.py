@@ -1,9 +1,11 @@
 """Gowers uniformity norms, inner products, and the influential-pair decoder.
 
 Exact values come from the derivative recursion <{f_S}>_{U_d} =
-E_h <{f_S · f_{S∪{d}}(· + h)}>_{U_{d-1}}; an exact route raises GuardExceeded
-when the definition's randomness exceeds the guard.  Each inner product also
-has a seeded Monte Carlo route, and the caller picks the route and reports it.
+E_h <{f_S · f_{S∪{d}}(· + h)}>_{U_{d-1}} (or LU_d) down to a Fourier sum, on
+undivided sums: integer tables keep integer totals, and each caller divides
+once by a power of two.  An exact route raises GuardExceeded when the
+definition's randomness exceeds the guard.  Each inner product also has a
+seeded Monte Carlo route, and the caller picks the route and reports it.
 All Monte Carlo paths derive per-chunk sub-streams by counter
 (``rng.mc_chunks``), so estimates are reproducible.
 """
@@ -95,35 +97,47 @@ def _family_tables(fam: IndexedFamily) -> list[np.ndarray]:
     return [np.asarray(m.table) for m in fam.members]
 
 
-def _derivative_recursion(stack: np.ndarray, bottom, members: int) -> float:
-    """Σ_b of the inner products of the families stack[b] (member S at [b, S]).
+def _derivative_recursion(stack: np.ndarray, bottom, members: int):
+    """Σ_b of the undivided sums of the families stack[b] (member S at [b, S]).
 
     A shift h of the top coordinate d leaves {f_S · f_{S∪{d}}(· + h)} over
-    S ⊆ [d-1], whose inner products average to the family's.  Shifts run in
-    chunks of about _EXACT_CHUNK entries; bottom takes over at ``members``.
+    S ⊆ [d-1]; the sums over h add up to the family's.  Shifts form the next
+    batch in chunks of about _EXACT_CHUNK entries; bottom ends at ``members``.
     """
     batch, size, points = stack.shape
     if size == members:
         return bottom(stack)
     half, idx = size // 2, np.arange(points)
     step = max(1, _EXACT_CHUNK // (batch * size * points))
-    total = 0.0
+    total = 0
     for start in range(0, points, step):
         hs = idx[start : start + step, None]
         shifted = np.moveaxis(stack[:, half:, idx ^ hs], 2, 1)
         derived = (stack[:, None, :half] * shifted).reshape(-1, half, points)
         total += _derivative_recursion(derived, bottom, members)
-    return total / points
+    return total
 
 
 def _u2_sum(stack: np.ndarray) -> float:
-    """Σ_b Σ_α Π_S f̂_S(α): the U_2 inner products of a batch."""
-    return float(np.prod(_butterfly(stack), axis=1).sum()) / stack.shape[-1] ** 4
+    """Σ_b Σ_α Π_S F_S(α) with F = _butterfly(f): 2^n times the U_2 sums."""
+    return float(np.prod(_butterfly(stack), axis=1).sum())
 
 
-def _lu1_sum(stack: np.ndarray) -> float:
-    """Σ_b f_∅(0) · E f_1: the LU_1 inner products of a batch."""
-    return float((stack[:, 0, 0] * stack[:, 1].mean(axis=-1)).sum())
+def _lu2_sum(stack: np.ndarray):
+    """Σ_b f_∅(0)·Σ_γ F_1 F_2 F_12(γ): 2^n times the LU_2 sums.  A family
+    whose f_∅(0) is 0 adds nothing and is not transformed."""
+    stack = stack[stack[:, 0, 0] != 0]
+    spectra = np.prod(_butterfly(stack[:, 1:]), axis=1)
+    return (stack[:, 0, 0, None] * spectra).sum(keepdims=True).item()
+
+
+def _linear_sum(stack: np.ndarray):
+    """2^n·Σ_b Σ_{x_1..x_d} Π_S stack[b, S](Σ_{i∈S} x_i) for a (batch, 2^d, 2^n)
+    stack; int64 sums are exact modulo 2^64 (at d = 1, before the 2^n)."""
+    if stack.shape[1] == 2:  # LU_1: f_∅(0)·Σ f_1
+        sums = stack[:, 0, 0] * stack[:, 1].sum(axis=-1)
+        return sums.sum(keepdims=True).item() * stack.shape[-1]
+    return _derivative_recursion(stack, _lu2_sum, 4)
 
 
 def gowers_inner_product_exact(
@@ -132,13 +146,14 @@ def gowers_inner_product_exact(
     """<{f_S}>_{U_d}: E over (x, x_1..x_d) of Π_S f_S(x + Σ_{i in S} x_i).
 
     By the derivative recursion down to Σ_α Π_S f̂_S(α) (d = 2) or
-    E f_∅ · E f_{1} (d = 1); the definition's (d + 1)·n bits must fit the guard.
+    E f_∅ · E f_{1} (d = 1), then one division by 2^{(d+2)n}, which commutes
+    with rounding; the definition's (d + 1)·n bits must fit the guard.
     """
     check_guard((fam.d + 1) * fam.n, guard_bits)
     stack = np.stack(_family_tables(fam))[None]
     if fam.d == 1:
         return float(stack[0, 0].mean() * stack[0, 1].mean())
-    return _derivative_recursion(stack, _u2_sum, 4)
+    return _derivative_recursion(stack, _u2_sum, 4) / 2 ** ((fam.d + 2) * fam.n)
 
 
 def linear_gowers_inner_product_exact(
@@ -147,10 +162,11 @@ def linear_gowers_inner_product_exact(
     """<{f_S}>_{LU_d}: E over (x_1..x_d) of Π_S f_S(Σ_{i in S} x_i).
 
     The empty subset contributes the constant f_∅(0⃗).  By the derivative
-    recursion down to f_∅(0)·E f_{1} (d = 1); d·n bits must fit the guard.
+    recursion down to f_∅(0)·Σ_γ f̂_1 f̂_2 f̂_12(γ) (d = 2) or f_∅(0)·E f_1
+    (d = 1), divided once at the end; d·n bits must fit the guard.
     """
     check_guard(fam.d * fam.n, guard_bits)
-    return _derivative_recursion(np.stack(_family_tables(fam))[None], _lu1_sum, 2)
+    return _linear_sum(np.stack(_family_tables(fam))[None]) / 2 ** ((fam.d + 1) * fam.n)
 
 
 def _mc_mean(sample_chunk, trials: int, seed: int) -> tuple[float, float]:
@@ -167,42 +183,37 @@ def _mc_mean(sample_chunk, trials: int, seed: int) -> tuple[float, float]:
     return mean, stderr
 
 
-def _cube_product(tables, base: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Π_S tables[S][base + Σ_{i in S} draws[:, i]], one value per draw row."""
-    prod = np.ones(len(draws))
-    for mask, table in enumerate(tables):
-        shift = base.copy()
-        for i in range(draws.shape[1]):
-            if mask >> i & 1:
-                shift ^= draws[:, i]
-        prod = prod * table[shift]
-    return prod
+def _cube_mc(fam: IndexedFamily, trials: int, seed: int, base: int):
+    """MC mean of Π_S f_S(x + Σ_{i in S} x_i) over draws of (x,) x_1..x_d,
+    with x drawn first when ``base`` is 1 and x = 0 when it is 0."""
+    tables, points = _family_tables(fam), 1 << fam.n
+
+    def sample_chunk(rng, m):
+        draws = rng.integers(0, points, size=(m, fam.d + base))
+        prod = np.ones(m)
+        for mask, table in enumerate(tables):
+            shift = draws[:, 0].copy() if base else np.zeros(m, dtype=np.int64)
+            for i in range(fam.d):
+                if mask >> i & 1:
+                    shift ^= draws[:, base + i]
+            prod = prod * table[shift]
+        return prod
+
+    return _mc_mean(sample_chunk, trials, seed)
 
 
 def gowers_inner_product_mc(
     fam: IndexedFamily, trials: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the Gowers inner product: (estimate, stderr)."""
-    tables, points = _family_tables(fam), 1 << fam.n
-
-    def sample_chunk(rng, m):
-        draws = rng.integers(0, points, size=(m, fam.d + 1))
-        return _cube_product(tables, draws[:, 0], draws[:, 1:])
-
-    return _mc_mean(sample_chunk, trials, seed)
+    return _cube_mc(fam, trials, seed, 1)
 
 
 def linear_gowers_inner_product_mc(
     fam: IndexedFamily, trials: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the linear Gowers inner product."""
-    tables, points = _family_tables(fam), 1 << fam.n
-
-    def sample_chunk(rng, m):
-        draws = rng.integers(0, points, size=(m, fam.d))
-        return _cube_product(tables, np.zeros(m, dtype=np.int64), draws)
-
-    return _mc_mean(sample_chunk, trials, seed)
+    return _cube_mc(fam, trials, seed, 0)
 
 
 def find_influential_pair(

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import _EXACT_CHUNK, DEFAULT_GUARD_BITS, check_guard
+from .errors import DEFAULT_GUARD_BITS, check_guard
 from .fourier import _butterfly, _subset_sums, hamming_weights, spectrum_counts
 from .fourier import subset_zeta, wht
 from .functions import (
@@ -31,6 +31,7 @@ from .functions import (
     folded_table,
     require_folded,
 )
+from .gowers import _linear_sum
 # _MC_CHUNK is bound here for bench/spans.py, which counts htest_prob_mc chunks.
 from .rng import _MC_CHUNK, _draw_blocks, mc_chunks  # noqa: F401
 from .stats import wilson_interval
@@ -387,55 +388,33 @@ def _folded_tables(fam: FunctionFamily):
 def htest_prob_exact(
     fam: FunctionFamily, *, guard_bits: int = DEFAULT_GUARD_BITS
 ) -> float:
-    """Exact hypergraph-test acceptance probability from the edge expansion.
+    """Exact hypergraph-test acceptance probability as one LU_k sum on F_2^{2n}.
 
-    With L_i the pass-2 vertex answers, l_e = Π_{i∈e} L_i and r_e the edge
-    answer, a draw accepts with indicator Π_e (1 + l_e r_e)/2 = 2^{-|E|}
-    Σ_{F ⊆ E} Π_{e∈F} r_e Π_{i: deg_F(i) odd} L_i.  Summing each z through
-    G(a, s) = Σ_z f(a + s ∧ z) turns r_e into G_e(Σ_{i∈e} x_i, Σ_{i∈e} s_i),
-    L_i into G_i(x_i, s_i) and an unread z into 2^n.  The sum over F runs
-    edge by edge on chunks of _EXACT_CHUNK (x, y) assignments, and the
-    (3k + |E|)·n bits of randomness must fit the guard.
+    Fold each vertex answer into its point, w_i = x_i + [L_i = -1]·1⃗, and
+    put u_i = (w_i, s_i) at index w·2^n + s.  The shift s_i is uniform on
+    f_i^{-1}(+1), w_i then has density (2^n + G_i(u_i))/4^n (G = _and_sums)
+    and edge e accepts with probability (2^n + G_e(Σ_{i∈e} u_i))/2^{n+1}.  So
+    with H = (2^n + G)/2 the accept count over the (3k + |E|)·n guarded bits
+    is 4^k·Σ_{u_1..u_k} Π_T M_T(Σ_{i∈T} u_i): M_{i}(u) = [f_i(s) = +1]·H_i(u),
+    M_{mask(e)} = H_e (times M_{i} if e = {i}), and 1 elsewhere.
+    gowers._linear_sum gives 4^n times it in about 4^{n(k-1)}·2n operations on
+    one 4^n table per distinct member, in int64 while its nonnegative sums (at
+    most 2^{bits+2n-2k}, or 2^{bits-2k} at k = 1) stay below 2^63.
     """
     h = fam.hypergraph
     k, n = h.k, fam.n
     bits = (3 * k + len(h.edges)) * n
     check_guard(bits, guard_bits)
-    vertex_tables, edge_tables, _ = _folded_tables(fam)
-    dtype = _count_dtype(bits + len(h.edges))
-    # one G table per distinct member; BooleanFunction compares by its table
-    sums = {}
-    members = fam.vertex_functions + fam.edge_functions
-    for f, t in zip(members, vertex_tables + edge_tables):
-        if f not in sums:
-            sums[f] = _and_sums(t, dtype)
-    vertex_sums = [sums[f] for f in fam.vertex_functions]
-    edge_sums = [sums[f] for f in fam.edge_functions]
-    points = 1 << n
-    ones = points - 1
-    combos = points ** (2 * k)
-    digit_shifts = n * np.arange(2 * k)
-    total = 0
-    for start in range(0, combos, _EXACT_CHUNK):
-        combo = np.arange(start, min(start + _EXACT_CHUNK, combos))
-        xs, ys = np.split((combo >> digit_shifts[:, None]) & ones, 2)
-        shifts = [np.where(t[y] < 0, y ^ ones, y) for t, y in zip(vertex_tables, ys)]
-        # by_odd[m]: Σ over the subsets F of the edges so far whose odd-degree
-        # vertex set is m of Π_{e∈F} G_e · 2^{n·(edges so far not in F)}
-        by_odd = {frozenset(): np.ones(combo.size, dtype=dtype)}
-        for g, edge in zip(edge_sums, h.edges):
-            x_sum = np.bitwise_xor.reduce([xs[i - 1] for i in edge])
-            answer = g[x_sum, np.bitwise_xor.reduce([shifts[i - 1] for i in edge])]
-            grown = {m: p * points for m, p in by_odd.items()}
-            for m, p in by_odd.items():
-                grown[m ^ edge] = grown.get(m ^ edge, 0) + p * answer
-            by_odd = grown
-        vertex_answers = [g[x, s] for g, x, s in zip(vertex_sums, xs, shifts)]
-        for m, p in by_odd.items():
-            for i, answer in enumerate(vertex_answers, start=1):
-                p = p * (answer if i in m else points)
-            total += int(p.sum())
-    return (total >> len(h.edges)) / 2**bits
+    halves = {f: (_and_sums(f.table, np.int64) >> 1) + (1 << (n - 1))
+              for f in dict.fromkeys(fam.vertex_functions + fam.edge_functions)}
+    stack = np.ones((1 << k, 1 << n, 1 << n), dtype=np.int64)
+    for i, f in enumerate(fam.vertex_functions):
+        np.multiply(halves[f], f.table > 0, out=stack[1 << i])
+    for f, e in zip(fam.edge_functions, h.edges):
+        stack[sum(1 << (i - 1) for i in e)] *= halves[f]
+    dtype = _count_dtype(bits - 2 * k + 2 * n * (k > 1))
+    total = _linear_sum(stack.reshape(1, 1 << k, -1).astype(dtype, copy=False))
+    return ((total >> 2 * n) << 2 * k) / 2**bits
 
 
 def htest_prob_mc(

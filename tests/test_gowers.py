@@ -278,6 +278,35 @@ def test_linear_inner_product_matches_brute_force():
         assert abs(linear_gowers_inner_product_exact(fam) - brute) <= 1e-12
 
 
+def brute_linear_sum(tables, d):
+    """Σ over (x_1..x_d) of Π_S tables[S][Σ_{i∈S} x_i], one tuple at a time."""
+    total = 0
+    for shifts in itertools.product(range(len(tables[0])), repeat=d):
+        prod = 1
+        for mask, point in enumerate(subset_shifts(shifts, d)):
+            prod *= tables[mask][point]
+        total += prod
+    return total
+
+
+def test_linear_sums_of_integer_members_equal_brute_force():
+    """{-1, 0, 1} members keep every sum an exact float; wider integer members
+    give 2^n times the exact sum in Python ints, and that sum modulo 2^64 in
+    wrapping int64."""
+    rng = np.random.default_rng(42)
+    for d in (1, 2, 3, 4):
+        for n in (1, 2):
+            for _ in range(2):
+                tables = rng.integers(-1, 2, size=(1 << d, 1 << n)).astype(np.float64)
+                fam = IndexedFamily(d, n, {m: RealPointFunction(n, t) for m, t in enumerate(tables)})
+                expected = brute_linear_sum(tables.astype(np.int64).tolist(), d)
+                assert linear_gowers_inner_product_exact(fam) == expected / 2 ** (d * n)
+                wide = rng.integers(0, 1 << 20, size=(1, 1 << d, 1 << n))
+                expected = brute_linear_sum(wide[0].tolist(), d) << n
+                assert gowers._linear_sum(wide.astype(object)) == expected
+                assert gowers._linear_sum(wide) % (1 << 64) == expected % (1 << 64)
+
+
 def test_linear_inner_product_is_multilinear():
     rng = np.random.default_rng(38)
     fam = IndexedFamily(2, 2, {m: random_real(2, rng) for m in range(4)})

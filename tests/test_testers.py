@@ -42,7 +42,8 @@ from dictatest.functions import folded_table
 from dictatest import testers
 from dictatest import rng as rng_module
 from dictatest.rng import derive_rng
-from dictatest.testers import _EXACT_CHUNK, _folded_tables, _htest_verdicts
+from dictatest.errors import _EXACT_CHUNK
+from dictatest.testers import _folded_tables, _htest_verdicts
 
 EDGE_12 = Hypergraph(2, [frozenset({1, 2})])
 PATH_3 = Hypergraph(3, [frozenset({1, 2}), frozenset({2, 3})])
@@ -729,6 +730,51 @@ def test_htest_exact_perfect_completeness_beyond_the_old_enumerator():
         for ell in range(1, n + 1):
             fam = FunctionFamily.uniform(h, dictator(n, ell))
             assert htest_prob_exact(fam, guard_bits=39) == 1.0
+
+
+def test_htest_exact_perfect_completeness_at_the_lu_frontier():
+    for k, top in ((2, 8), (3, 4), (4, 2)):
+        h = complete_hypergraph(k)
+        for n in range(1, top + 1):
+            bits = (3 * k + len(h.edges)) * n
+            for ell in sorted({1, n}):
+                fam = FunctionFamily.uniform(h, dictator(n, ell))
+                assert htest_prob_exact(fam, guard_bits=bits) == 1.0
+
+
+def test_htest_exact_odd_parity_on_one_edge_accepts_one_half_plus_2_to_1_minus_2w():
+    """A parity of odd weight w on complete_hypergraph(2) accepts with
+    probability exactly 1/2 + 2^{1-2w}, whatever n >= w."""
+    h = complete_hypergraph(2)
+    for w in (1, 3, 5, 7):
+        for n in range(w, 8):
+            fam = FunctionFamily.uniform(h, parity(n, ((1 << w) - 1) << (n - w)))
+            value = htest_prob_exact(fam, guard_bits=7 * n)
+            assert Fraction(value) == Fraction(1, 2) + Fraction(2) ** (1 - 2 * w)
+
+
+def test_htest_exact_int64_at_its_widest_equals_python_ints(monkeypatch):
+    """complete_hypergraph(2) at n = 7 and (3) at n = 4 are the largest n whose
+    total (at most 2^62) runs in int64; the value must equal the Python-int
+    one, and n + 1 must switch to Python ints."""
+    count_dtype = testers._count_dtype
+    chosen = []
+    monkeypatch.setattr(
+        testers, "_count_dtype", lambda bits: chosen.append(count_dtype(bits)) or chosen[-1]
+    )
+    cases = []
+    for k, n in ((2, 7), (3, 4)):
+        h = complete_hypergraph(k)
+        bits = (3 * k + len(h.edges)) * (n + 1)
+        assert htest_prob_exact(FunctionFamily.uniform(h, dictator(n + 1, 1)), guard_bits=bits) == 1.0
+        assert chosen.pop() is object
+        fams = [random_family(h, n, 11), noisy_family(h, n, 12)]
+        cases += [(fam, htest_prob_exact(fam, guard_bits=bits)) for fam in fams]
+        assert chosen == [np.int64] * len(fams)
+        chosen.clear()
+    monkeypatch.setattr(testers, "_count_dtype", lambda bits: object)
+    for fam, value in cases:
+        assert htest_prob_exact(fam, guard_bits=99) == value
 
 
 def test_htest_exact_builds_one_and_table_per_distinct_member(monkeypatch):
