@@ -1,11 +1,15 @@
-"""Adaptive dictatorship tests on the boolean hypercube, with the Fourier and
-Gowers machinery to verify their acceptance behavior exactly at desk scale."""
+"""Adaptive dictatorship tests on the boolean hypercube.
+
+The acceptance probabilities of the four-query basic test and of the
+hypergraph test are computed exactly (from Fourier and Gowers identities),
+spectrally and by Monte Carlo; ``python -m dictatest`` runs them, the Gowers
+inner products and the influential-pair decoder as seeded experiments with
+CSV or JSON reports."""
 
 from .errors import DictatestError, GuardExceeded, InvariantViolation, SpecParseError
 from .families import (
     build_family,
     dictator,
-    junta,
     load_family,
     majority,
     noisy_dictator,
@@ -19,20 +23,15 @@ from .fourier import (
     Spectrum,
     hamming_weights,
     influence,
-    influence_combinatorial,
-    inverse_wht,
     low_degree_influence,
-    product_function,
     spectrum_counts,
     subset_zeta,
     wht,
 )
 from .functions import (
-    BitVector,
     BooleanFunction,
     FoldedOracle,
     RealPointFunction,
-    evaluate,
     folded_table,
     is_folded,
     make_folded,
@@ -45,8 +44,6 @@ from .gowers import (
     find_influential_pair,
     gowers_inner_product_exact,
     gowers_inner_product_mc,
-    gowers_norm,
-    gowers_norm_pow,
     linear_gowers_inner_product_exact,
     linear_gowers_inner_product_mc,
 )
@@ -64,7 +61,6 @@ from .testers import (
     noise_and_operator,
     noisy_spectrum_law_deviation,
     query_budget,
-    run_basic_test,
     run_hypergraph_test,
     soundness_identity_holds,
 )
@@ -72,7 +68,6 @@ from .testers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitVector",
     "BooleanFunction",
     "DictatestError",
     "FoldedOracle",
@@ -91,21 +86,15 @@ __all__ = [
     "build_family",
     "complete_hypergraph",
     "dictator",
-    "evaluate",
     "find_influential_pair",
     "folded_table",
     "gowers_inner_product_exact",
     "gowers_inner_product_mc",
-    "gowers_norm",
-    "gowers_norm_pow",
     "hamming_weights",
     "htest_prob_exact",
     "htest_prob_mc",
     "influence",
-    "influence_combinatorial",
-    "inverse_wht",
     "is_folded",
-    "junta",
     "linear_gowers_inner_product_exact",
     "linear_gowers_inner_product_mc",
     "load_family",
@@ -118,12 +107,10 @@ __all__ = [
     "parity",
     "parse_fnspec",
     "planted_decoder_family",
-    "product_function",
     "query_budget",
     "random_family",
     "random_folded",
     "refold",
-    "run_basic_test",
     "run_hypergraph_test",
     "soundness_identity_holds",
     "spectrum_counts",

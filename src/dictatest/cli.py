@@ -33,8 +33,8 @@ from pathlib import Path
 
 from .errors import DEFAULT_GUARD_BITS, GuardExceeded, InvariantViolation, SpecParseError
 from .families import (
-    build_family, load_family, parse_fnspec, planted_decoder_family, random_family,
-    random_folded,
+    _int_lists, build_family, load_family, parse_fnspec, planted_decoder_family,
+    random_family, random_folded,
 )
 from .fourier import hamming_weights, influences, wht
 from .functions import BooleanFunction, check_dimension, table_to_hex
@@ -98,8 +98,7 @@ class Config:
             raise SpecParseError(f"'seed' must be >= 0, got {self.seed}")
         if isinstance(self.edges, str):
             self.edges = _parse_edges(self.edges)
-        elif self.edges is not None and not all(
-                type(e) is list and all(type(v) is int for v in e) for e in self.edges):
+        elif self.edges is not None and not _int_lists(self.edges):
             raise SpecParseError(f"bad value for 'edges': {self.edges!r}")
 
 

@@ -10,9 +10,12 @@ fnspec grammar (the dimension n always comes from context):
     noisydict:<i>:<rho>:<seed>  dictator with half-table noise, refolded
     maj                       majority (n odd)
 
-Family files are JSON objects with fields n, k, edges (list of vertex lists)
-and members: either the string "all=<fnspec>" or a map from member labels
-("v1".."vk" for vertices, "e1,2"-style for edges) to fnspecs.
+Family files are JSON objects with integer fields n and k, edges (a list of
+integer vertex lists) and members: either the string "all=<fnspec>" or a map
+from member labels ("v1".."vk" for vertices, "e1,2"-style for edges) to
+fnspecs.  Optional: allow_singletons (a bool, default false) and fold
+("refold", the default, or "strict").  A field of another JSON type is a
+SpecParseError naming it.
 """
 
 from __future__ import annotations
@@ -25,10 +28,8 @@ import numpy as np
 from .errors import SpecParseError
 from .fourier import hamming_weights
 from .functions import (
-    BitVector,
     BooleanFunction,
     check_dimension,
-    is_folded,
     make_folded,
     refold,
     require_folded,
@@ -51,11 +52,7 @@ def dictator(n: int, i: int) -> BooleanFunction:
 def parity(n: int, alpha) -> BooleanFunction:
     """The character χ_α(x) = (-1)^{Σ_{i in α} x_i}; α = 0 gives constant +1."""
     check_dimension(n)
-    if isinstance(alpha, BitVector):
-        if alpha.n != n:
-            raise ValueError(f"dimension mismatch: {alpha.n} vs {n}")
-        mask = alpha.bits
-    elif isinstance(alpha, (set, frozenset, list, tuple)):
+    if isinstance(alpha, (set, frozenset, list, tuple)):
         mask = 0
         for i in alpha:
             if not 1 <= int(i) <= n:
@@ -100,26 +97,6 @@ def noisy_dictator(n: int, i: int, rho: float, seed) -> BooleanFunction:
     flips = rng.random(half.size) < rho
     half[flips] *= -1
     return make_folded(n, half)
-
-
-def junta(n: int, coords, inner: BooleanFunction) -> BooleanFunction:
-    """Embed ``inner`` on the listed coordinates; all others are irrelevant."""
-    check_dimension(n)
-    coords = [int(c) for c in coords]
-    if len(set(coords)) != len(coords):
-        raise ValueError("coordinates must be distinct")
-    for c in coords:
-        if not 1 <= c <= n:
-            raise ValueError(f"coordinate {c} out of range for n={n}")
-    if inner.n != len(coords):
-        raise ValueError(
-            f"inner function has {inner.n} variables, expected {len(coords)}"
-        )
-    idx = np.arange(1 << n)
-    inner_idx = np.zeros(1 << n, dtype=np.int64)
-    for pos, c in enumerate(coords):
-        inner_idx |= ((idx >> (c - 1)) & 1) << pos
-    return BooleanFunction(n, inner.table[inner_idx])
 
 
 def majority(n: int) -> BooleanFunction:
@@ -217,23 +194,38 @@ def random_family(hypergraph: Hypergraph, n: int, seed) -> FunctionFamily:
     return FunctionFamily(hypergraph, fns[:k], fns[k:])
 
 
+def _int_lists(value) -> bool:
+    """Whether a JSON value is a list of lists of integers (a bool is no int)."""
+    return type(value) is list and all(
+        type(e) is list and all(type(v) is int for v in e) for e in value)
+
+
+def _family_value_ok(key: str, value) -> bool:
+    if key == "edges":
+        return _int_lists(value)
+    if key == "members":
+        return type(value) is str or (
+            type(value) is dict and all(type(v) is str for v in value.values()))
+    return type(value) is {"n": int, "k": int, "allow_singletons": bool, "fold": str}[key]
+
+
 def load_family(path) -> FunctionFamily:
-    """Read a family file (JSON: n, k, edges, members)."""
+    """Read a family file (JSON: n, k, edges, members, and optionally
+    allow_singletons and fold), checking the JSON type of each field."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecParseError(f"cannot read family file {path}: {exc}") from exc
-    try:
-        n = int(doc["n"])
-        k = int(doc["k"])
-        edges = doc["edges"]
-        members = doc["members"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecParseError(f"family file {path} missing field: {exc}") from exc
-    hypergraph = Hypergraph(
-        k, [frozenset(e) for e in edges], bool(doc.get("allow_singletons", False))
-    )
-    return build_family(hypergraph, n, members, fold=str(doc.get("fold", "refold")))
+    if not isinstance(doc, dict):
+        raise SpecParseError(f"family file {path} must be a JSON object")
+    doc = {"allow_singletons": False, "fold": "refold", **doc}
+    for key in ("n", "k", "edges", "members", "allow_singletons", "fold"):
+        if key not in doc:
+            raise SpecParseError(f"family file {path} missing field: {key!r}")
+        if not _family_value_ok(key, doc[key]):
+            raise SpecParseError(f"family file {path}: bad value for {key!r}: {doc[key]!r}")
+    hypergraph = Hypergraph(doc["k"], doc["edges"], doc["allow_singletons"])
+    return build_family(hypergraph, doc["n"], doc["members"], fold=doc["fold"])
 
 
 # ---------------------------------------------------------------------------

@@ -84,11 +84,6 @@ def spectrum_counts(f: BooleanFunction) -> np.ndarray:
     return _butterfly(f.table.astype(np.int64))
 
 
-def inverse_wht(s: Spectrum) -> RealPointFunction:
-    """f(x) = Σ_α coeffs[α] χ_α(x); exact inverse of the forward transform."""
-    return RealPointFunction(s.n, _butterfly(s.coeffs))
-
-
 def _check_coordinate(n: int, i: int) -> int:
     i = int(i)
     if not 1 <= i <= n:
@@ -121,14 +116,6 @@ def influence(s: Spectrum, i: int) -> float:
     return influences(s)[_check_coordinate(s.n, i) - 1]
 
 
-def influence_combinatorial(f: BooleanFunction, i: int) -> float:
-    """Pr_x[f(x) != f(x + e_i)]; equals the spectral influence for boolean f."""
-    i = _check_coordinate(f.n, i)
-    idx = np.arange(1 << f.n)
-    flipped = f.table[idx ^ (1 << (i - 1))]
-    return int(np.count_nonzero(flipped != f.table)) / (1 << f.n)
-
-
 def low_degree_influence(s: Spectrum, i: int, w: int) -> float:
     """I_i^{<=w}(f): the influence sum restricted to |α| <= w."""
     i = _check_coordinate(s.n, i)
@@ -153,16 +140,3 @@ def _subset_sums(values: np.ndarray) -> np.ndarray:
 def subset_zeta(s: Spectrum) -> np.ndarray:
     """out[α] = Σ_{β ⊆ α} coeffs[β], by the O(n 2^n) subset-sum transform."""
     return _subset_sums(s.coeffs)
-
-
-def product_function(fs: list[RealPointFunction]) -> RealPointFunction:
-    """Pointwise product of bounded functions on a common cube."""
-    if not fs:
-        raise ValueError("need at least one function")
-    n = fs[0].n
-    table = np.ones(1 << n, dtype=np.float64)
-    for f in fs:
-        if f.n != n:
-            raise ValueError(f"dimension mismatch: {f.n} vs {n}")
-        table = table * f.table
-    return RealPointFunction(n, table)

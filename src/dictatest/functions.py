@@ -27,83 +27,6 @@ def check_dimension(n: int) -> int:
     return n
 
 
-def _as_index(x) -> int:
-    """Accept a BitVector or a plain integer index."""
-    if isinstance(x, BitVector):
-        return x.bits
-    return int(x)
-
-
-@dataclass(frozen=True)
-class BitVector:
-    """A point of {0,1}^n encoded as an unsigned index."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        check_dimension(self.n)
-        if not 0 <= self.bits < 1 << self.n:
-            raise ValueError(f"index {self.bits} out of range for n={self.n}")
-
-    @classmethod
-    def zero(cls, n: int) -> "BitVector":
-        return cls(n, 0)
-
-    @classmethod
-    def ones(cls, n: int) -> "BitVector":
-        return cls(n, (1 << n) - 1)
-
-    @classmethod
-    def unit(cls, n: int, i: int) -> "BitVector":
-        """e_i: 1 at coordinate i, 0 elsewhere."""
-        if not 1 <= i <= n:
-            raise ValueError(f"coordinate {i} out of range for n={n}")
-        return cls(n, 1 << (i - 1))
-
-    @classmethod
-    def from_coords(cls, coords) -> "BitVector":
-        """Build from an explicit (x_1, ..., x_n) tuple of 0/1 values."""
-        bits = 0
-        for pos, value in enumerate(coords):
-            if value not in (0, 1):
-                raise ValueError("coordinates must be 0 or 1")
-            bits |= value << pos
-        return cls(len(coords), bits)
-
-    def coordinate(self, i: int) -> int:
-        """x_i for 1 <= i <= n."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"coordinate {i} out of range for n={self.n}")
-        return (self.bits >> (i - 1)) & 1
-
-    def weight(self) -> int:
-        """Hamming weight |v|."""
-        return self.bits.bit_count()
-
-    def coords(self) -> tuple[int, ...]:
-        return tuple((self.bits >> p) & 1 for p in range(self.n))
-
-    def _check_same_n(self, other: "BitVector") -> None:
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        self._check_same_n(other)
-        return BitVector(self.n, self.bits ^ other.bits)
-
-    def __and__(self, other: "BitVector") -> "BitVector":
-        self._check_same_n(other)
-        return BitVector(self.n, self.bits & other.bits)
-
-    def complement(self) -> "BitVector":
-        """1⃗ + v (coordinate-wise flip)."""
-        return BitVector(self.n, self.bits ^ ((1 << self.n) - 1))
-
-    def __index__(self) -> int:
-        return self.bits
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -136,13 +59,10 @@ class BooleanFunction:
         object.__setattr__(self, "table", _freeze(table))
 
     def __call__(self, x) -> int:
-        return int(self.table[_as_index(x)])
+        return int(self.table[int(x)])
 
     def as_real(self) -> "RealPointFunction":
         return RealPointFunction(self.n, self.table.astype(np.float64))
-
-    def negate(self) -> "BooleanFunction":
-        return BooleanFunction(self.n, -self.table)
 
     def mean(self) -> float:
         return float(self.table.mean())
@@ -169,20 +89,10 @@ class RealPointFunction:
         object.__setattr__(self, "table", _freeze(table))
 
     def __call__(self, x) -> float:
-        return float(self.table[_as_index(x)])
+        return float(self.table[int(x)])
 
     def mean(self) -> float:
         return float(self.table.mean())
-
-
-def evaluate(f: BooleanFunction, x) -> int:
-    """f at the point x (BitVector or index)."""
-    if isinstance(x, BitVector) and x.n != f.n:
-        raise ValueError(f"dimension mismatch: function n={f.n}, point n={x.n}")
-    j = _as_index(x)
-    if not 0 <= j < 1 << f.n:
-        raise ValueError(f"point index {j} out of range for n={f.n}")
-    return int(f.table[j])
 
 
 class FoldedOracle:
@@ -191,10 +101,8 @@ class FoldedOracle:
     A query at x with x_1 = 1 reads the table directly; a query at x with
     x_1 = 0 reads the complementary point 1⃗+x and negates the answer.  The
     induced function F therefore satisfies F(1⃗+x) = -F(x) for every x and
-    has mean exactly 0, regardless of the wrapped table.
-
-    ``fresh()`` returns an oracle over the same table with its query count
-    at zero.
+    has mean exactly 0, regardless of the wrapped table.  ``query_count``
+    counts every query made through it.
     """
 
     __slots__ = ("inner", "query_count")
@@ -208,7 +116,7 @@ class FoldedOracle:
         return self.inner.n
 
     def fold_query(self, x) -> int:
-        j = _as_index(x)
+        j = int(x)
         if not 0 <= j < 1 << self.n:
             raise ValueError(f"point index {j} out of range for n={self.n}")
         self.query_count += 1
@@ -216,8 +124,18 @@ class FoldedOracle:
             return int(self.inner.table[j])
         return -int(self.inner.table[j ^ ((1 << self.n) - 1)])
 
-    def fresh(self) -> "FoldedOracle":
-        return FoldedOracle(self.inner)
+
+def _fold_half(half: np.ndarray) -> np.ndarray:
+    """The table of the folded function whose x_1 = 1 half is ``half``.
+
+    half[m] is the value at the point 2m+1, the m-th point with x_1 = 1.
+    F(x) = -F(1⃗+x) forces the x_1 = 0 half: 1⃗+x = 1⃗-x takes the point 2m to
+    2(2^{n-1}-1-m)+1, so that half is the negated reversal of ``half``.
+    """
+    table = np.empty(2 * half.size, dtype=half.dtype)
+    table[1::2] = half
+    table[0::2] = -half[::-1]
+    return table
 
 
 def folded_table(f: BooleanFunction) -> np.ndarray:
@@ -226,42 +144,30 @@ def folded_table(f: BooleanFunction) -> np.ndarray:
     This is FoldedOracle's access rule applied to every point at once; the
     tests compare it with a per-point FoldedOracle loop, its reference.
     Enumerators index into this array instead of f.table.  For a folded f
-    it equals f.table.  Since 1⃗+x = 1⃗-x, the x_1 = 0 half reads f.table
-    reversed.
+    it equals f.table.
     """
-    table = -f.table[::-1]
-    table[1::2] = f.table[1::2]
-    return table
+    return _fold_half(f.table[1::2])
 
 
 def make_folded(n: int, half_table) -> BooleanFunction:
-    """The unique folded function whose x_1 = 1 half is ``half_table``.
-
-    half_table[m] is the value at the point with index 2m+1 (the m-th point
-    with x_1 = 1); values on the x_1 = 0 half are forced by F(x) = -F(1⃗+x).
-    """
+    """The unique folded function whose x_1 = 1 half is ``half_table``."""
     check_dimension(n)
     half = np.asarray(half_table, dtype=np.int8)
     if half.shape != (1 << (n - 1),):
         raise ValueError(
             f"half table must have length {1 << (n - 1)}, got {half.shape}"
         )
-    if not np.all(np.abs(half) == 1):
-        raise ValueError("half table entries must be -1 or +1")
-    table = np.empty(1 << n, dtype=np.int8)
-    table[1::2] = half
-    table[0::2] = -half[::-1]  # the point 2m has complement 2(2^{n-1}-1-m)+1
-    return BooleanFunction(n, table)
+    return BooleanFunction(n, _fold_half(half))
 
 
 def refold(f: BooleanFunction) -> BooleanFunction:
     """Fold f: keep its x_1 = 1 half and rebuild the other half."""
-    return make_folded(f.n, f.table[1::2])
+    return BooleanFunction(f.n, _fold_half(f.table[1::2]))
 
 
 def is_folded(f: BooleanFunction) -> bool:
-    """True iff f(1⃗+x) = -f(x) for all x; 1⃗+x = 1⃗-x reads f.table reversed."""
-    return bool(np.all(f.table[::-1] == -f.table))
+    """True iff f(1⃗+x) = -f(x) for all x, i.e. f is its own folded view."""
+    return bool(np.array_equal(_fold_half(f.table[1::2]), f.table))
 
 
 def require_folded(f: BooleanFunction, what: str = "input") -> None:

@@ -1,4 +1,7 @@
-"""Gowers uniformity norms, inner products, and the influential-pair decoder.
+"""Gowers inner products (plain and linear) and the influential-pair decoder.
+
+The U_d norm of f is the 2^d-th root of the inner product of the constant
+family ``IndexedFamily.constant(d, f)``; the CLI reports that power.
 
 Exact values come from the derivative recursion <{f_S}>_{U_d} =
 E_h <{f_S · f_{S∪{d}}(· + h)}>_{U_{d-1}} (or LU_d) down to a Fourier sum, on
@@ -35,14 +38,12 @@ class IndexedFamily:
     """2^d bounded functions indexed by the subsets of [d].
 
     Subsets are bitmasks (bit i-1 <-> element i).  Members missing from the
-    input mapping default to the constant-1 function; their masks are kept in
-    ``defaulted`` so callers can see which slots were filled in.
+    input mapping default to the constant-1 function.
     """
 
     d: int
     n: int
     members: tuple = field(repr=False)
-    defaulted: frozenset
 
     def __init__(self, d: int, n: int, members=None):
         d = int(d)
@@ -56,41 +57,16 @@ class IndexedFamily:
             if f.n != n:
                 raise ValueError(f"member dimension {f.n} != family n={n}")
         one = RealPointFunction(n, np.ones(1 << n))
-        defaulted = frozenset(m for m in range(1 << d) if m not in given)
         full = tuple(given.get(m, one) for m in range(1 << d))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", full)
-        object.__setattr__(self, "defaulted", defaulted)
-
-    def member(self, mask: int) -> RealPointFunction:
-        return self.members[int(mask)]
 
     @classmethod
     def constant(cls, d: int, f) -> "IndexedFamily":
         """All 2^d members equal to f."""
         f = _as_real(f)
         return cls(d, f.n, {m: f for m in range(1 << d)})
-
-
-def gowers_norm_pow(f, d: int, *, guard_bits: int = DEFAULT_GUARD_BITS) -> float:
-    """||f||_{U_d}^{2^d}: gowers_inner_product_exact of the constant family {f}."""
-    check_guard((int(d) + 1) * f.n, guard_bits)
-    return gowers_inner_product_exact(IndexedFamily.constant(d, f), guard_bits=guard_bits)
-
-
-def gowers_norm(f, d: int, *, guard_bits: int = DEFAULT_GUARD_BITS) -> float:
-    """||f||_{U_d}: the 2^d-th root of gowers_norm_pow.
-
-    Tiny negative accumulations (>= -1e-12) are clamped to 0 before the
-    root; anything more negative is an arithmetic failure and raises.
-    """
-    power = gowers_norm_pow(f, d, guard_bits=guard_bits)
-    if power < 0.0:
-        if power < -1e-12:
-            raise ArithmeticError(f"norm power accumulated to {power}")
-        power = 0.0
-    return power ** (1.0 / (1 << d))
 
 
 def _family_tables(fam: IndexedFamily) -> list[np.ndarray]:

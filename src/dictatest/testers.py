@@ -1,15 +1,17 @@
 """Adaptive dictatorship testers and their acceptance-probability evaluators.
 
-Two testers live here.  The four-query basic test probes a single folded
-function; the hypergraph test runs one basic-style check per hyperedge over a
-family {f_a} indexed by the vertices and edges of a hypergraph, reusing the
-per-vertex queries across edges.  Both are two-pass: the first pass reads
+Two testers are evaluated here.  The four-query basic test probes a single
+folded function; the hypergraph test runs one basic-style check per hyperedge
+over a family {f_a} indexed by the vertices and edges of a hypergraph, reusing
+the per-vertex queries across edges.  Both are two-pass: the first pass reads
 f(y) values and the bits v = (1 - f(y))/2 steer the second, nonadaptive pass.
 
 Each tester has an exact acceptance probability: an integer accept count
 over all its randomness (guarded by that bit budget), computed from an
 identity rather than draw by draw.  The basic test also has a closed-form
-spectral evaluator.  All oracle access goes through the folding rule.
+spectral evaluator, and the hypergraph test a query-level run
+(``run_hypergraph_test``) and a Monte Carlo estimate.  All oracle access
+goes through the folding rule.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import DEFAULT_GUARD_BITS, check_guard
 from .fourier import _butterfly, _subset_sums, hamming_weights, spectrum_counts
 from .fourier import subset_zeta, wht
 from .functions import (
-    BitVector,
     BooleanFunction,
     FoldedOracle,
     RealPointFunction,
@@ -38,10 +39,6 @@ from .stats import wilson_interval
 
 
 def _as_mask(x, n: int) -> int:
-    if isinstance(x, BitVector):
-        if x.n != n:
-            raise ValueError(f"dimension mismatch: {x.n} vs {n}")
-        return x.bits
     j = int(x)
     if not 0 <= j < 1 << n:
         raise ValueError(f"index {j} out of range for n={n}")
@@ -180,7 +177,7 @@ class FunctionFamily:
 
 
 # ---------------------------------------------------------------------------
-# Transcripts and samplers
+# Transcripts and the query-level run
 # ---------------------------------------------------------------------------
 
 
@@ -198,37 +195,6 @@ class TestTranscript:
     pass2: tuple
     verdict: bool
     total_queries: int
-
-
-def run_basic_test(oracle: FoldedOracle, rng: np.random.Generator) -> TestTranscript:
-    """One run of the four-query adaptive test against a single oracle.
-
-    Draws x_i, x_j, y, z (one ``rng.integers(0, 2^n, size=4)`` call, in that
-    order), reads f(y) in pass 1, sets v = (1 - f(y))/2, then reads f(x_i),
-    f(x_j) and f(x_i + x_j + (v·1⃗ + y) ∧ z) in pass 2; accepts iff
-    f(x_i) f(x_j) equals the third pass-2 value.
-    """
-    n = oracle.n
-    ones = (1 << n) - 1
-    before = oracle.query_count
-    x_i, x_j, y, z = (int(v) for v in rng.integers(0, 1 << n, size=4))
-    s_y = oracle.fold_query(y)
-    v = (1 - s_y) // 2
-    shift = y ^ (ones if v else 0)
-    probe = x_i ^ x_j ^ (shift & z)
-    s_i = oracle.fold_query(x_i)
-    s_j = oracle.fold_query(x_j)
-    s_probe = oracle.fold_query(probe)
-    return TestTranscript(
-        pass1=(QueryRecord("f", y, s_y),),
-        pass2=(
-            QueryRecord("f", x_i, s_i),
-            QueryRecord("f", x_j, s_j),
-            QueryRecord("f", probe, s_probe),
-        ),
-        verdict=s_i * s_j == s_probe,
-        total_queries=oracle.query_count - before,
-    )
 
 
 def run_hypergraph_test(

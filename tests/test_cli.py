@@ -359,6 +359,30 @@ def test_family_file_names_every_conflicting_option(tmp_path, capsys):
     assert out.err == "error: a family file fixes the family; drop n, complete_k, members\n"
 
 
+MALFORMED_FAMILY_FILES = {  # id -> (the bad key, the fields that replace FAMILY_FILE's)
+    "n-float": ("n", {"n": 3.9}),
+    "n-string": ("n", {"n": "3"}),
+    "k-bool": ("k", {"k": True}),
+    "edges-integers": ("edges", {"edges": [1, 2]}),
+    "edges-float-vertex": ("edges", {"edges": [[1, 2.0]]}),
+    "members-number": ("members", {"members": 5}),
+    "member-value-number": ("members", {"members": {"v1": "dict:1", "v2": 5, "e1,2": "dict:1"}}),
+    "allow-singletons-string": ("allow_singletons",
+                                {"allow_singletons": "false", "edges": [[1], [1, 2]]}),
+    "fold-number": ("fold", {"fold": 1}),
+}
+
+
+@pytest.mark.parametrize("key, fields", MALFORMED_FAMILY_FILES.values(),
+                         ids=MALFORMED_FAMILY_FILES.keys())
+def test_malformed_family_file_exits_2_naming_the_key(key, fields, tmp_path, capsys):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({**FAMILY_FILE, **fields}))
+    code, out = run(["htest", "--family", family], capsys)
+    assert (code, out.out) == (2, "")
+    assert out.err == f"error: family file {family}: bad value for {key!r}: {fields[key]!r}\n"
+
+
 # ---------------------------------------------------------------------------
 # Report writer
 # ---------------------------------------------------------------------------
@@ -558,8 +582,16 @@ def test_reused_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsy
 
 @pytest.mark.parametrize("module", ["dictatest", "dictatest.cli"])
 def test_every_exported_name_resolves(module):
+    """Each name in __all__ is an attribute, listed once, and a star import
+    binds exactly those names to those attributes."""
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(mod.__all__)
+    assert all(namespace[name] is getattr(mod, name) for name in mod.__all__)
 
 
 def test_cli_import_loads_no_scipy():

@@ -17,7 +17,6 @@ from dictatest import (
 from dictatest.families import (
     build_family,
     dictator,
-    junta,
     load_family,
     majority,
     noisy_dictator,
@@ -123,25 +122,6 @@ def test_noisy_dictator_rejects_bad_rho():
         noisy_dictator(4, 1, 0.6, 0)
     with pytest.raises(ValueError):
         noisy_dictator(4, 1, -0.1, 0)
-
-
-def test_junta_embeds_inner_function():
-    assert junta(5, [3], dictator(1, 1)) == dictator(5, 3)
-    f = junta(4, [1, 2], parity(2, {1, 2}))
-    s = wht(f)
-    assert influence(s, 1) == 1.0
-    assert influence(s, 2) == 1.0
-    assert influence(s, 3) == 0.0
-    assert influence(s, 4) == 0.0
-
-
-def test_junta_validation():
-    with pytest.raises(ValueError):
-        junta(3, [1, 1], parity(2, 3))
-    with pytest.raises(ValueError):
-        junta(3, [1], parity(2, 3))
-    with pytest.raises(ValueError):
-        junta(3, [4], dictator(1, 1))
 
 
 def test_majority_small_cases():
@@ -303,7 +283,7 @@ def test_load_family_errors(tmp_path):
 def test_planted_decoder_family_structure():
     fam, (s_mask, t_mask) = planted_decoder_family(2, 5, 2, 0.05, 17)
     assert s_mask != t_mask
-    assert np.array_equal(fam.member(s_mask).table, fam.member(t_mask).table)
+    assert np.array_equal(fam.members[s_mask].table, fam.members[t_mask].table)
     again, pair = planted_decoder_family(2, 5, 2, 0.05, 17)
     assert pair == (s_mask, t_mask)
-    assert np.array_equal(again.member(s_mask).table, fam.member(s_mask).table)
+    assert np.array_equal(again.members[s_mask].table, fam.members[s_mask].table)

@@ -8,16 +8,25 @@ from dictatest import (
     RealPointFunction,
     Spectrum,
     influence,
-    influence_combinatorial,
-    inverse_wht,
     low_degree_influence,
-    product_function,
     spectrum_counts,
     subset_zeta,
     wht,
 )
 from dictatest.families import dictator, parity, random_folded
 from dictatest.fourier import _butterfly, _subset_sums, hamming_weights, influences
+
+
+def influence_combinatorial(f, i):
+    """Pr_x[f(x) != f(x + e_i)]; the reference for the spectral influence."""
+    idx = np.arange(1 << f.n)
+    flipped = f.table[idx ^ (1 << (i - 1))]
+    return int(np.count_nonzero(flipped != f.table)) / (1 << f.n)
+
+
+def inverse_wht(s):
+    """f(x) = Σ_α coeffs[α] χ_α(x): the unnormalized butterfly of the spectrum."""
+    return _butterfly(s.coeffs)
 
 
 def naive_wht(table):
@@ -152,7 +161,7 @@ def test_inverse_single_coefficient_gives_character():
         for alpha in range(1 << n):
             coeffs = np.zeros(1 << n)
             coeffs[alpha] = 1.0
-            table = inverse_wht(Spectrum(n, coeffs)).table
+            table = inverse_wht(Spectrum(n, coeffs))
             assert np.array_equal(table, parity(n, alpha).table.astype(float))
 
 
@@ -161,12 +170,12 @@ def test_inverse_roundtrip_100_random_tables():
     for _ in range(100):
         f = RealPointFunction(4, rng.uniform(-1, 1, size=16))
         back = inverse_wht(wht(f))
-        assert np.max(np.abs(back.table - f.table)) <= 1e-12
+        assert np.max(np.abs(back - f.table)) <= 1e-12
 
 
 def test_inverse_zero_spectrum():
     out = inverse_wht(Spectrum(3, np.zeros(8)))
-    assert np.all(out.table == 0.0)
+    assert np.all(out == 0.0)
 
 
 def test_folded_zero_mode_is_exactly_zero():
@@ -292,11 +301,12 @@ def naive_subset_sums(coeffs):
 
 def test_subset_zeta_identities():
     rng = np.random.default_rng(16)
-    s = wht(RealPointFunction(3, rng.uniform(-1, 1, size=8)))
+    f = RealPointFunction(3, rng.uniform(-1, 1, size=8))
+    s = wht(f)
     z = subset_zeta(s)
     assert z[0] == s.coeffs[0]
     # at the full set the sum is the inversion formula at the origin
-    assert abs(z[-1] - inverse_wht(s).table[0]) <= 1e-12
+    assert abs(z[-1] - f.table[0]) <= 1e-12
 
 
 def test_subset_zeta_matches_naive_double_loop():
@@ -337,44 +347,23 @@ def test_subset_sums_equal_the_block_add_loop_bit_for_bit(dtype, rows):
 # ---------------------------------------------------------------------------
 
 
+def product(fs):
+    """The pointwise product of functions on one cube."""
+    return RealPointFunction(fs[0].n, np.prod([f.table for f in fs], axis=0))
+
+
 def test_product_of_characters_is_character_sum():
     for a in range(8):
         for b in range(8):
-            prod = product_function([parity(3, a).as_real(), parity(3, b).as_real()])
+            prod = product([parity(3, a), parity(3, b)])
             assert np.array_equal(prod.table, parity(3, a ^ b).table.astype(float))
-
-
-def test_product_singleton_identity():
-    f = RealPointFunction(2, np.array([0.5, -0.25, 1.0, 0.0]))
-    assert np.array_equal(product_function([f]).table, f.table)
-
-
-def test_product_pointwise_and_bounded():
-    rng = np.random.default_rng(18)
-    a = RealPointFunction(3, rng.uniform(-1, 1, size=8))
-    b = RealPointFunction(3, rng.uniform(-1, 1, size=8))
-    prod = product_function([a, b])
-    assert np.array_equal(prod.table, a.table * b.table)
-    assert np.max(np.abs(prod.table)) <= 1.0
-
-
-def test_product_validation():
-    with pytest.raises(ValueError):
-        product_function([])
-    with pytest.raises(ValueError):
-        product_function(
-            [
-                RealPointFunction(2, np.zeros(4)),
-                RealPointFunction(3, np.zeros(8)),
-            ]
-        )
 
 
 def test_influence_of_product_bounded_functions():
     rng = np.random.default_rng(19)
     for _ in range(100):
         fs = [RealPointFunction(3, rng.uniform(-1, 1, size=8)) for _ in range(3)]
-        prod_s = wht(product_function(fs))
+        prod_s = wht(product(fs))
         member_s = [wht(f) for f in fs]
         for i in (1, 2, 3):
             bound = 3 * sum(influence(s, i) for s in member_s)
@@ -385,7 +374,7 @@ def test_influence_of_product_boolean_union_bound():
     rng = np.random.default_rng(20)
     for _ in range(100):
         fs = [random_boolean(3, rng) for _ in range(3)]
-        prod_s = wht(product_function([f.as_real() for f in fs]))
+        prod_s = wht(product(fs))
         member_s = [wht(f) for f in fs]
         for i in (1, 2, 3):
             bound = sum(influence(s, i) for s in member_s)

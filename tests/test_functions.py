@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dictatest import (
-    BitVector,
     BooleanFunction,
     FoldedOracle,
     RealPointFunction,
-    evaluate,
     folded_table,
     is_folded,
     make_folded,
@@ -24,63 +22,19 @@ def constant(n, sign=1):
 
 
 # ---------------------------------------------------------------------------
-# BitVector
-# ---------------------------------------------------------------------------
-
-
-def test_bitvector_roundtrip_index():
-    for n in (1, 2, 3, 4):
-        for j in range(1 << n):
-            v = BitVector(n, j)
-            assert int(v) == j
-            assert BitVector.from_coords(v.coords()).bits == j
-
-
-def test_bitvector_weight_is_popcount():
-    for j in range(16):
-        assert BitVector(4, j).weight() == bin(j).count("1")
-
-
-def test_bitvector_ops():
-    a = BitVector.from_coords((1, 0, 1))
-    b = BitVector.from_coords((1, 1, 0))
-    assert (a ^ b).coords() == (0, 1, 1)
-    assert (a & b).coords() == (1, 0, 0)
-    assert a.complement().coords() == (0, 1, 0)
-    assert BitVector.unit(3, 2).coords() == (0, 1, 0)
-    assert BitVector.ones(3).weight() == 3
-
-
-def test_bitvector_validation():
-    with pytest.raises(ValueError):
-        BitVector(2, 4)
-    with pytest.raises(ValueError):
-        BitVector(0, 0)
-    with pytest.raises(ValueError):
-        BitVector(2, 1) ^ BitVector(3, 1)
-
-
-# ---------------------------------------------------------------------------
-# evaluate
+# Point evaluation (x_1 is bit 0 of the index)
 # ---------------------------------------------------------------------------
 
 
 def test_evaluate_dictator_examples():
     f = dictator(2, 1)
-    assert evaluate(f, BitVector.from_coords((1, 0))) == -1
-    assert evaluate(f, BitVector.from_coords((0, 1))) == 1
+    assert f(0b01) == -1  # x = (1, 0)
+    assert f(0b10) == 1  # x = (0, 1)
 
 
 def test_evaluate_parity_example():
     f = parity(3, {1, 2, 3})
-    assert evaluate(f, BitVector.from_coords((1, 1, 1))) == -1
-
-
-def test_evaluate_dimension_mismatch():
-    with pytest.raises(ValueError):
-        evaluate(dictator(2, 1), BitVector(3, 0))
-    with pytest.raises(ValueError):
-        evaluate(dictator(2, 1), 7)
+    assert f(0b111) == -1
 
 
 def test_table_validation():
@@ -107,16 +61,16 @@ def test_tables_are_immutable():
 
 def test_fold_query_constant_both_branches():
     oracle = FoldedOracle(constant(3))
-    assert oracle.fold_query(BitVector.from_coords((1, 0, 0))) == 1
+    assert oracle.fold_query(0b001) == 1  # x = (1, 0, 0)
     # x_1 = 0: the oracle reads 1⃗+x and negates
-    assert oracle.fold_query(BitVector.from_coords((0, 1, 0))) == -1
+    assert oracle.fold_query(0b010) == -1  # x = (0, 1, 0)
     assert oracle.query_count == 2
 
 
 def test_fold_query_matches_folded_extension():
     # derived example: inner = dictator(2, 2), query at (0, 1)
     oracle = FoldedOracle(dictator(2, 2))
-    assert oracle.fold_query(BitVector.from_coords((0, 1))) == -1
+    assert oracle.fold_query(0b10) == -1
     # the induced view is folded for any inner function
     view = folded_table(dictator(2, 2))
     ones = 3
@@ -129,7 +83,6 @@ def test_fold_query_counts_every_call():
     for count, j in enumerate(range(8), start=1):
         oracle.fold_query(j)
         assert oracle.query_count == count
-    assert oracle.fresh().query_count == 0
 
 
 def test_folded_view_has_zero_mean():
@@ -176,8 +129,8 @@ def test_make_folded_n1():
 def test_make_folded_n2_example():
     # half table for points (1,0), (1,1) = [+1, +1]
     f = make_folded(2, [1, 1])
-    assert f(BitVector.from_coords((0, 1))) == -1
-    assert f(BitVector.from_coords((0, 0))) == -1
+    assert f(0b10) == -1  # x = (0, 1)
+    assert f(0b00) == -1
     assert list(f.table) == [-1, 1, -1, 1]
 
 
@@ -213,6 +166,19 @@ def test_refold_identity_on_folded():
     g = refold(constant(2))
     assert is_folded(g)
     assert list(g.table[1::2]) == [1, 1]
+
+
+def test_folded_table_refold_make_folded_and_is_folded_agree():
+    """The four views of the fold rule agree on 20 random tables per n."""
+    rng = np.random.default_rng(12)
+    for n in range(1, 13):
+        for _ in range(20):
+            f = BooleanFunction(n, 1 - 2 * rng.integers(0, 2, size=1 << n))
+            view = folded_table(f)
+            assert np.array_equal(view, refold(f).table)
+            assert make_folded(n, f.table[1::2]) == refold(f)
+            assert is_folded(refold(f))
+            assert is_folded(f) == np.array_equal(view, f.table)
 
 
 # ---------------------------------------------------------------------------

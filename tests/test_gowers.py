@@ -12,8 +12,6 @@ from dictatest import (
     find_influential_pair,
     gowers_inner_product_exact,
     gowers_inner_product_mc,
-    gowers_norm,
-    gowers_norm_pow,
     influence,
     linear_gowers_inner_product_exact,
     linear_gowers_inner_product_mc,
@@ -103,8 +101,13 @@ def brute_linear_inner(tables, d):
     return total / size**d
 
 
+def norm_pow(f, d, **guard):
+    """||f||_{U_d}^{2^d}: the inner product of the constant family {f}."""
+    return gowers_inner_product_exact(IndexedFamily.constant(d, f), **guard)
+
+
 # ---------------------------------------------------------------------------
-# Norms
+# Norms, through the constant family
 # ---------------------------------------------------------------------------
 
 
@@ -112,13 +115,13 @@ def test_norm_u1_is_absolute_mean():
     rng = np.random.default_rng(30)
     for _ in range(20):
         f = random_real(3, rng)
-        assert abs(gowers_norm(f, 1) - abs(f.mean())) <= 1e-12
+        assert abs(norm_pow(f, 1) - f.mean() ** 2) <= 1e-12
 
 
 def test_norm_u2_of_characters_is_one():
     for n in (1, 2, 3):
         for mask in range(1 << n):
-            assert abs(gowers_norm(parity(n, mask), 2) - 1.0) <= 1e-12
+            assert abs(norm_pow(parity(n, mask), 2) - 1.0) <= 1e-12
 
 
 def test_norm_u2_power_equals_fourth_moment_of_spectrum():
@@ -126,7 +129,7 @@ def test_norm_u2_power_equals_fourth_moment_of_spectrum():
     for _ in range(20):
         f = random_real(3, rng)
         fourth = float(np.sum(wht(f).coeffs ** 4))
-        assert abs(gowers_norm_pow(f, 2) - fourth) <= 1e-10
+        assert abs(norm_pow(f, 2) - fourth) <= 1e-10
 
 
 def test_recursion_matches_definition_and_brute_force():
@@ -135,7 +138,7 @@ def test_recursion_matches_definition_and_brute_force():
         for _ in range(6):
             f = random_real(n, rng)
             for d in (1, 2, 3):
-                rec = gowers_norm_pow(f, d)
+                rec = norm_pow(f, d)
                 enum = definition_inner_product(IndexedFamily.constant(d, f))
                 assert abs(rec - enum) <= 1e-10
                 if n <= 2 and d <= 2:
@@ -145,9 +148,9 @@ def test_recursion_matches_definition_and_brute_force():
 def test_norm_guard_and_validation():
     f = random_real(4, np.random.default_rng(33))
     with pytest.raises(GuardExceeded):
-        gowers_norm(f, 7, guard_bits=26)
+        norm_pow(f, 7, guard_bits=26)
     with pytest.raises(ValueError):
-        gowers_norm(f, 0)
+        norm_pow(f, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +161,9 @@ def test_norm_guard_and_validation():
 def test_indexed_family_defaults_missing_members_to_one():
     fam = IndexedFamily(2, 3, {0: dictator(3, 1)})
     assert len(fam.members) == 4
-    assert fam.defaulted == frozenset({1, 2, 3})
+    assert np.array_equal(fam.members[0].table, dictator(3, 1).table)
     for mask in (1, 2, 3):
-        assert np.all(fam.member(mask).table == 1.0)
+        assert np.all(fam.members[mask].table == 1.0)
 
 
 def test_indexed_family_validation():
@@ -183,7 +186,7 @@ def test_inner_product_of_constant_family_is_norm_power():
         f = random_real(2, rng)
         fam = IndexedFamily.constant(d, f)
         assert abs(
-            gowers_inner_product_exact(fam) - gowers_norm_pow(f, d)
+            gowers_inner_product_exact(fam) - brute_norm_pow(list(f.table), d)
         ) <= 1e-10
 
 
@@ -313,7 +316,7 @@ def test_linear_inner_product_is_multilinear():
     base = linear_gowers_inner_product_exact(fam)
     for c in (0.0, 0.5, -1.0):
         members = dict(enumerate(fam.members))
-        members[2] = RealPointFunction(2, c * fam.member(2).table)
+        members[2] = RealPointFunction(2, c * fam.members[2].table)
         scaled = IndexedFamily(2, 2, members)
         value = linear_gowers_inner_product_exact(scaled)
         assert abs(value - c * base) <= 1e-12

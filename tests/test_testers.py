@@ -23,7 +23,6 @@ from dictatest import (
     noise_and_operator,
     noisy_spectrum_law_deviation,
     query_budget,
-    run_basic_test,
     run_hypergraph_test,
     soundness_identity_holds,
     subset_zeta,
@@ -127,8 +126,36 @@ def test_family_requires_folded_members():
 
 
 # ---------------------------------------------------------------------------
-# Basic test sampler
+# Basic test sampler: the query-level reference
 # ---------------------------------------------------------------------------
+
+
+def run_basic_test(oracle, rng):
+    """One run of the four-query adaptive test against a single oracle.
+
+    Draws x_i, x_j, y, z (one ``rng.integers(0, 2^n, size=4)`` call, in that
+    order), reads f(y) in pass 1, sets v = (1 - f(y))/2, then reads f(x_i),
+    f(x_j) and f(x_i + x_j + (v·1⃗ + y) ∧ z) in pass 2; accepts iff
+    f(x_i) f(x_j) equals the third pass-2 value.
+    """
+    n = oracle.n
+    ones = (1 << n) - 1
+    before = oracle.query_count
+    x_i, x_j, y, z = (int(v) for v in rng.integers(0, 1 << n, size=4))
+    s_y = oracle.fold_query(y)
+    v = (1 - s_y) // 2
+    shift = y ^ (ones if v else 0)
+    probe = x_i ^ x_j ^ (shift & z)
+    s_i = oracle.fold_query(x_i)
+    s_j = oracle.fold_query(x_j)
+    s_probe = oracle.fold_query(probe)
+    record = testers.QueryRecord
+    return testers.TestTranscript(
+        pass1=(record("f", y, s_y),),
+        pass2=(record("f", x_i, s_i), record("f", x_j, s_j), record("f", probe, s_probe)),
+        verdict=s_i * s_j == s_probe,
+        total_queries=oracle.query_count - before,
+    )
 
 
 def test_basic_test_transcript_shape_and_count():
@@ -141,9 +168,9 @@ def test_basic_test_transcript_shape_and_count():
 
 
 def test_basic_test_dictator_always_accepts():
-    oracle = FoldedOracle(dictator(4, 3))
+    f = dictator(4, 3)
     for trial in range(200):
-        assert run_basic_test(oracle.fresh(), derive_rng(50, trial)).verdict
+        assert run_basic_test(FoldedOracle(f), derive_rng(50, trial)).verdict
 
 
 def test_basic_test_seed42_replay():
@@ -162,9 +189,9 @@ def test_basic_test_seed42_replay():
 
 
 def test_basic_test_deterministic_given_seed():
-    oracle = FoldedOracle(random_folded(4, 9))
-    a = run_basic_test(oracle.fresh(), derive_rng(123))
-    b = run_basic_test(oracle.fresh(), derive_rng(123))
+    f = random_folded(4, 9)
+    a = run_basic_test(FoldedOracle(f), derive_rng(123))
+    b = run_basic_test(FoldedOracle(f), derive_rng(123))
     assert a == b
 
 
@@ -369,7 +396,7 @@ def test_htest_exact_completeness_all_small_hypergraphs():
 
 def test_htest_exact_negated_edge_member_rejects_sometimes():
     base = dictator(2, 1)
-    fam = FunctionFamily(EDGE_12, [base, base], [base.negate()])
+    fam = FunctionFamily(EDGE_12, [base, base], [BooleanFunction(2, -base.table)])
     assert htest_prob_exact(fam) < 1.0
 
 
@@ -590,6 +617,23 @@ def oracle_accept_count(fam):
         run_hypergraph_test(fam, ScriptedDraws(draws)).verdict
         for draws in itertools.product(range(1 << fam.n), repeat=bits)
     )
+
+
+def test_basic_exact_equals_query_level_enumeration():
+    """Over all 2^{4n} scripted draws, the query-level basic test accepts
+    exactly basic_test_prob_exact(f)·2^{4n} times, for every folded f at
+    n <= 2 and a few at n = 3; a dictator accepts on every draw."""
+    cases = [make_folded(n, half) for n in (1, 2)
+             for half in itertools.product((-1, 1), repeat=1 << (n - 1))]
+    cases += [dictator(3, 2), majority(3), random_folded(3, 0), random_folded(3, 1)]
+    for f in cases:
+        verdicts = [
+            run_basic_test(FoldedOracle(f), ScriptedDraws(draws)).verdict
+            for draws in itertools.product(range(1 << f.n), repeat=4)
+        ]
+        assert sum(verdicts) == basic_test_prob_exact(f) * 2 ** (4 * f.n)
+        if any(f == dictator(f.n, i) for i in range(1, f.n + 1)):
+            assert all(verdicts)
 
 
 def test_htest_exact_equals_scalar_oracle_enumeration():
@@ -857,9 +901,7 @@ def test_noise_operator_equals_per_y_sums():
 
 
 def test_noise_operator_dimension_mismatch():
-    from dictatest import BitVector
-
     with pytest.raises(ValueError):
-        noise_and_operator(dictator(3, 1), BitVector(2, 0), 0)
+        noise_and_operator(dictator(3, 1), 8, 0)
     with pytest.raises(ValueError):
         noise_and_operator(dictator(3, 1), 0, 9)
