@@ -5,16 +5,18 @@ subcommand takes --seed, --out, --guard-bits, --json and --config.  --config
 names a JSON object whose keys are the subcommand's option dest names: the
 long option name with '_' for '-' (``guard_bits``, ``complete_k``), except
 that --random-families is ``families`` and --degree is ``w``.  ``json`` takes
-true or false.  Explicit flags win; an unknown key or a value of the wrong
-JSON type is a config error.  Reports are written atomically (temp file +
-rename), so a failed run leaves no partial output.  Re-running a config
-reproduces the CSV byte-for-byte except for the wall_ms column.  ``main``
-reuses one parser per process, built on its first call; ``write_report``
-leaves the formatting to ``csv.writer`` and to json's C encoder.
+true or false, and null counts as absent.  Explicit flags win; an unknown
+key or a value of the wrong JSON type is a config error naming the file
+(``families.read_json_object`` reads family files by the same rules).
+Reports are written atomically (temp file + rename), so a failed run leaves
+no partial output.  Re-running a config reproduces the CSV byte-for-byte
+except for the wall_ms column.  ``main`` reuses one parser per process,
+built on its first call; ``write_report`` leaves the formatting to
+``csv.writer`` and to json's C encoder.
 
 Exit codes: 0 success; 2 parse/config error (a bad flag, config file or
 fnspec, an argument out of range, flags that contradict each other, or an
---out that cannot be written); 3 enumeration guard exceeded; 4 invariant
+--out that cannot be written); 3 exact-route guard exceeded; 4 invariant
 violation or arithmetic failure detected mid-run.
 """
 
@@ -34,7 +36,7 @@ from pathlib import Path
 from .errors import DEFAULT_GUARD_BITS, GuardExceeded, InvariantViolation, SpecParseError
 from .families import (
     _int_lists, build_family, load_family, parse_fnspec, planted_decoder_family,
-    random_family, random_folded,
+    random_family, random_folded, read_json_object,
 )
 from .fourier import hamming_weights, influences, wht
 from .functions import BooleanFunction, check_dimension, table_to_hex
@@ -445,44 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SpecParseError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SpecParseError(f"config {path} must be a JSON object")
-    return doc
-
-
-def _config_value(key: str, value, types: tuple):
-    """A config-file value, checked against its Config annotation."""
-    if types[0] is float and type(value) is int:
-        return float(value)
-    if type(value) not in types:
-        raise SpecParseError(f"bad value for {key!r}: {value!r}")
-    return value
-
-
 def _config(args: argparse.Namespace) -> Config:
     """Each option from its flag, else from the config file, else the default."""
-    doc = _load_config_file(args.config)
-    dests = [dest for _, dest, _ in COMMANDS[args.command].options + _COMMON]
-    unknown = [key for key in doc if key not in dests]
-    if unknown:
-        raise SpecParseError(f"config {args.config}: unknown key {unknown[0]!r} for "
-                             f"{args.command} (keys: {', '.join(dests)})")
     types = _field_types()
-    values = {}
-    for dest in dests:
-        value = getattr(args, dest)
-        if value is None and doc.get(dest) is not None:
-            value = _config_value(dest, doc[dest], types[dest])
-        if value is not None:
-            values[dest] = value
-    return Config(**values)
+    keys = {dest: types[dest] for _, dest, _ in COMMANDS[args.command].options + _COMMON}
+    doc = {} if args.config is None else read_json_object(
+        args.config, f"{args.command} config", keys)
+    flags = {key: getattr(args, key) for key in keys}
+    return Config(**(doc | {key: value for key, value in flags.items() if value is not None}))
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,4 @@
-"""Exceptions shared across the package, and the enumeration guard."""
+"""Exceptions shared across the package, and the guard on exact routes."""
 
 DEFAULT_GUARD_BITS = 26
 
@@ -11,19 +11,19 @@ class DictatestError(Exception):
 
 
 class GuardExceeded(DictatestError):
-    """An exact enumeration would exceed the configured randomness budget."""
+    """An exact route would exceed the configured randomness budget."""
 
     def __init__(self, required_bits: int, guard_bits: int):
         self.required_bits = required_bits
         self.guard_bits = guard_bits
         super().__init__(
-            f"exact enumeration needs 2^{required_bits} points, "
+            f"exact route covers 2^{required_bits} random draws, "
             f"guard allows 2^{guard_bits}"
         )
 
 
 def check_guard(bits: int, guard_bits: int) -> None:
-    """Raise GuardExceeded when an enumeration of 2^bits points is over budget."""
+    """Raise GuardExceeded when a test's 2^bits random draws are over budget."""
     if bits > guard_bits:
         raise GuardExceeded(bits, guard_bits)
 

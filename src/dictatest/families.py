@@ -14,8 +14,9 @@ Family files are JSON objects with integer fields n and k, edges (a list of
 integer vertex lists) and members: either the string "all=<fnspec>" or a map
 from member labels ("v1".."vk" for vertices, "e1,2"-style for edges) to
 fnspecs.  Optional: allow_singletons (a bool, default false) and fold
-("refold", the default, or "strict").  A field of another JSON type is a
-SpecParseError naming it.
+("refold", the default, or "strict").  A null field counts as absent.  An
+unknown key, or a field of another JSON type, is a SpecParseError naming it;
+``read_json_object`` applies the same rules to CLI config files.
 """
 
 from __future__ import annotations
@@ -41,12 +42,8 @@ from .testers import FunctionFamily, Hypergraph, edge_label, vertex_label
 
 
 def dictator(n: int, i: int) -> BooleanFunction:
-    """f(x) = (-1)^{x_i}."""
-    check_dimension(n)
-    if not 1 <= i <= n:
-        raise ValueError(f"coordinate {i} out of range for n={n}")
-    bits = (np.arange(1 << n) >> (i - 1)) & 1
-    return BooleanFunction(n, 1 - 2 * bits.astype(np.int8))
+    """f(x) = (-1)^{x_i}, the character of {i}."""
+    return parity(n, {i})
 
 
 def parity(n: int, alpha) -> BooleanFunction:
@@ -62,10 +59,9 @@ def parity(n: int, alpha) -> BooleanFunction:
         mask = int(alpha)
         if not 0 <= mask < 1 << n:
             raise ValueError(f"mask {mask} out of range for n={n}")
-    table = np.ones(1 << n, dtype=np.int8)
-    for b in range(n):
-        if mask >> b & 1:
-            table = table * (1 - 2 * ((np.arange(1 << n) >> b) & 1).astype(np.int8))
+    table = np.ones(1, dtype=np.int8)
+    for b in range(n):  # built by doubling: χ_α(x + e_b) = (-1)^{α_b} χ_α(x)
+        table = np.concatenate([table, -table if mask >> b & 1 else table])
     return BooleanFunction(n, table)
 
 
@@ -200,30 +196,50 @@ def _int_lists(value) -> bool:
         type(e) is list and all(type(v) is int for v in e) for e in value)
 
 
-def _family_value_ok(key: str, value) -> bool:
-    if key == "edges":
-        return _int_lists(value)
-    if key == "members":
-        return type(value) is str or (
-            type(value) is dict and all(type(v) is str for v in value.values()))
-    return type(value) is {"n": int, "k": int, "allow_singletons": bool, "fold": str}[key]
+def read_json_object(path, what: str, types: dict[str, tuple]) -> dict:
+    """The JSON object in the file at ``path``, with its null values dropped.
+
+    Each key must be one of ``types`` and each value of one of its key's
+    JSON types; an integer also passes as a float, and becomes one.  Every
+    SpecParseError names the file as ``what`` and ``path``.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SpecParseError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SpecParseError(f"{what} {path} must be a JSON object")
+    values = {}
+    for key, value in doc.items():
+        if key not in types:
+            raise SpecParseError(
+                f"{what} {path}: unknown key {key!r} (keys: {', '.join(types)})")
+        if value is None:
+            continue
+        if types[key][0] is float and type(value) is int:
+            value = float(value)
+        if type(value) not in types[key]:
+            raise SpecParseError(f"{what} {path}: bad value for {key!r}: {value!r}")
+        values[key] = value
+    return values
 
 
 def load_family(path) -> FunctionFamily:
     """Read a family file (JSON: n, k, edges, members, and optionally
     allow_singletons and fold), checking the JSON type of each field."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SpecParseError(f"cannot read family file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SpecParseError(f"family file {path} must be a JSON object")
-    doc = {"allow_singletons": False, "fold": "refold", **doc}
-    for key in ("n", "k", "edges", "members", "allow_singletons", "fold"):
+    doc = {"allow_singletons": False, "fold": "refold", **read_json_object(
+        path, "family file", {"n": (int,), "k": (int,), "edges": (list,),
+                              "members": (str, dict), "allow_singletons": (bool,),
+                              "fold": (str,)})}
+    members = doc.get("members", "")
+    for key, ok in (("edges", _int_lists(doc.get("edges", []))),
+                    ("members", type(members) is str
+                     or all(type(v) is str for v in members.values()))):
+        if not ok:
+            raise SpecParseError(f"family file {path}: bad value for {key!r}: {doc[key]!r}")
+    for key in ("n", "k", "edges", "members"):
         if key not in doc:
             raise SpecParseError(f"family file {path} missing field: {key!r}")
-        if not _family_value_ok(key, doc[key]):
-            raise SpecParseError(f"family file {path}: bad value for {key!r}: {doc[key]!r}")
     hypergraph = Hypergraph(doc["k"], doc["edges"], doc["allow_singletons"])
     return build_family(hypergraph, doc["n"], doc["members"], fold=doc["fold"])
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functions import BooleanFunction, RealPointFunction, _freeze, check_dimension
+from .functions import BooleanFunction, RealPointFunction, _set_table
 
 
 def _butterfly(values: np.ndarray) -> np.ndarray:
@@ -58,20 +58,7 @@ class Spectrum:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        check_dimension(self.n)
-        coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if coeffs.shape != (1 << self.n,):
-            raise ValueError(
-                f"coeffs must have length {1 << self.n}, got {coeffs.shape}"
-            )
-        object.__setattr__(self, "coeffs", _freeze(coeffs))
-
-    def __getitem__(self, alpha) -> float:
-        return float(self.coeffs[int(alpha)])
-
-    def power(self) -> float:
-        """Σ_α coeffs[α]^2 (equals E[f^2] by Parseval)."""
-        return float(np.sum(self.coeffs**2))
+        _set_table(self, "coeffs", np.float64)
 
 
 def wht(f: BooleanFunction | RealPointFunction) -> Spectrum:

@@ -27,8 +27,14 @@ def check_dimension(n: int) -> int:
     return n
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _set_table(obj, name: str, dtype) -> np.ndarray:
+    """Store obj.<name> as a read-only ``dtype`` array of length 2^obj.n."""
+    check_dimension(obj.n)
+    arr = np.asarray(getattr(obj, name), dtype=dtype)
+    if arr.shape != (1 << obj.n,):
+        raise ValueError(f"{name} must have length {1 << obj.n}, got {arr.shape}")
     arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
     return arr
 
 
@@ -48,24 +54,11 @@ class BooleanFunction:
         return hash((self.n, self.table.tobytes()))
 
     def __post_init__(self):
-        check_dimension(self.n)
-        table = np.asarray(self.table, dtype=np.int8)
-        if table.shape != (1 << self.n,):
-            raise ValueError(
-                f"table must have length {1 << self.n}, got {table.shape}"
-            )
-        if not np.all(np.abs(table) == 1):
+        if not np.all(np.abs(_set_table(self, "table", np.int8)) == 1):
             raise ValueError("table entries must be -1 or +1")
-        object.__setattr__(self, "table", _freeze(table))
-
-    def __call__(self, x) -> int:
-        return int(self.table[int(x)])
 
     def as_real(self) -> "RealPointFunction":
         return RealPointFunction(self.n, self.table.astype(np.float64))
-
-    def mean(self) -> float:
-        return float(self.table.mean())
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,21 +71,9 @@ class RealPointFunction:
     _RANGE_TOL = 1e-12
 
     def __post_init__(self):
-        check_dimension(self.n)
-        table = np.asarray(self.table, dtype=np.float64)
-        if table.shape != (1 << self.n,):
-            raise ValueError(
-                f"table must have length {1 << self.n}, got {table.shape}"
-            )
+        table = _set_table(self, "table", np.float64)
         if np.max(np.abs(table), initial=0.0) > 1.0 + self._RANGE_TOL:
             raise ValueError("table entries must lie in [-1, 1]")
-        object.__setattr__(self, "table", _freeze(table))
-
-    def __call__(self, x) -> float:
-        return float(self.table[int(x)])
-
-    def mean(self) -> float:
-        return float(self.table.mean())
 
 
 class FoldedOracle:
@@ -143,7 +124,7 @@ def folded_table(f: BooleanFunction) -> np.ndarray:
 
     This is FoldedOracle's access rule applied to every point at once; the
     tests compare it with a per-point FoldedOracle loop, its reference.
-    Enumerators index into this array instead of f.table.  For a folded f
+    Exact routes index into this array instead of f.table.  For a folded f
     it equals f.table.
     """
     return _fold_half(f.table[1::2])

@@ -255,7 +255,7 @@ def run_hypergraph_test(
 
 
 # ---------------------------------------------------------------------------
-# Exact enumerators
+# Exact routes
 # ---------------------------------------------------------------------------
 
 

@@ -236,24 +236,24 @@ def test_unknown_config_key_exits_2_naming_it(command, doc, key, tmp_path, capsy
     assert f"unknown key {key!r}" in out.err
 
 
-MISTYPED_VALUES = {
-    "json-string": {"fn": "dict:1", "n": 2, "json": "false"},
-    "json-number": {"fn": "dict:1", "n": 2, "json": 0},
-    "int-float": {"fn": "dict:1", "n": 3.7},
-    "int-bool": {"fn": "dict:1", "n": True},
-    "int-string": {"fn": "dict:1", "n": "3"},
-    "str-number": {"fn": 1, "n": 3},
+MISTYPED_VALUES = {  # id -> (the bad key, the config)
+    "json-string": ("json", {"fn": "dict:1", "n": 2, "json": "false"}),
+    "json-number": ("json", {"fn": "dict:1", "n": 2, "json": 0}),
+    "int-float": ("n", {"fn": "dict:1", "n": 3.7}),
+    "int-bool": ("n", {"fn": "dict:1", "n": True}),
+    "int-string": ("n", {"fn": "dict:1", "n": "3"}),
+    "str-number": ("fn", {"fn": 1, "n": 3}),
 }
 
 
-@pytest.mark.parametrize("doc", MISTYPED_VALUES.values(), ids=MISTYPED_VALUES.keys())
-def test_mistyped_config_value_exits_2(doc, tmp_path, capsys):
+@pytest.mark.parametrize("key, doc", MISTYPED_VALUES.values(), ids=MISTYPED_VALUES.keys())
+def test_mistyped_config_value_exits_2(key, doc, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     code, out = run(["wht", "--config", config], capsys)
     assert code == 2
     assert out.out == ""
-    assert out.err.startswith("error: bad value for ")
+    assert out.err == f"error: wht config {config}: bad value for {key!r}: {doc[key]!r}\n"
 
 
 BAD_EDGES = {"integers": [1, 2], "strings": ["1,2"], "float-vertex": [[1, 2.0]],
@@ -381,6 +381,42 @@ def test_malformed_family_file_exits_2_naming_the_key(key, fields, tmp_path, cap
     code, out = run(["htest", "--family", family], capsys)
     assert (code, out.out) == (2, "")
     assert out.err == f"error: family file {family}: bad value for {key!r}: {fields[key]!r}\n"
+
+
+def test_family_file_with_an_unknown_key_exits_2_naming_it(tmp_path, capsys):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"n": 2, "k": 2, "edges": [[1, 2]],
+                                  "members": "all=parity:3", "folding": "strict"}))
+    code, out = run(["htest", "--family", family], capsys)
+    assert (code, out.out) == (2, "")
+    assert out.err == (f"error: family file {family}: unknown key 'folding' "
+                       "(keys: n, k, edges, members, allow_singletons, fold)\n")
+
+
+BAD_INPUT_FILES = {  # id -> (the file's text, None for no file; the key it names)
+    "missing": (None, None),
+    "invalid-json": ("{not json", None),
+    "json-list": ("[1, 2]", None),
+    "unknown-key": ('{"folding": "strict"}', "folding"),
+    "mistyped-value": ('{"n": "3"}', "n"),
+}
+
+
+@pytest.mark.parametrize("option, what", [("--config", "htest config"),
+                                          ("--family", "family file")])
+@pytest.mark.parametrize("text, key", BAD_INPUT_FILES.values(), ids=BAD_INPUT_FILES.keys())
+def test_bad_input_file_exits_2_naming_the_file_and_key(option, what, text, key,
+                                                        tmp_path, capsys):
+    """Config and family files are read by one reader with one error contract."""
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    code, out = run(["htest", option, path], capsys)
+    assert (code, out.out) == (2, "")
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert f"{what} {path}" in out.err
+    if key is not None:
+        assert repr(key) in out.err
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,13 @@ def constant(n, sign=1):
 
 def test_evaluate_dictator_examples():
     f = dictator(2, 1)
-    assert f(0b01) == -1  # x = (1, 0)
-    assert f(0b10) == 1  # x = (0, 1)
+    assert f.table[0b01] == -1  # x = (1, 0)
+    assert f.table[0b10] == 1  # x = (0, 1)
 
 
 def test_evaluate_parity_example():
     f = parity(3, {1, 2, 3})
-    assert f(0b111) == -1
+    assert f.table[0b111] == -1
 
 
 def test_table_validation():
@@ -129,8 +129,8 @@ def test_make_folded_n1():
 def test_make_folded_n2_example():
     # half table for points (1,0), (1,1) = [+1, +1]
     f = make_folded(2, [1, 1])
-    assert f(0b10) == -1  # x = (0, 1)
-    assert f(0b00) == -1
+    assert f.table[0b10] == -1  # x = (0, 1)
+    assert f.table[0b00] == -1
     assert list(f.table) == [-1, 1, -1, 1]
 
 

@@ -115,7 +115,7 @@ def test_norm_u1_is_absolute_mean():
     rng = np.random.default_rng(30)
     for _ in range(20):
         f = random_real(3, rng)
-        assert abs(norm_pow(f, 1) - f.mean() ** 2) <= 1e-12
+        assert abs(norm_pow(f, 1) - f.table.mean() ** 2) <= 1e-12
 
 
 def test_norm_u2_of_characters_is_one():
