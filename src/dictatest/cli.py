@@ -100,8 +100,6 @@ class Config:
             raise SpecParseError(f"'seed' must be >= 0, got {self.seed}")
         if isinstance(self.edges, str):
             self.edges = _parse_edges(self.edges)
-        elif self.edges is not None and not _int_lists(self.edges):
-            raise SpecParseError(f"bad value for 'edges': {self.edges!r}")
 
 
 def _field_types() -> dict[str, tuple]:
@@ -451,8 +449,14 @@ def _config(args: argparse.Namespace) -> Config:
     """Each option from its flag, else from the config file, else the default."""
     types = _field_types()
     keys = {dest: types[dest] for _, dest, _ in COMMANDS[args.command].options + _COMMON}
-    doc = {} if args.config is None else read_json_object(
-        args.config, f"{args.command} config", keys)
+    doc = {}
+    if args.config is not None:
+        doc = read_json_object(args.config, f"{args.command} config", keys)
+        where = f"{args.command} config {args.config}"
+        if doc.get("seed", 0) < 0:
+            raise SpecParseError(f"{where}: 'seed' must be >= 0, got {doc['seed']}")
+        if type(doc.get("edges")) is list and not _int_lists(doc["edges"]):
+            raise SpecParseError(f"{where}: bad value for 'edges': {doc['edges']!r}")
     flags = {key: getattr(args, key) for key in keys}
     return Config(**(doc | {key: value for key, value in flags.items() if value is not None}))
 

@@ -7,6 +7,8 @@ isolation.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 _MC_CHUNK = 4096
@@ -36,7 +38,7 @@ def _draw_blocks(rng: np.random.Generator, m: int, n: int, cols) -> list[np.ndar
     raw = rng.bit_generator.random_raw(-(-m * sum(cols) // 2)).astype("<u8", copy=False)
     return [np.right_shift(raw.view("<u4")[a:a + m * c].reshape(m, c).T, 32 - n,
                            out=np.empty((c, m), dtype=np.uint32))
-            for a, c in zip(m * np.cumsum([0, *cols]), cols)]
+            for a, c in zip(accumulate((m * c for c in cols), initial=0), cols)]
 
 
 def mc_chunks(trials: int, seed):

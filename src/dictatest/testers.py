@@ -322,14 +322,17 @@ def _htest_verdicts(vertex_tables, edge_tables, edges, xs, ys, zv, ze):
     f_e(Σ_{i∈e} w_i + (Σ_{i∈e} s_i) ∧ z_e) = +1, and no sign is multiplied.
     The sums over an edge extend the sums over its longest proper prefix, so
     edges that share a prefix share its XORs.  The XORs stay in the draws'
-    dtype (that of xs[0]), so uint32 draws are not widened to int64.
+    dtype (that of xs[0]), so uint32 draws are not widened to int64, and
+    each read is a ``take``: indexing with uint32 takes numpy's slower
+    casting path.  ``bad`` is rebound, not or-ed in place, because an edge's
+    mask can broadcast wider than xs[0] (its own z axis on a grid).
     """
     ones = np.asarray(xs[0]).dtype.type(vertex_tables[0].size - 1)
     sums = {}  # (i_1, ..., i_j) -> (Σ w_i, Σ s_i) over those vertices
     for i in set().union(*edges):
         t, x, y = vertex_tables[i - 1], xs[i - 1], ys[i - 1]
-        s = y ^ ((t[y] < 0) * ones)
-        sums[(i,)] = (x ^ ((t[x ^ (s & zv[i - 1])] < 0) * ones), s)
+        s = y ^ ((t.take(y) < 0) * ones)
+        sums[(i,)] = (x ^ ((t.take(x ^ (s & zv[i - 1])) < 0) * ones), s)
     bad = np.zeros(np.shape(xs[0]), dtype=bool)
     for table, edge, z in zip(edge_tables, edges, ze):
         for j in range(2, len(edge) + 1):
@@ -338,7 +341,7 @@ def _htest_verdicts(vertex_tables, edge_tables, edges, xs, ys, zv, ze):
                 (w, s), (w_i, s_i) = sums[prefix[:-1]], sums[prefix[-1:]]
                 sums[prefix] = (w ^ w_i, s ^ s_i)
         w, s = sums[tuple(edge)]
-        bad = bad | (table[w ^ (s & z)] < 0)
+        bad = bad | (table.take(w ^ (s & z)) < 0)
     return ~bad
 
 

@@ -112,7 +112,8 @@ def test_negative_seed_exits_2_naming_seed(argv, capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": -5}))
     code, out = run(argv.split() + ["--config", config], capsys)
-    assert (code, out.out, out.err) == (2, "", "error: 'seed' must be >= 0, got -5\n")
+    message = f"error: {argv.split()[0]} config {config}: 'seed' must be >= 0, got -5\n"
+    assert (code, out.out, out.err) == (2, "", message)
 
 
 def test_singleton_edge_error_names_no_library_argument(capsys):
@@ -267,7 +268,7 @@ def test_config_edges_must_be_a_string_or_integer_lists(edges, tmp_path, capsys)
     code, out = run(["htest", "--config", config], capsys)
     assert code == 2
     assert out.out == ""
-    assert out.err.startswith("error: bad value for 'edges'")
+    assert out.err == f"error: htest config {config}: bad value for 'edges': {edges!r}\n"
 
 
 FAMILY_FILE = {"n": 2, "k": 2, "edges": [[1, 2]], "members": "all=dict:2"}

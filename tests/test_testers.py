@@ -481,6 +481,47 @@ def test_htest_mc_draws_without_calling_integers(monkeypatch):
         rng_module.derive_rng(0).integers(0, 2)
 
 
+# A singleton edge {1}, and vertex 4 in no edge.
+SINGLETON_AND_FREE = Hypergraph(4, [frozenset({1}), frozenset({1, 2}), frozenset({2, 3})],
+                                allow_singletons=True)
+
+
+def test_htest_mc_equals_query_level_run_on_its_draws():
+    """Replaying each MC draw through run_hypergraph_test accepts exactly as
+    often as htest_prob_mc counts, over one full chunk and a partial one."""
+    trials = rng_module._MC_CHUNK + 3
+    cases = [(complete_hypergraph(3), random_family, 3),
+             (complete_hypergraph(3), noisy_family, 12),
+             (SINGLETON_AND_FREE, random_family, 12),
+             (SINGLETON_AND_FREE, noisy_family, 3)]
+    for h, make, n in cases:
+        fam = make(h, n, 60 + n)
+        cols = (h.k,) * 3 + (len(h.edges),)
+        accepts = 0
+        for rng, m in rng_module.mc_chunks(trials, 8):
+            draws = np.concatenate(rng_module._draw_blocks(rng, m, n, cols)).T.tolist()
+            accepts += sum(run_hypergraph_test(fam, ScriptedDraws(trial)).verdict
+                           for trial in draws)
+        assert 0 < accepts < trials
+        assert accepts / trials == htest_prob_mc(fam, trials, 8)[0]
+
+
+@pytest.mark.parametrize("n", [1, 12, 20])
+def test_htest_kernel_accepts_every_dictator_draw(n):
+    """Perfect completeness draw by draw: a dictator family accepts each of
+    one chunk's draws, with indices reaching the top of the 2^n tables."""
+    shapes = [complete_hypergraph(k) for k in (2, 3, 4)]
+    shapes.append(Hypergraph(2, [frozenset({2}), frozenset({1, 2})], allow_singletons=True))
+    for h in shapes:
+        cols = (h.k,) * 3 + (len(h.edges),)
+        for j in {1, n}:
+            tables = _folded_tables(FunctionFamily.uniform(h, dictator(n, j)))
+            (rng, m), = rng_module.mc_chunks(rng_module._MC_CHUNK, (n, j, h.k))
+            draws = rng_module._draw_blocks(rng, m, n, cols)
+            assert max(int(d.max()) for d in draws) >= (1 << n) - (1 << max(0, n - 10))
+            assert _htest_verdicts(*tables, *draws).all()
+
+
 def test_folded_tables_are_the_members_int8_folded_views():
     h = complete_hypergraph(3)
     for n in (1, 4, 9):
