@@ -2,15 +2,8 @@
 
 DEFAULT_GUARD_BITS = 26
 
-# Upper bound on the array elements an exact route evaluates at once.
-_EXACT_CHUNK = 1 << 18
 
-
-class DictatestError(Exception):
-    """Base class for package errors."""
-
-
-class GuardExceeded(DictatestError):
+class GuardExceeded(Exception):
     """An exact route would exceed the configured randomness budget."""
 
     def __init__(self, required_bits: int, guard_bits: int):
@@ -28,9 +21,9 @@ def check_guard(bits: int, guard_bits: int) -> None:
         raise GuardExceeded(bits, guard_bits)
 
 
-class SpecParseError(DictatestError, ValueError):
+class SpecParseError(ValueError):
     """A function spec, family file, or experiment config failed to parse."""
 
 
-class InvariantViolation(DictatestError, ValueError):
+class InvariantViolation(ValueError):
     """An input violates a documented invariant (e.g. an unfolded table)."""

@@ -28,9 +28,13 @@ def check_dimension(n: int) -> int:
 
 
 def _set_table(obj, name: str, dtype) -> np.ndarray:
-    """Store obj.<name> as a read-only ``dtype`` array of length 2^obj.n."""
+    """Store obj.<name> as a read-only ``dtype`` array of length 2^obj.n,
+    copying the caller's array rather than freezing it."""
     check_dimension(obj.n)
-    arr = np.asarray(getattr(obj, name), dtype=dtype)
+    given = getattr(obj, name)
+    arr = np.asarray(given, dtype=dtype)
+    if arr is given:
+        arr = arr.copy()
     if arr.shape != (1 << obj.n,):
         raise ValueError(f"{name} must have length {1 << obj.n}, got {arr.shape}")
     arr.setflags(write=False)

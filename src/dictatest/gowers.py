@@ -1,16 +1,18 @@
-"""Gowers inner products (plain and linear) and the influential-pair decoder.
+"""Gowers inner products and the influential-pair decoder.
 
 The U_d norm of f is the 2^d-th root of the inner product of the constant
 family ``IndexedFamily.constant(d, f)``; the CLI reports that power.
 
 Exact values come from the derivative recursion <{f_S}>_{U_d} =
-E_h <{f_S · f_{S∪{d}}(· + h)}>_{U_{d-1}} (or LU_d) down to a Fourier sum, on
-undivided sums: integer tables keep integer totals, and each caller divides
-once by a power of two.  An exact route raises GuardExceeded when the
-definition's randomness exceeds the guard.  Each inner product also has a
-seeded Monte Carlo route, and the caller picks the route and reports it.
-All Monte Carlo paths derive per-chunk sub-streams by counter
-(``rng.mc_chunks``), so estimates are reproducible.
+E_h <{f_S · f_{S∪{d}}(· + h)}>_{U_{d-1}} down to a Fourier sum, on undivided
+sums: integer tables keep integer totals, and each caller divides once by a
+power of two.  The exact route raises GuardExceeded when the definition's
+randomness exceeds the guard, and a seeded Monte Carlo route estimates the
+same U_d inner product; the caller picks the route and reports it.  Monte
+Carlo draws come in per-chunk sub-streams derived by counter
+(``rng.mc_chunks``), so estimates are reproducible.  The linear inner
+product LU_d exists only as the undivided ``_linear_sum``, on which
+``testers.htest_prob_exact`` runs.
 """
 
 from __future__ import annotations
@@ -19,10 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _EXACT_CHUNK, DEFAULT_GUARD_BITS, check_guard
+from .errors import DEFAULT_GUARD_BITS, check_guard
 from .fourier import _butterfly, influences, wht
 from .functions import BooleanFunction, RealPointFunction, check_dimension
 from .rng import mc_chunks
+
+# Upper bound on the array elements an exact route evaluates at once.
+_EXACT_CHUNK = 1 << 18
 
 
 def _as_real(f) -> RealPointFunction:
@@ -73,15 +78,16 @@ def _family_tables(fam: IndexedFamily) -> list[np.ndarray]:
     return [np.asarray(m.table) for m in fam.members]
 
 
-def _derivative_recursion(stack: np.ndarray, bottom, members: int):
+def _derivative_recursion(stack: np.ndarray, bottom):
     """Σ_b of the undivided sums of the families stack[b] (member S at [b, S]).
 
     A shift h of the top coordinate d leaves {f_S · f_{S∪{d}}(· + h)} over
     S ⊆ [d-1]; the sums over h add up to the family's.  Shifts form the next
-    batch in chunks of about _EXACT_CHUNK entries; bottom ends at ``members``.
+    batch in chunks of about _EXACT_CHUNK entries; ``bottom`` takes the
+    families at d = 2 (four members each).
     """
     batch, size, points = stack.shape
-    if size == members:
+    if size == 4:
         return bottom(stack)
     half, idx = size // 2, np.arange(points)
     step = max(1, _EXACT_CHUNK // (batch * size * points))
@@ -90,7 +96,7 @@ def _derivative_recursion(stack: np.ndarray, bottom, members: int):
         hs = idx[start : start + step, None]
         shifted = np.moveaxis(stack[:, half:, idx ^ hs], 2, 1)
         derived = (stack[:, None, :half] * shifted).reshape(-1, half, points)
-        total += _derivative_recursion(derived, bottom, members)
+        total += _derivative_recursion(derived, bottom)
     return total
 
 
@@ -113,7 +119,7 @@ def _linear_sum(stack: np.ndarray):
     if stack.shape[1] == 2:  # LU_1: f_∅(0)·Σ f_1
         sums = stack[:, 0, 0] * stack[:, 1].sum(axis=-1)
         return sums.sum(keepdims=True).item() * stack.shape[-1]
-    return _derivative_recursion(stack, _lu2_sum, 4)
+    return _derivative_recursion(stack, _lu2_sum)
 
 
 def gowers_inner_product_exact(
@@ -129,67 +135,33 @@ def gowers_inner_product_exact(
     stack = np.stack(_family_tables(fam))[None]
     if fam.d == 1:
         return float(stack[0, 0].mean() * stack[0, 1].mean())
-    return _derivative_recursion(stack, _u2_sum, 4) / 2 ** ((fam.d + 2) * fam.n)
-
-
-def linear_gowers_inner_product_exact(
-    fam: IndexedFamily, *, guard_bits: int = DEFAULT_GUARD_BITS
-) -> float:
-    """<{f_S}>_{LU_d}: E over (x_1..x_d) of Π_S f_S(Σ_{i in S} x_i).
-
-    The empty subset contributes the constant f_∅(0⃗).  By the derivative
-    recursion down to f_∅(0)·Σ_γ f̂_1 f̂_2 f̂_12(γ) (d = 2) or f_∅(0)·E f_1
-    (d = 1), divided once at the end; d·n bits must fit the guard.
-    """
-    check_guard(fam.d * fam.n, guard_bits)
-    return _linear_sum(np.stack(_family_tables(fam))[None]) / 2 ** ((fam.d + 1) * fam.n)
-
-
-def _mc_mean(sample_chunk, trials: int, seed: int) -> tuple[float, float]:
-    """Chunked MC mean with standard error; chunk c uses sub-stream (seed, c)."""
-    total = 0.0
-    total_sq = 0.0
-    for rng, m in mc_chunks(trials, seed):
-        values = sample_chunk(rng, m)
-        total += float(values.sum())
-        total_sq += float((values**2).sum())
-    mean = total / trials
-    variance = max(total_sq / trials - mean**2, 0.0)
-    stderr = (variance / trials) ** 0.5
-    return mean, stderr
-
-
-def _cube_mc(fam: IndexedFamily, trials: int, seed: int, base: int):
-    """MC mean of Π_S f_S(x + Σ_{i in S} x_i) over draws of (x,) x_1..x_d,
-    with x drawn first when ``base`` is 1 and x = 0 when it is 0."""
-    tables, points = _family_tables(fam), 1 << fam.n
-
-    def sample_chunk(rng, m):
-        draws = rng.integers(0, points, size=(m, fam.d + base))
-        prod = np.ones(m)
-        for mask, table in enumerate(tables):
-            shift = draws[:, 0].copy() if base else np.zeros(m, dtype=np.int64)
-            for i in range(fam.d):
-                if mask >> i & 1:
-                    shift ^= draws[:, base + i]
-            prod = prod * table[shift]
-        return prod
-
-    return _mc_mean(sample_chunk, trials, seed)
+    return _derivative_recursion(stack, _u2_sum) / 2 ** ((fam.d + 2) * fam.n)
 
 
 def gowers_inner_product_mc(
     fam: IndexedFamily, trials: int, seed: int
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of the Gowers inner product: (estimate, stderr)."""
-    return _cube_mc(fam, trials, seed, 1)
+    """Monte Carlo estimate of the Gowers inner product: (estimate, stderr).
 
-
-def linear_gowers_inner_product_mc(
-    fam: IndexedFamily, trials: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the linear Gowers inner product."""
-    return _cube_mc(fam, trials, seed, 0)
+    Each draw is (x, x_1..x_d), and its value Π_S f_S(x + Σ_{i in S} x_i);
+    chunk c draws from the sub-stream (seed, c).
+    """
+    tables, points = _family_tables(fam), 1 << fam.n
+    total = total_sq = 0.0
+    for rng, m in mc_chunks(trials, seed):
+        draws = rng.integers(0, points, size=(m, fam.d + 1))
+        prod = np.ones(m)
+        for mask, table in enumerate(tables):
+            shift = draws[:, 0].copy()
+            for i in range(fam.d):
+                if mask >> i & 1:
+                    shift ^= draws[:, 1 + i]
+            prod = prod * table[shift]
+        total += float(prod.sum())
+        total_sq += float((prod**2).sum())
+    mean = total / trials
+    variance = max(total_sq / trials - mean**2, 0.0)
+    return mean, (variance / trials) ** 0.5
 
 
 def find_influential_pair(

@@ -155,10 +155,6 @@ class FunctionFamily:
     def n(self) -> int:
         return self.vertex_functions[0].n
 
-    @property
-    def t(self) -> int:
-        return self.hypergraph.t
-
     def members(self):
         """(label, function) pairs: vertices v1..vk, then edges in order."""
         for i, f in enumerate(self.vertex_functions, start=1):
@@ -374,7 +370,7 @@ def htest_prob_exact(
     k, n = h.k, fam.n
     bits = (3 * k + len(h.edges)) * n
     check_guard(bits, guard_bits)
-    halves = {f: (_and_sums(f.table, np.int64) >> 1) + (1 << (n - 1))
+    halves = {f: (_and_sums(f.table) >> 1) + (1 << (n - 1))
               for f in dict.fromkeys(fam.vertex_functions + fam.edge_functions)}
     stack = np.ones((1 << k, 1 << n, 1 << n), dtype=np.int64)
     for i, f in enumerate(fam.vertex_functions):
@@ -414,15 +410,15 @@ def htest_prob_mc(
 # ---------------------------------------------------------------------------
 
 
-def _and_sums(table: np.ndarray, dtype) -> np.ndarray:
-    """G[a, s] = Σ_z f(a + s ∧ z) as integers, for a ±1 table of f.
+def _and_sums(table: np.ndarray) -> np.ndarray:
+    """G[a, s] = Σ_z f(a + s ∧ z) as int64, for a ±1 table of f.
 
     s ∧ z runs over the subsets u of s, each 2^{n-|s|} times, so G[a, s] is
     2^{n-|s|} times the subset sum over u ⊆ s of f(a + u).
     """
     n = table.size.bit_length() - 1
     idx = np.arange(table.size)
-    shifted = table.astype(dtype)[idx[:, None] ^ idx]  # [a, u] -> f(a + u)
+    shifted = table.astype(np.int64)[idx[:, None] ^ idx]  # [a, u] -> f(a + u)
     return _subset_sums(shifted) << (n - hamming_weights(n))
 
 
@@ -441,7 +437,7 @@ def noise_and_operator(
     c_prime = _as_mask(c_prime, n)
     check_guard(3 * n, guard_bits)
     idx = np.arange(1 << n)
-    sums = _and_sums(f.table, np.int64)[c_prime ^ idx[None, :], c ^ idx[:, None]]
+    sums = _and_sums(f.table)[c_prime ^ idx[None, :], c ^ idx[:, None]]
     return RealPointFunction(2 * n, sums.reshape(-1) / (1 << n))
 
 

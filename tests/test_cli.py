@@ -617,7 +617,7 @@ def test_reused_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsy
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("module", ["dictatest", "dictatest.cli"])
+@pytest.mark.parametrize("module", ["dictatest.cli"])
 def test_every_exported_name_resolves(module):
     """Each name in __all__ is an attribute, listed once, and a star import
     binds exactly those names to those attributes."""
@@ -631,14 +631,31 @@ def test_every_exported_name_resolves(module):
     assert all(namespace[name] is getattr(mod, name) for name in mod.__all__)
 
 
+def run_python(args):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    )
+
+
 def test_cli_import_loads_no_scipy():
-    src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys, dictatest.cli; "
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert run_python(["-c", code]).stdout.strip() == "[]"
+
+
+def test_python_m_runs_main_and_the_package_root_loads_nothing(capsys):
+    """``python -m dictatest`` is ``main``; ``import dictatest`` loads no
+    submodule and no numpy, and gives the version."""
+    argv = ["wht", "--fn", "dict:1", "--n", "2"]
+    code, out = run(argv, capsys)
+    assert code == 0
+    assert run_python(["-m", "dictatest", *argv]).stdout == out.out
+    code = (
+        "import sys, dictatest; "
+        "print([m for m in sys.modules if m.startswith('dictatest.') "
+        "or m.split('.')[0] == 'numpy'], dictatest.__version__)"
     )
-    assert out.stdout.strip() == "[]"
+    assert run_python(["-c", code]).stdout == "[] 0.1.0\n"

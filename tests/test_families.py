@@ -3,17 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dictatest import (
-    FunctionFamily,
-    Hypergraph,
-    InvariantViolation,
-    SpecParseError,
-    influence,
-    is_folded,
-    low_degree_influence,
-    table_to_hex,
-    wht,
-)
+from dictatest.errors import InvariantViolation, SpecParseError
 from dictatest.families import (
     build_family,
     dictator,
@@ -26,8 +16,15 @@ from dictatest.families import (
     random_family,
     random_folded,
 )
-from dictatest.functions import refold
-from dictatest.testers import complete_hypergraph, edge_label, vertex_label
+from dictatest.fourier import influence, low_degree_influence, wht
+from dictatest.functions import is_folded, refold, table_to_hex
+from dictatest.testers import (
+    FunctionFamily,
+    Hypergraph,
+    complete_hypergraph,
+    edge_label,
+    vertex_label,
+)
 
 
 # ---------------------------------------------------------------------------

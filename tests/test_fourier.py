@@ -3,18 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictatest import (
-    BooleanFunction,
-    RealPointFunction,
+from dictatest.families import dictator, parity, random_folded
+from dictatest.fourier import (
     Spectrum,
+    _butterfly,
+    _subset_sums,
+    hamming_weights,
     influence,
+    influences,
     low_degree_influence,
     spectrum_counts,
     subset_zeta,
     wht,
 )
-from dictatest.families import dictator, parity, random_folded
-from dictatest.fourier import _butterfly, _subset_sums, hamming_weights, influences
+from dictatest.functions import BooleanFunction, RealPointFunction
 
 
 def influence_combinatorial(f, i):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictatest import (
+from dictatest.families import dictator, parity
+from dictatest.functions import (
     BooleanFunction,
     FoldedOracle,
     RealPointFunction,
@@ -14,7 +15,6 @@ from dictatest import (
     table_from_hex,
     table_to_hex,
 )
-from dictatest.families import dictator, parity
 
 
 def constant(n, sign=1):
@@ -52,6 +52,16 @@ def test_tables_are_immutable():
     f = dictator(2, 1)
     with pytest.raises(ValueError):
         f.table[0] = -1
+
+
+@pytest.mark.parametrize("cls, dtype", [(BooleanFunction, np.int8),
+                                        (RealPointFunction, np.float64)])
+def test_construction_leaves_the_callers_array_writeable(cls, dtype):
+    a = np.array([1, -1, 1, -1], dtype=dtype)
+    f = cls(2, a)
+    assert a.flags.writeable and not f.table.flags.writeable
+    a[0] = -1
+    assert f.table[0] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,21 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictatest import (
-    GuardExceeded,
+from dictatest import fourier, gowers
+from dictatest.errors import GuardExceeded
+from dictatest.families import dictator, noisy_dictator, parity, random_folded
+from dictatest.fourier import influence, low_degree_influence, wht
+from dictatest.functions import RealPointFunction
+from dictatest.gowers import (
     IndexedFamily,
-    RealPointFunction,
     find_influential_pair,
     gowers_inner_product_exact,
     gowers_inner_product_mc,
-    influence,
-    linear_gowers_inner_product_exact,
-    linear_gowers_inner_product_mc,
-    low_degree_influence,
-    wht,
 )
-from dictatest import fourier, gowers
-from dictatest.families import dictator, noisy_dictator, parity, random_folded
 
 
 def random_real(n, rng):
@@ -99,6 +95,13 @@ def brute_linear_inner(tables, d):
             prod *= tables[mask][point]
         total += prod
     return total / size**d
+
+
+def linear_inner_product(fam):
+    """<{f_S}>_{LU_d} through gowers._linear_sum, the engine of
+    htest_prob_exact: 2^n times the sum over (x_1..x_d), divided once."""
+    stack = np.stack([m.table for m in fam.members])[None]
+    return gowers._linear_sum(stack) / 2 ** ((fam.d + 1) * fam.n)
 
 
 def norm_pow(f, d, **guard):
@@ -226,7 +229,7 @@ def test_inner_products_equal_definition_exactly_on_sign_families():
         for n in (1, 2, 3):
             for fam in sign_families(d, n, 10 * d + n):
                 assert gowers_inner_product_exact(fam) == definition_inner_product(fam)
-                linear = linear_gowers_inner_product_exact(fam)
+                linear = linear_inner_product(fam)
                 assert linear == definition_linear_inner_product(fam)
 
 
@@ -237,7 +240,7 @@ def test_inner_products_match_definition_on_real_families():
             fam = IndexedFamily(d, n, {m: random_real(n, rng) for m in range(1 << d)})
             exact = gowers_inner_product_exact(fam)
             assert abs(exact - definition_inner_product(fam)) <= 1e-12
-            linear = linear_gowers_inner_product_exact(fam)
+            linear = linear_inner_product(fam)
             assert abs(linear - definition_linear_inner_product(fam)) <= 1e-12
 
 
@@ -257,20 +260,20 @@ def test_inner_products_match_definition_property(fam):
     tolerance = 0.0 if signs else 1e-12
     exact = gowers_inner_product_exact(fam)
     assert abs(exact - definition_inner_product(fam)) <= tolerance
-    linear = linear_gowers_inner_product_exact(fam)
+    linear = linear_inner_product(fam)
     assert abs(linear - definition_linear_inner_product(fam)) <= tolerance
 
 
 def test_linear_inner_product_all_dictators_is_one():
     for d in (2, 3):
         fam = IndexedFamily.constant(d, dictator(3, 2))
-        assert abs(linear_gowers_inner_product_exact(fam) - 1.0) <= 1e-12
+        assert abs(linear_inner_product(fam) - 1.0) <= 1e-12
 
 
 def test_linear_inner_product_single_character_member():
     # only the full-set member is a nontrivial character: expectation 0
     fam = IndexedFamily(2, 2, {3: parity(2, 3)})
-    assert abs(linear_gowers_inner_product_exact(fam)) <= 1e-12
+    assert abs(linear_inner_product(fam)) <= 1e-12
 
 
 def test_linear_inner_product_matches_brute_force():
@@ -278,7 +281,7 @@ def test_linear_inner_product_matches_brute_force():
     for _ in range(10):
         fam = IndexedFamily(2, 2, {m: random_real(2, rng) for m in range(4)})
         brute = brute_linear_inner([list(m.table) for m in fam.members], 2)
-        assert abs(linear_gowers_inner_product_exact(fam) - brute) <= 1e-12
+        assert abs(linear_inner_product(fam) - brute) <= 1e-12
 
 
 def brute_linear_sum(tables, d):
@@ -303,7 +306,7 @@ def test_linear_sums_of_integer_members_equal_brute_force():
                 tables = rng.integers(-1, 2, size=(1 << d, 1 << n)).astype(np.float64)
                 fam = IndexedFamily(d, n, {m: RealPointFunction(n, t) for m, t in enumerate(tables)})
                 expected = brute_linear_sum(tables.astype(np.int64).tolist(), d)
-                assert linear_gowers_inner_product_exact(fam) == expected / 2 ** (d * n)
+                assert linear_inner_product(fam) == expected / 2 ** (d * n)
                 wide = rng.integers(0, 1 << 20, size=(1, 1 << d, 1 << n))
                 expected = brute_linear_sum(wide[0].tolist(), d) << n
                 assert gowers._linear_sum(wide.astype(object)) == expected
@@ -313,21 +316,13 @@ def test_linear_sums_of_integer_members_equal_brute_force():
 def test_linear_inner_product_is_multilinear():
     rng = np.random.default_rng(38)
     fam = IndexedFamily(2, 2, {m: random_real(2, rng) for m in range(4)})
-    base = linear_gowers_inner_product_exact(fam)
+    base = linear_inner_product(fam)
     for c in (0.0, 0.5, -1.0):
         members = dict(enumerate(fam.members))
         members[2] = RealPointFunction(2, c * fam.members[2].table)
         scaled = IndexedFamily(2, 2, members)
-        value = linear_gowers_inner_product_exact(scaled)
+        value = linear_inner_product(scaled)
         assert abs(value - c * base) <= 1e-12
-
-
-def test_linear_inner_product_mc_consistent():
-    rng = np.random.default_rng(39)
-    fam = IndexedFamily(2, 2, {m: random_real(2, rng) for m in range(4)})
-    exact = linear_gowers_inner_product_exact(fam)
-    est, se = linear_gowers_inner_product_mc(fam, 200_000, 5)
-    assert abs(est - exact) <= 3 * se + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +358,6 @@ def test_decoder_planted_noisy_dictator():
     assert found == (1, 3, 3)
     # refolding mirrors each of the m half-table flips, so f^({3}) is exactly
     # 1 - 4m/2^6; the degree-1 term alone clears the 0.2 decoder threshold
-    from dictatest import low_degree_influence
-
     m = int(np.count_nonzero(planted.table[1::2] != dictator(6, 3).table[1::2]))
     singleton_sq = wht(planted).coeffs[1 << 2] ** 2
     assert singleton_sq == (1 - 4 * m / 2**6) ** 2

@@ -6,28 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictatest import (
-    BooleanFunction,
-    FoldedOracle,
-    FunctionFamily,
-    GuardExceeded,
-    Hypergraph,
-    InvariantViolation,
-    basic_test_prob_exact,
-    basic_test_prob_fourier,
-    complete_hypergraph,
-    hamming_weights,
-    htest_prob_exact,
-    htest_prob_mc,
-    make_folded,
-    noise_and_operator,
-    noisy_spectrum_law_deviation,
-    query_budget,
-    run_hypergraph_test,
-    soundness_identity_holds,
-    subset_zeta,
-    wht,
-)
+from dictatest import rng as rng_module
+from dictatest import testers
+from dictatest.errors import GuardExceeded, InvariantViolation
 from dictatest.families import (
     dictator,
     majority,
@@ -37,12 +18,26 @@ from dictatest.families import (
     random_family,
     random_folded,
 )
-from dictatest.functions import folded_table
-from dictatest import testers
-from dictatest import rng as rng_module
+from dictatest.fourier import hamming_weights, subset_zeta, wht
+from dictatest.functions import BooleanFunction, FoldedOracle, folded_table, make_folded
+from dictatest.gowers import _EXACT_CHUNK
 from dictatest.rng import derive_rng
-from dictatest.errors import _EXACT_CHUNK
-from dictatest.testers import _folded_tables, _htest_verdicts
+from dictatest.testers import (
+    FunctionFamily,
+    Hypergraph,
+    _folded_tables,
+    _htest_verdicts,
+    basic_test_prob_exact,
+    basic_test_prob_fourier,
+    complete_hypergraph,
+    htest_prob_exact,
+    htest_prob_mc,
+    noise_and_operator,
+    noisy_spectrum_law_deviation,
+    query_budget,
+    run_hypergraph_test,
+    soundness_identity_holds,
+)
 
 EDGE_12 = Hypergraph(2, [frozenset({1, 2})])
 PATH_3 = Hypergraph(3, [frozenset({1, 2}), frozenset({2, 3})])
@@ -869,9 +864,7 @@ def test_htest_exact_builds_one_and_table_per_distinct_member(monkeypatch):
     bits = (3 * h.k + len(h.edges)) * 2
     calls = []
     and_sums = testers._and_sums
-    monkeypatch.setattr(
-        testers, "_and_sums", lambda t, dtype: calls.append(1) or and_sums(t, dtype)
-    )
+    monkeypatch.setattr(testers, "_and_sums", lambda t: calls.append(1) or and_sums(t))
     for fam in (uniform, mixed):
         calls.clear()
         assert htest_prob_exact(fam, guard_bits=bits) == grid_accept_count(fam) / 2**bits
