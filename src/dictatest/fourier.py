@@ -4,12 +4,24 @@ Coefficients follow the averaging convention: coeffs[α] = 2^{-n} Σ_x f(x)
 (-1)^{<α,x>}, with the character index α encoded like a point (bit i-1 is
 α_i).  The butterfly accumulates unnormalized integer-valued sums and divides
 once at the end, so boolean inputs give exactly representable dyadic
-coefficients at small n.  The butterfly has constant geometry (Pease): each
-stage combines adjacent entries into the other buffer, sums to its low half
-and differences to its high half, which leaves natural order and the
-in-place butterfly's sum tree.  ``influences`` gives all n (low-degree)
-influences from one squared spectrum, each summed over a contiguous
-index-ordered copy so that it is the float a one-coordinate sum gives.
+coefficients.
+
+A ±1 table is transformed in int32 by ``spectrum_counts``, which ``wht`` of a
+BooleanFunction and ``testers.basic_test_prob_fourier`` (also for its subset
+sums of the counts) use.  Every butterfly intermediate is a signed sum of at
+most 2^n entries, and every subset-sum intermediate of the counts is
+Σ_x f(x) χ_H(x) Π_{i∈L} (1 + (-1)^{x_i}) for disjoint sets H and L, whose
+product is 2^{|L|} on a 2^{-|L|} share of the points, so both stay within
+2^n <= 2^MAX_DIMENSION = 2^24 < 2^31.  The float64 transforms of the same
+table are exact on the same values, so dividing once by 2^n gives their
+floats bit for bit.
+
+The butterfly has constant geometry (Pease): each stage combines adjacent
+entries into the other buffer, sums to its low half and differences to its
+high half, which leaves natural order and the in-place butterfly's sum tree.
+``influences`` gives all n (low-degree) influences from one squared
+spectrum, each summed over a contiguous index-ordered copy so that it is the
+float a one-coordinate sum gives.
 """
 
 from __future__ import annotations
@@ -43,11 +55,11 @@ def _butterfly(values: np.ndarray) -> np.ndarray:
 
 
 def hamming_weights(n: int) -> np.ndarray:
-    """Popcount of every index in [0, 2^n), built by doubling."""
-    w = np.zeros(1, dtype=np.int64)
+    """Popcount of every index in [0, 2^n) as int64, built by doubling in uint8."""
+    w = np.zeros(1, dtype=np.uint8)
     for _ in range(n):
         w = np.concatenate([w, w + 1])
-    return w
+    return w.astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,13 +74,23 @@ class Spectrum:
 
 
 def wht(f: BooleanFunction | RealPointFunction) -> Spectrum:
-    """Fourier transform of a truth table."""
+    """Fourier transform of a truth table.
+
+    A BooleanFunction goes through the int32 ``spectrum_counts``; a
+    RealPointFunction through the float64 butterfly.
+    """
+    if isinstance(f, BooleanFunction):
+        return Spectrum(f.n, spectrum_counts(f) / (1 << f.n))
     return Spectrum(f.n, _butterfly(np.asarray(f.table, dtype=np.float64)) / (1 << f.n))
 
 
 def spectrum_counts(f: BooleanFunction) -> np.ndarray:
-    """Unnormalized integer transform: counts[α] = 2^n * f̂(α), exact."""
-    return _butterfly(f.table.astype(np.int64))
+    """Unnormalized integer transform counts[α] = 2^n * f̂(α), exact in int32.
+
+    Stage t of the butterfly holds signed sums of 2^t entries of ±1, so no
+    value exceeds 2^n <= 2^MAX_DIMENSION = 2^24 in magnitude.
+    """
+    return _butterfly(f.table.astype(np.int32))
 
 
 def _check_coordinate(n: int, i: int) -> int:
@@ -81,19 +103,21 @@ def _check_coordinate(n: int, i: int) -> int:
 def influences(s: Spectrum, w: int | None = None) -> list[float]:
     """[I_1(f), ..., I_n(f)], or the low-degree I_i^{<=w}(f) given w.
 
-    Squares the spectrum and builds the |α| <= w mask once for all n
-    coordinates.  Entry i-1 sums the α_i = 1 squares copied contiguously in
-    index order, so it is the float the one-coordinate sum would give.
+    Squares the spectrum once for all n coordinates, and given w keeps only
+    the indices with |α| <= w.  Entry i-1 sums the α_i = 1 squares copied
+    contiguously in index order, so it is the float the one-coordinate sum
+    would give.
     """
     if w is not None and not 0 <= int(w) <= s.n:
         raise ValueError(f"degree bound {int(w)} out of range for n={s.n}")
     squares = s.coeffs**2
-    keep = None if w is None else hamming_weights(s.n) <= int(w)
+    if w is not None:
+        low = np.flatnonzero(hamming_weights(s.n) <= int(w))
+        squares = squares[low]
+        return [float(np.sum(squares[(low >> (i - 1)) & 1 == 1])) for i in range(1, s.n + 1)]
     out = []
     for i in range(1, s.n + 1):
         half = squares.reshape(-1, 2, 1 << (i - 1))[:, 1]  # the α_i = 1 blocks
-        if keep is not None:
-            half = half[keep.reshape(-1, 2, 1 << (i - 1))[:, 1]]
         out.append(float(np.sum(half.ravel())))
     return out
 

@@ -61,7 +61,7 @@ class IndexedFamily:
                 raise ValueError(f"member mask {mask} out of range for d={d}")
             if f.n != n:
                 raise ValueError(f"member dimension {f.n} != family n={n}")
-        one = RealPointFunction(n, np.ones(1 << n))
+        one = None if len(given) == 1 << d else RealPointFunction(n, np.ones(1 << n))
         full = tuple(given.get(m, one) for m in range(1 << d))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)
@@ -144,19 +144,20 @@ def gowers_inner_product_mc(
     """Monte Carlo estimate of the Gowers inner product: (estimate, stderr).
 
     Each draw is (x, x_1..x_d), and its value Π_S f_S(x + Σ_{i in S} x_i);
-    chunk c draws from the sub-stream (seed, c).
+    chunk c draws from the sub-stream (seed, c).  The 2^d points come in
+    mask order by XOR doubling, one XOR each.
     """
     tables, points = _family_tables(fam), 1 << fam.n
     total = total_sq = 0.0
     for rng, m in mc_chunks(trials, seed):
         draws = rng.integers(0, points, size=(m, fam.d + 1))
+        shifts = [draws[:, 0]]
+        for i in range(fam.d):
+            step = draws[:, 1 + i]
+            shifts += [s ^ step for s in shifts]
         prod = np.ones(m)
-        for mask, table in enumerate(tables):
-            shift = draws[:, 0].copy()
-            for i in range(fam.d):
-                if mask >> i & 1:
-                    shift ^= draws[:, 1 + i]
-            prod = prod * table[shift]
+        for table, shift in zip(tables, shifts):
+            prod *= table.take(shift)
         total += float(prod.sum())
         total_sq += float((prod**2).sum())
     mean = total / trials

@@ -23,8 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DEFAULT_GUARD_BITS, check_guard
-from .fourier import _butterfly, _subset_sums, hamming_weights, spectrum_counts
-from .fourier import subset_zeta, wht
+from .fourier import _butterfly, _subset_sums, hamming_weights, spectrum_counts, wht
 from .functions import (
     BooleanFunction,
     FoldedOracle,
@@ -290,16 +289,23 @@ def basic_test_prob_fourier(f: BooleanFunction) -> float:
     needs E f = 0 and f(1⃗+y) = -f(y), so the input must be folded.
     """
     require_folded(f)
-    spectrum = wht(f)
-    zeta = subset_zeta(spectrum)
-    weights = hamming_weights(f.n)
-    # c = count/2^n: c*c*c and pow give the exact cube while |count| <= 2^17;
-    # beyond, pow (which can round ties differently) keeps coeffs**3's floats.
-    c = spectrum.coeffs
-    cube = c * c * c
-    wide = np.abs(c) > 2.0 ** (17 - f.n)
-    cube[wide] = c[wide] ** 3
-    terms = cube * np.exp2(-weights.astype(np.float64)) * (1.0 + zeta)
+    n = f.n
+    counts = spectrum_counts(f)
+    # Both divisions by 2^n are exact: the int32 sums are the float64
+    # transforms' integers.  c*c*c and pow give the exact cube while
+    # |count| <= 2^17; beyond, pow (which can round ties differently) keeps
+    # coeffs**3's floats.  Each factor is made after the last one is freed,
+    # so at most three 2^n-entry float arrays are live at once.
+    c = counts / (1 << n)
+    terms = c * c
+    terms *= c
+    wide = np.abs(counts) > 1 << 17
+    terms[wide] = c[wide] ** 3
+    del c, wide
+    terms *= np.exp2(-np.arange(n + 1.0)).take(hamming_weights(n))
+    zeta = _subset_sums(counts) / (1 << n)
+    zeta += 1.0
+    terms *= zeta
     return 0.5 + 0.5 * float(terms.sum())
 
 
@@ -411,15 +417,18 @@ def htest_prob_mc(
 
 
 def _and_sums(table: np.ndarray) -> np.ndarray:
-    """G[a, s] = Σ_z f(a + s ∧ z) as int64, for a ±1 table of f.
+    """G[a, s] = Σ_z f(a + s ∧ z) as int32, for a ±1 table of f.
 
     s ∧ z runs over the subsets u of s, each 2^{n-|s|} times, so G[a, s] is
-    2^{n-|s|} times the subset sum over u ⊆ s of f(a + u).
+    2^{n-|s|} times the subset sum over u ⊆ s of f(a + u), and |G| <= 2^n.
+    The shift amounts are int32 too, so nothing is widened to int64.
     """
     n = table.size.bit_length() - 1
     idx = np.arange(table.size)
-    shifted = table.astype(np.int64)[idx[:, None] ^ idx]  # [a, u] -> f(a + u)
-    return _subset_sums(shifted) << (n - hamming_weights(n))
+    shifted = table.astype(np.int32)[idx[:, None] ^ idx]  # [a, u] -> f(a + u)
+    sums = _subset_sums(shifted)
+    sums <<= (n - hamming_weights(n)).astype(np.int32)
+    return sums
 
 
 def noise_and_operator(

@@ -16,7 +16,7 @@ from dictatest.fourier import (
     subset_zeta,
     wht,
 )
-from dictatest.functions import BooleanFunction, RealPointFunction
+from dictatest.functions import MAX_DIMENSION, BooleanFunction, RealPointFunction
 
 
 def influence_combinatorial(f, i):
@@ -151,6 +151,46 @@ def test_spectrum_counts_exact():
         assert np.array_equal(spectrum_counts(f), wht(f).coeffs * 16)
 
 
+def assert_int32_routes_equal_float64(f):
+    """The int32 spectrum and subset sums of the counts, divided once by 2^n,
+    are the float64 transforms of the table bit for bit."""
+    points = 1 << f.n
+    coeffs = wht(f).coeffs
+    assert coeffs.tobytes() == (_butterfly(f.table.astype(np.float64)) / points).tobytes()
+    zeta = _subset_sums(spectrum_counts(f)) / points
+    assert zeta.tobytes() == subset_zeta(wht(f)).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.lists(
+    st.sampled_from([-1, 1]), min_size=1 << n, max_size=1 << n)))
+def test_int32_transforms_equal_float64_property(table):
+    f = BooleanFunction(len(table).bit_length() - 1, np.array(table))
+    assert spectrum_counts(f).dtype == np.int32
+    assert_int32_routes_equal_float64(f)
+
+
+@pytest.mark.parametrize("f", [
+    BooleanFunction(20, np.ones(1 << 20)),
+    BooleanFunction(20, -np.ones(1 << 20)),
+    dictator(20, 7),
+    parity(20, (1 << 20) - 1),
+], ids=["plus-one", "minus-one", "dictator", "full-parity"])
+def test_int32_transforms_equal_float64_at_the_2_pow_n_extremes(f):
+    # each of these puts a count of ±2^20, and subset sums of ±2^20, in int32
+    counts = spectrum_counts(f)
+    assert np.abs(counts).max() == 1 << 20
+    assert np.abs(_subset_sums(counts)).max() == 1 << 20
+    assert_int32_routes_equal_float64(f)
+
+
+def test_max_dimension_fits_the_int32_transforms():
+    assert MAX_DIMENSION <= 30, (
+        f"MAX_DIMENSION = {MAX_DIMENSION}: spectrum_counts and the subset sums of its "
+        "counts hold values up to 2^n in int32, which is exact only for n <= 30"
+    )
+
+
 def test_parseval_boolean():
     rng = np.random.default_rng(12)
     for n in (1, 3, 5):
@@ -264,7 +304,7 @@ def influence_by_mask(s, i, w=None):
     return float(np.sum(s.coeffs[sel] ** 2))
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 15))
 def test_influences_equal_the_per_coordinate_masked_sums(n):
     rng = np.random.default_rng(200 + n)
     for f in (random_boolean(n, rng), RealPointFunction(n, rng.uniform(-1, 1, size=1 << n))):

@@ -16,6 +16,7 @@ from dictatest.gowers import (
     gowers_inner_product_exact,
     gowers_inner_product_mc,
 )
+from dictatest.rng import mc_chunks
 
 
 def random_real(n, rng):
@@ -205,6 +206,31 @@ def test_inner_product_exact_vs_mc_three_sigma():
     exact = gowers_inner_product_exact(fam)
     est, se = gowers_inner_product_mc(fam, 200_000, 77)
     assert abs(est - exact) <= 3 * se + 1e-9
+
+
+def per_mask_mc(fam, trials, seed):
+    """gowers_inner_product_mc with each member's point XORed up from x anew."""
+    total = total_sq = 0.0
+    for rng, m in mc_chunks(trials, seed):
+        draws = rng.integers(0, 1 << fam.n, size=(m, fam.d + 1))
+        prod = np.ones(m)
+        for mask, f in enumerate(fam.members):
+            shift = draws[:, 0].copy()
+            for i in range(fam.d):
+                if mask >> i & 1:
+                    shift ^= draws[:, 1 + i]
+            prod = prod * f.table[shift]
+        total += float(prod.sum())
+        total_sq += float((prod**2).sum())
+    mean = total / trials
+    return mean, (max(total_sq / trials - mean**2, 0.0) / trials) ** 0.5
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_inner_product_mc_equals_the_per_mask_products(d):
+    rng = np.random.default_rng(50 + d)
+    fam = IndexedFamily(d, 6, {m: random_real(6, rng) for m in range(1 << d)})
+    assert gowers_inner_product_mc(fam, 70_000, d) == per_mask_mc(fam, 70_000, d)
 
 
 def test_inner_product_exact_refuses_over_guard_where_mc_runs():
