@@ -9,10 +9,15 @@ true or false, and null counts as absent.  Explicit flags win; an unknown
 key or a value of the wrong JSON type is a config error naming the file
 (``families.read_json_object`` reads family files by the same rules).
 Reports are written atomically (temp file + rename), so a failed run leaves
-no partial output.  Re-running a config reproduces the CSV byte-for-byte
-except for the wall_ms column.  ``main`` reuses one parser per process,
-built on its first call; ``write_report`` leaves the formatting to
-``csv.writer`` and to json's C encoder.
+no partial output; the file gets the mode ``open()`` would give it.
+Re-running a config reproduces the CSV byte-for-byte except for the wall_ms
+column.  ``main`` reuses one parser per process, built on its first call.
+
+A runner returns its report as columns: column name -> a list, or a numpy
+array for wht's 2^n-row weight and coeff columns.  ``write_report`` formats
+a numpy column once per distinct value, by the builtin's repr or str, and
+leaves lists to ``csv.writer``; JSON comes from the same columns through
+json's C encoder.
 
 Exit codes: 0 success; 2 parse/config error (a bad flag, config file or
 fnspec, an argument out of range, flags that contradict each other, or an
@@ -24,14 +29,13 @@ import argparse
 import csv
 import io
 import json
-import operator
 import os
 import sys
-import tempfile
 import time
 import typing
 from dataclasses import dataclass, fields
-from pathlib import Path
+
+import numpy as np
 
 from .errors import DEFAULT_GUARD_BITS, GuardExceeded, InvariantViolation, SpecParseError
 from .families import (
@@ -135,20 +139,6 @@ class GowersRow:
     stderr: float | None = None
 
 
-@dataclass
-class SpectrumRow:
-    alpha_hex: str
-    weight: int
-    coeff: float
-
-
-@dataclass
-class InfluenceRow:
-    coord: int
-    influence: float
-    low_degree: float | None
-
-
 def _require(cfg: Config, *names: str) -> None:
     for name in names:
         if getattr(cfg, name) is None:
@@ -173,28 +163,50 @@ def _json_text(records: list) -> str:
     return text + "\n"
 
 
-def write_report(rows, columns, out: str | None, as_json: bool) -> None:
-    """Serialize each row's ``columns`` (at least two, so that attrgetter gives
-    a tuple per row); atomic rename when writing to a file."""
+def _columns(row_type, rows) -> dict[str, list]:
+    """A few-row report's rows as columns, in the row dataclass's field order."""
+    return {f.name: [getattr(row, f.name) for row in rows] for f in fields(row_type)}
+
+
+def _cells(column) -> list:
+    """A column's CSV cells.  A numpy column is formatted once per distinct
+    value by the builtin's repr (floats, told apart by bit pattern, so that
+    -0.0 and every nan and inf keep their own text) or str (other dtypes).
+    A list goes to ``csv.writer`` as it is."""
+    if not isinstance(column, np.ndarray):
+        return column
+    if column.dtype.kind == "f":
+        bits = column.astype(np.float64, copy=False).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        texts = map(repr, distinct.view(np.float64).tolist())
+    else:
+        distinct, inverse = np.unique(column, return_inverse=True)
+        texts = map(str, distinct.tolist())
+    return np.array(list(texts), dtype=object)[inverse].tolist()
+
+
+def write_report(report, columns, out: str | None, as_json: bool) -> None:
+    """Serialize ``report``'s ``columns`` (name -> a list or numpy array, all
+    of one length), a row per index; atomic rename when writing to a file."""
     if as_json:
-        text = _json_text([{c: getattr(r, c) for c in columns} for r in rows])
+        values = [v.tolist() if isinstance(v, np.ndarray) else v
+                  for v in map(report.__getitem__, columns)]
+        text = _json_text([dict(zip(columns, row)) for row in zip(*values)])
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(map(operator.attrgetter(*columns), rows))
+        writer.writerows(zip(*(_cells(report[c]) for c in columns)))
         text = buffer.getvalue()
     if out is None:
         sys.stdout.write(text)
         return
-    target = Path(out)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=target.parent if str(target.parent) else ".", suffix=".tmp"
-    )
+    tmp_name = os.path.join(os.path.dirname(out), f"tmp{os.urandom(6).hex()}.tmp")
+    handle = open(tmp_name, "x")  # a new file's mode under the umask, as open() gives
     try:
-        with os.fdopen(fd, "w") as handle:
+        with handle:
             handle.write(text)
-        os.replace(tmp_name, target)
+        os.replace(tmp_name, out)
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
@@ -218,19 +230,19 @@ def _hypergraph(cfg: Config) -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 
-def _run_wht(cfg: Config) -> list[SpectrumRow]:
+def _run_wht(cfg: Config) -> dict:
     _require(cfg, "n", "fn")
     spectrum = wht(parse_fnspec(cfg.fn, cfg.n))
-    alphas = (format(alpha, "x") for alpha in range(1 << cfg.n))
-    return list(map(SpectrumRow, alphas, hamming_weights(cfg.n).tolist(),
-                    spectrum.coeffs.tolist()))
+    return {"alpha_hex": [format(alpha, "x") for alpha in range(1 << cfg.n)],
+            "weight": hamming_weights(cfg.n), "coeff": spectrum.coeffs}
 
 
-def _run_influence(cfg: Config) -> list[InfluenceRow]:
+def _run_influence(cfg: Config) -> dict:
     _require(cfg, "n", "fn")
     spectrum = wht(parse_fnspec(cfg.fn, cfg.n))
     low = [None] * cfg.n if cfg.w is None else influences(spectrum, cfg.w)
-    return list(map(InfluenceRow, range(1, cfg.n + 1), influences(spectrum), low))
+    return {"coord": list(range(1, cfg.n + 1)), "influence": influences(spectrum),
+            "low_degree": low}
 
 
 def _gowers_row(cfg: Config, fam: IndexedFamily, method: str) -> GowersRow:
@@ -247,7 +259,7 @@ def _gowers_row(cfg: Config, fam: IndexedFamily, method: str) -> GowersRow:
     return GowersRow(d=fam.d, n=cfg.n, method="mc", value=value, stderr=stderr)
 
 
-def _run_gowers(cfg: Config) -> list[GowersRow]:
+def _run_gowers(cfg: Config) -> dict:
     """Rows of <constant family of f>_{U_d} = ||f||_{U_d}^{2^d} for d = 1..D."""
     _require(cfg, "n", "fn", "d")
     if cfg.d < 1:
@@ -256,10 +268,10 @@ def _run_gowers(cfg: Config) -> list[GowersRow]:
     method = cfg.method or "auto"
     if method not in ("auto", "exact", "mc"):
         raise SpecParseError(f"unknown gowers method {method!r}")
-    return [
+    return _columns(GowersRow, [
         _gowers_row(cfg, IndexedFamily.constant(d, f), method)
         for d in range(1, cfg.d + 1)
-    ]
+    ])
 
 
 def _basic_row(cfg: Config, experiment: str, family: str, f, method: str) -> ReportRow:
@@ -273,14 +285,15 @@ def _basic_row(cfg: Config, experiment: str, family: str, f, method: str) -> Rep
                      wall_ms=_elapsed_ms(start))
 
 
-def _run_basictest(cfg: Config) -> list[ReportRow]:
+def _run_basictest(cfg: Config) -> dict:
     _require(cfg, "n", "fn")
     f = parse_fnspec(cfg.fn, cfg.n)
     methods = {None: ["exact"], "exact": ["exact"], "fourier": ["fourier"],
                "both": ["exact", "fourier"]}.get(cfg.method)
     if methods is None:
         raise SpecParseError(f"unknown basictest method {cfg.method!r}")
-    return [_basic_row(cfg, "completeness", cfg.fn, f, method) for method in methods]
+    return _columns(ReportRow, [_basic_row(cfg, "completeness", cfg.fn, f, method)
+                                for method in methods])
 
 
 def _htest_row(h: Hypergraph, start: float, **row) -> ReportRow:
@@ -288,7 +301,7 @@ def _htest_row(h: Hypergraph, start: float, **row) -> ReportRow:
                      wall_ms=_elapsed_ms(start), **row)
 
 
-def _run_htest(cfg: Config) -> list[ReportRow]:
+def _run_htest(cfg: Config) -> dict:
     """Soundness on random families with --random-families, else completeness."""
     if cfg.families is not None:
         _require(cfg, "n")
@@ -308,7 +321,7 @@ def _run_htest(cfg: Config) -> list[ReportRow]:
                 h, start, experiment="soundness", n=cfg.n, family=f"random[{idx}]",
                 method="mc", value=value, ci_low=low, ci_high=high, trials=cfg.trials,
                 seed=cfg.seed))
-        return rows
+        return _columns(ReportRow, rows)
     if cfg.family is not None:
         if extra := [key for key in ("n", "k", "edges", "complete_k", "members")
                      if getattr(cfg, key) is not None]:
@@ -327,13 +340,13 @@ def _run_htest(cfg: Config) -> list[ReportRow]:
         value, low, high = htest_prob_mc(fam, trials, cfg.seed)
     else:
         raise SpecParseError(f"unknown htest method {method!r}")
-    return [_htest_row(
+    return _columns(ReportRow, [_htest_row(
         fam.hypergraph, start, experiment="completeness", n=fam.n, family=family,
         method=method, value=value, ci_low=low, ci_high=high, trials=trials,
-        seed=cfg.seed)]
+        seed=cfg.seed)])
 
 
-def _run_xcheck(cfg: Config) -> list[ReportRow]:
+def _run_xcheck(cfg: Config) -> dict:
     """The basic test's exact and Fourier routes on random folded functions
     (law basic), or the noisy-spectrum law's deviation (law noise)."""
     law = cfg.law or "basic"
@@ -359,10 +372,10 @@ def _run_xcheck(cfg: Config) -> list[ReportRow]:
             experiment="noise-prop", n=cfg.n,
             family=f"table:{table_to_hex(f)}|c:{c:x}|cp:{c_prime:x}", method="exact",
             value=value, seed=cfg.seed, wall_ms=_elapsed_ms(start)))
-    return rows
+    return _columns(ReportRow, rows)
 
 
-def _run_decode(cfg: Config) -> list[ReportRow]:
+def _run_decode(cfg: Config) -> dict:
     _require(cfg, "n", "d", "coord", "rho", "tau")
     rows = []
     for s in _count(cfg):
@@ -374,7 +387,7 @@ def _run_decode(cfg: Config) -> list[ReportRow]:
             family=f"planted[{s}]:dict@{cfg.coord},rho={cfg.rho}", method="exact",
             value=1.0 if found is not None and found[2] == cfg.coord else 0.0,
             seed=cfg.seed, wall_ms=_elapsed_ms(start)))
-    return rows
+    return _columns(ReportRow, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +403,7 @@ def _opt(flag: str, help: str | None = None, dest: str | None = None) -> tuple:
 @dataclass
 class Command:
     help: str
-    run: typing.Callable[[Config], list]
-    row: type
+    run: typing.Callable[[Config], dict]  # the report: column name -> column
     options: tuple
 
 
@@ -399,15 +411,15 @@ _COMMON = (_opt("--seed"), _opt("--out"), _opt("--guard-bits"), _opt("--json"))
 _FN_N = (_opt("--fn"), _opt("--n"))
 
 COMMANDS = {
-    "wht": Command("spectrum of one function as CSV", _run_wht, SpectrumRow, _FN_N),
-    "influence": Command("per-coordinate influences", _run_influence, InfluenceRow,
+    "wht": Command("spectrum of one function as CSV", _run_wht, _FN_N),
+    "influence": Command("per-coordinate influences", _run_influence,
                          (*_FN_N, _opt("--degree", dest="w"))),
-    "gowers": Command("uniformity-norm powers of one function", _run_gowers, GowersRow,
+    "gowers": Command("uniformity-norm powers of one function", _run_gowers,
                       (*_FN_N, _opt("--d"), _opt("--method", "auto|exact|mc"),
                        _opt("--trials"))),
     "basictest": Command("four-query test acceptance probability", _run_basictest,
-                         ReportRow, (*_FN_N, _opt("--method", "exact|fourier|both"))),
-    "htest": Command("hypergraph test acceptance probability", _run_htest, ReportRow, (
+                         (*_FN_N, _opt("--method", "exact|fourier|both"))),
+    "htest": Command("hypergraph test acceptance probability", _run_htest, (
         _opt("--family", "family JSON file"),
         _opt("--n"),
         _opt("--k"),
@@ -420,11 +432,11 @@ COMMANDS = {
              "run the soundness experiment on this many i.i.d. random families",
              "families"),
     )),
-    "xcheck": Command("dual-path identity checks", _run_xcheck, ReportRow,
+    "xcheck": Command("dual-path identity checks", _run_xcheck,
                       (_opt("--law", "basic|noise"), _opt("--n"), _opt("--count"))),
     "decode": Command("influential-pair decoding on planted families", _run_decode,
-                      ReportRow, (_opt("--n"), _opt("--d"), _opt("--coord"), _opt("--rho"),
-                                  _opt("--tau"), _opt("--w"), _opt("--count"))),
+                      (_opt("--n"), _opt("--d"), _opt("--coord"), _opt("--rho"),
+                       _opt("--tau"), _opt("--w"), _opt("--count"))),
 }
 
 
@@ -468,8 +480,8 @@ def main(argv=None) -> int:
     command = COMMANDS[args.command]
     try:
         cfg = _config(args)
-        rows = command.run(cfg)
-        write_report(rows, [f.name for f in fields(command.row)], cfg.out, cfg.json)
+        report = command.run(cfg)
+        write_report(report, list(report), cfg.out, cfg.json)
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

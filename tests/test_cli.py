@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import importlib
 import io
 import json
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 from dictatest import cli, fourier
 from dictatest.cli import main
-from dictatest.families import random_folded
+from dictatest.families import parse_fnspec, random_folded
 from dictatest.functions import BooleanFunction, table_to_hex
 
 
@@ -192,6 +191,19 @@ def test_unwritable_out_exits_2_without_temp_files(tmp_path, capsys):
     assert code == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
     assert list(target_is_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_report_mode_follows_the_umask(umask, mode, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    old = os.umask(umask)
+    try:
+        for _ in range(2):  # a new report, then a second run over it
+            code, _ = run(["wht", "--fn", "dict:1", "--n", 2, "--out", out], capsys)
+            assert code == 0
+            assert out.stat().st_mode & 0o777 == mode
+    finally:
+        os.umask(old)
 
 
 def test_successful_run_leaves_only_the_report(tmp_path, capsys):
@@ -424,8 +436,6 @@ def test_bad_input_file_exits_2_naming_the_file_and_key(option, what, text, key,
 # Report writer
 # ---------------------------------------------------------------------------
 
-ASDICT = dataclasses.asdict
-
 
 def _format_cell(value) -> str:
     if value is None:
@@ -435,10 +445,21 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def report_by_asdict(rows, columns, as_json):
-    """The report text built from a deep-copied record per row; the reference
+def _builtin(value):
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def builtin_records(report):
+    """The report as one dict per row, each numpy value as the builtin it
+    stands for."""
+    columns = list(report)
+    return [{c: _builtin(report[c][i]) for c in columns}
+            for i in range(len(report[columns[0]]))]
+
+
+def report_by_rows(records, columns, as_json):
+    """The report text built row by row from builtin values; the reference
     for write_report."""
-    records = [ASDICT(r) for r in rows]
     if as_json:
         return json.dumps(records, indent=2) + "\n"
     buffer = io.StringIO()
@@ -449,33 +470,85 @@ def report_by_asdict(rows, columns, as_json):
     return buffer.getvalue()
 
 
-def test_write_report_equals_the_asdict_report_without_calling_asdict(
-        tmp_path, monkeypatch):
+def every_report(tmp_path):
+    """The report of every ALL_OPTIONS call and of influence without --degree."""
     family = tmp_path / "family.json"
     family.write_text(json.dumps(FAMILY_FILE))
     parser = cli.build_parser()
-    cases = []  # (rows, columns) of every subcommand, so of every row dataclass
+    reports, commands = [], set()
     for argv in ALL_OPTIONS + ["influence --fn random:4 --n 4"]:
         args = parser.parse_args(argv.replace("FAMILY", str(family)).split())
-        command = cli.COMMANDS[args.command]
-        rows = command.run(cli._config(args))
-        cases.append((rows, [f.name for f in dataclasses.fields(command.row)]))
-    assert {type(rows[0]) for rows, _ in cases} == {c.row for c in cli.COMMANDS.values()}
-    expected = [report_by_asdict(rows, columns, as_json)
-                for rows, columns in cases for as_json in (False, True)]
+        reports.append(cli.COMMANDS[args.command].run(cli._config(args)))
+        commands.add(args.command)
+    assert commands == set(cli.COMMANDS)
+    return reports
+
+
+def test_write_report_equals_the_per_row_report(tmp_path):
+    out = tmp_path / "report"
+    for report in every_report(tmp_path):
+        columns = list(report)
+        records = builtin_records(report)
+        for as_json in (False, True):
+            cli.write_report(report, columns, str(out), as_json)
+            assert out.read_text() == report_by_rows(records, columns, as_json)
+
+
+def test_write_report_formats_each_numpy_value_as_its_builtin(tmp_path):
+    floats = [-0.0, 0.0, float("nan"), -float("nan"), float("inf"), -float("inf"),
+              5e-324, 1e16, 1e-05, 0.1]
+    report = {
+        "x": np.array(floats + floats[::-1] + [0.1, -0.0]),
+        "k": np.array([-3, 0, 7, -(2**62), 2**40, -1, 7, -3, 0, 1] * 2 + [-1, 5], dtype=np.int64),
+        "s": [None, "a,b", '"', "", "x", None, '"', "a,b", "y", "z"] * 2 + ["a,b", None],
+    }
+    records = builtin_records(report)
+    out = tmp_path / "report"
+    for as_json in (False, True):
+        cli.write_report(report, list(report), str(out), as_json)
+        assert out.read_text() == report_by_rows(records, list(report), as_json)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
+def test_wht_report_equals_the_per_row_spectrum(as_json, capsys):
+    n = 12
+    coeffs = fourier.wht(parse_fnspec("random:3", n)).coeffs
+    records = [{"alpha_hex": format(alpha, "x"), "weight": bin(alpha).count("1"),
+                "coeff": float(coeffs[alpha])} for alpha in range(1 << n)]
+    code, out = run(["wht", "--fn", "random:3", "--n", n] + ["--json"] * as_json, capsys)
+    assert code == 0
+    assert out.out == report_by_rows(records, list(records[0]), as_json)
+
+
+def test_wht_and_influence_build_no_per_row_object(monkeypatch, capsys):
+    argvs = [["wht", "--fn", "random:2", "--n", 9], ["influence", "--fn", "random:2", "--n", 9],
+             ["influence", "--fn", "random:2", "--n", 9, "--degree", 2, "--json"]]
+    expected = [run(argv, capsys) for argv in argvs]
+    report = cli._run_wht(cli.Config(fn="random:2", n=9))
+    assert all(isinstance(report[c], np.ndarray) for c in ("weight", "coeff"))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("asdict called")
+        raise AssertionError("per-row object built")
 
-    monkeypatch.setattr(dataclasses, "asdict", refuse)
-    monkeypatch.setattr(cli, "asdict", refuse, raising=False)
-    out = tmp_path / "report"
-    texts = []
-    for rows, columns in cases:
-        for as_json in (False, True):
-            cli.write_report(rows, columns, str(out), as_json)
-            texts.append(out.read_text())
-    assert texts == expected
+    for name in ("ReportRow", "GowersRow", "_columns"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert [run(argv, capsys) for argv in argvs] == expected
+
+
+def test_few_row_reports_never_reach_np_unique(tmp_path, monkeypatch, capsys):
+    """The per-value formatter is for the 2^n-row wht columns; the 1-10 row
+    reports go to csv.writer as they are."""
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(FAMILY_FILE))
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+    for argv in ALL_OPTIONS + ["htest --complete-k 2 --n 3 --members all=dict:1"]:
+        if not argv.startswith("wht"):
+            code, _ = run(argv.replace("FAMILY", str(family)).split(), capsys)
+            assert (code, calls) == (0, []), argv
+    code, _ = run(["wht", "--fn", "dict:2", "--n", 3], capsys)
+    assert (code, len(calls)) == (0, 2)  # one per numpy column
 
 
 # strings that look like the framing the JSON writer rewrites, or need escapes
@@ -500,15 +573,13 @@ BUILTIN_SCALARS = {int, float, str, bool, type(None)}
 def test_report_rows_hold_only_builtin_scalars(tmp_path):
     """csv.writer formats a numpy scalar by its own str or repr, which need not
     be the builtin's (np.float32(0.1) writes as 0.1, not 0.10000000149011612)."""
-    family = tmp_path / "family.json"
-    family.write_text(json.dumps(FAMILY_FILE))
-    parser = cli.build_parser()
-    for argv in ALL_OPTIONS + ["influence --fn random:4 --n 4"]:
-        args = parser.parse_args(argv.replace("FAMILY", str(family)).split())
-        rows = cli.COMMANDS[args.command].run(cli._config(args))
-        assert rows, argv
-        kinds = {type(getattr(r, f.name)) for r in rows for f in dataclasses.fields(r)}
-        assert kinds <= BUILTIN_SCALARS, (argv, kinds)
+    for report in every_report(tmp_path):
+        for name, column in report.items():
+            cells = cli._cells(column)
+            assert type(cells) is list and len(cells) == len(column), name
+            kinds = {type(cell) for cell in cells}
+            assert kinds <= BUILTIN_SCALARS, (name, kinds)
+    assert cli._cells(np.array([0.1], dtype=np.float32)) == [repr(float(np.float32(0.1)))]
 
 
 def test_influence_builds_one_weight_table_and_no_per_coordinate_sums(
