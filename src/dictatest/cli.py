@@ -221,7 +221,7 @@ def _hypergraph(cfg: Config) -> Hypergraph:
     if cfg.complete_k is not None:
         return complete_hypergraph(cfg.complete_k)
     if cfg.k is not None and cfg.edges is not None:
-        return Hypergraph(cfg.k, [frozenset(e) for e in cfg.edges])
+        return Hypergraph(cfg.k, cfg.edges)
     raise SpecParseError("need either complete_k or both k and edges")
 
 

@@ -37,7 +37,7 @@ from .functions import (
     table_from_hex,
 )
 from .gowers import IndexedFamily
-from .rng import derive_rng, seed_key
+from .rng import _draw_blocks, derive_rng, seed_key
 from .testers import FunctionFamily, Hypergraph, edge_label, vertex_label
 
 
@@ -66,11 +66,15 @@ def parity(n: int, alpha) -> BooleanFunction:
 
 
 def random_folded(n: int, seed) -> BooleanFunction:
-    """Uniform over the 2^{2^{n-1}} folded functions; deterministic per seed."""
+    """Uniform over the 2^{2^{n-1}} folded functions; deterministic per seed.
+
+    The half table's signs are one-bit draws of _draw_blocks: the top bit of
+    each 32-bit half of one random_raw block, which is the seed's stream of
+    rng.integers(0, 2, size=2^{n-1}).
+    """
     check_dimension(n)
-    rng = derive_rng(*seed_key(seed))
-    half = 1 - 2 * rng.integers(0, 2, size=1 << (n - 1)).astype(np.int8)
-    return make_folded(n, half)
+    bits = _draw_blocks(derive_rng(*seed_key(seed)), 1 << (n - 1), 1, (1,))[0][0]
+    return make_folded(n, 1 - 2 * bits.astype(np.int8))
 
 
 def noisy_dictator(n: int, i: int, rho: float, seed) -> BooleanFunction:

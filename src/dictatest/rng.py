@@ -31,13 +31,18 @@ def _draw_blocks(rng: np.random.Generator, m: int, n: int, cols) -> list[np.ndar
 
     For a fresh generator and 1 <= n <= 32, numpy's integers takes each value
     as the top n bits of the next 32-bit half of random_raw, low half first:
-    Lemire's method never rejects a power-of-two range.
+    Lemire's method never rejects a power-of-two range.  So one random_raw
+    block, viewed as uint32 and shifted right by 32 - n in place, holds the
+    blocks' (m, c) draws back to back, and each block is returned as the
+    transposed view of its (m, c) slice: row j is column j of the draws,
+    strided, and no draw is copied.
     """
     if not 1 <= n <= 32:
         raise ValueError(f"n must be in [1, 32], got {n}")
     raw = rng.bit_generator.random_raw(-(-m * sum(cols) // 2)).astype("<u8", copy=False)
-    return [np.right_shift(raw.view("<u4")[a:a + m * c].reshape(m, c).T, 32 - n,
-                           out=np.empty((c, m), dtype=np.uint32))
+    words = raw.view("<u4")
+    words >>= 32 - n
+    return [words[a:a + m * c].reshape(m, c).T
             for a, c in zip(accumulate((m * c for c in cols), initial=0), cols)]
 
 

@@ -61,7 +61,8 @@ def vertex_label(i: int) -> str:
 class Hypergraph:
     """H = ([k], E): vertices 1..k and a list of distinct vertex subsets.
 
-    Edges need at least 2 vertices unless ``allow_singletons`` is set.
+    Each edge lists distinct vertices, and edges need at least 2 of them
+    unless ``allow_singletons`` is set.
     """
 
     k: int
@@ -72,9 +73,13 @@ class Hypergraph:
         k = int(k)
         if k < 1:
             raise ValueError(f"vertex count must be >= 1, got {k}")
-        normalized = tuple(frozenset(int(v) for v in e) for e in edges)
-        seen = set()
-        for e in normalized:
+        normalized, seen = [], set()
+        for vertices in edges:
+            vertices = [int(v) for v in vertices]
+            e = frozenset(vertices)
+            if len(e) < len(vertices):
+                repeated = next(v for v in vertices if vertices.count(v) > 1)
+                raise ValueError(f"edge {vertices} repeats vertex {repeated}")
             if not e:
                 raise ValueError("edges must be nonempty")
             if not e <= set(range(1, k + 1)):
@@ -84,8 +89,9 @@ class Hypergraph:
             if e in seen:
                 raise ValueError(f"duplicate edge {sorted(e)}")
             seen.add(e)
+            normalized.append(e)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "edges", normalized)
+        object.__setattr__(self, "edges", tuple(normalized))
         object.__setattr__(self, "allow_singletons", allow_singletons)
 
     @property
@@ -309,41 +315,45 @@ def basic_test_prob_fourier(f: BooleanFunction) -> float:
     return 0.5 + 0.5 * float(terms.sum())
 
 
-def _htest_verdicts(vertex_tables, edge_tables, edges, xs, ys, zv, ze):
+def _htest_verdicts(shift_tables, sign_tables, edges, xs, ys, zv, ze):
     """Accept mask of the hypergraph test over broadcastable draw arrays.
 
-    xs, ys, zv hold one array per vertex and ze one per edge; each draw is
-    read from the folded tables exactly as in run_hypergraph_test, and the
-    mask has the broadcast shape of xs[0] and the arrays the edge equations
-    touch.  ``edges`` lists each edge's vertices in increasing order.
+    The tables are _verdict_tables' for the draws' dtype.  xs, ys, zv hold
+    one array per vertex and ze one per edge; each draw is evaluated as in
+    run_hypergraph_test, and the mask has the broadcast shape of xs[0] and
+    the arrays the edge equations touch.  ``edges`` lists each edge's
+    vertices in increasing order.
 
-    Every table is folded, f(p + 1⃗) = -f(p), so the vertex answer
-    L_i = f_i(x_i + s_i ∧ z_i) folds into its point: with
-    w_i = x_i + [L_i = -1]·1⃗, edge e's equation
-    Π_{i∈e} L_i = f_e(Σ_{i∈e} x_i + (Σ_{i∈e} s_i) ∧ z_e) holds iff
-    f_e(Σ_{i∈e} w_i + (Σ_{i∈e} s_i) ∧ z_e) = +1, and no sign is multiplied.
-    The sums over an edge extend the sums over its longest proper prefix, so
-    edges that share a prefix share its XORs.  The XORs stay in the draws'
-    dtype (that of xs[0]), so uint32 draws are not widened to int64, and
-    each read is a ``take``: indexing with uint32 takes numpy's slower
-    casting path.  ``bad`` is rebound, not or-ed in place, because an edge's
-    mask can broadcast wider than xs[0] (its own z axis on a grid).
+    The pass-1 shift s_i = y_i + [f_i(y_i) = -1]·1⃗ is one read of the shift
+    table, S_i[y_i].  Every table is folded, f(p + 1⃗) = -f(p), so the
+    vertex answer L_i = f_i(x_i + a_i), a_i = s_i ∧ z_i, folds into its
+    point: w_i = x_i + [L_i = -1]·1⃗ = S_i[x_i + a_i] + a_i.  Edge e's
+    equation Π_{i∈e} L_i = f_e(Σ_{i∈e} x_i + (Σ_{i∈e} s_i) ∧ z_e) then holds
+    iff the sign table [f_e < 0] reads False at Σ_{i∈e} w_i + (Σ_{i∈e} s_i) ∧ z_e,
+    and no sign is multiplied.  The sums over an edge extend the sums over
+    its longest proper prefix, so edges that share a prefix share its XORs.
+    The XORs stay in the draws' dtype, so uint32 draws are not widened to
+    int64, and each read is a ``take``: indexing with uint32 takes numpy's
+    slower casting path.  ``bad`` is rebound, not or-ed in place, because an
+    edge's mask can broadcast wider than xs[0] (its own z axis on a grid).
     """
-    ones = np.asarray(xs[0]).dtype.type(vertex_tables[0].size - 1)
     sums = {}  # (i_1, ..., i_j) -> (Σ w_i, Σ s_i) over those vertices
     for i in set().union(*edges):
-        t, x, y = vertex_tables[i - 1], xs[i - 1], ys[i - 1]
-        s = y ^ ((t.take(y) < 0) * ones)
-        sums[(i,)] = (x ^ ((t.take(x ^ (s & zv[i - 1])) < 0) * ones), s)
+        table = shift_tables[i - 1]
+        s = table.take(ys[i - 1])
+        a = s & zv[i - 1]
+        w = table.take(xs[i - 1] ^ a)
+        w ^= a
+        sums[(i,)] = (w, s)
     bad = np.zeros(np.shape(xs[0]), dtype=bool)
-    for table, edge, z in zip(edge_tables, edges, ze):
+    for negative, edge, z in zip(sign_tables, edges, ze):
         for j in range(2, len(edge) + 1):
             prefix = tuple(edge[:j])
             if prefix not in sums:
                 (w, s), (w_i, s_i) = sums[prefix[:-1]], sums[prefix[-1:]]
                 sums[prefix] = (w ^ w_i, s ^ s_i)
         w, s = sums[tuple(edge)]
-        bad = bad | (table.take(w ^ (s & z)) < 0)
+        bad = bad | negative.take(w ^ (s & z))
     return ~bad
 
 
@@ -354,6 +364,28 @@ def _folded_tables(fam: FunctionFamily):
         [f.table for f in fam.edge_functions],
         [sorted(e) for e in fam.hypergraph.edges],
     )
+
+
+def _verdict_tables(vertex_tables, edge_tables, edges, dtype):
+    """_htest_verdicts' tables for draws of ``dtype``, from _folded_tables.
+
+    Vertex table t gives the shift table S[p] = p + [t(p) = -1]·1⃗ in
+    ``dtype``, and edge table t the bool sign table t < 0.  A table that
+    several members share is converted once.  Each shift table is one fresh
+    array, [t < 0]·1⃗ XOR-ed in place with an index array that all of them
+    share; a ufunc ``where=`` mask took over ten times as long.
+    """
+    index = np.arange(vertex_tables[0].size, dtype=dtype)
+    shifts, signs = {}, {}
+    for t in vertex_tables:
+        if id(t) not in shifts:
+            shifts[id(t)] = table = np.multiply(t < 0, t.size - 1, dtype=dtype)
+            table ^= index
+    for t in edge_tables:
+        if id(t) not in signs:
+            signs[id(t)] = t < 0
+    return ([shifts[id(t)] for t in vertex_tables],
+            [signs[id(t)] for t in edge_tables], edges)
 
 
 def htest_prob_exact(
@@ -397,11 +429,13 @@ def htest_prob_mc(
     and evaluated in vectorized chunks in one thread; chunk c uses the
     sub-stream (seed, c) and chunk counts are summed, so the estimate is
     deterministic given (fam, trials, seed).  The draws are
-    rng.integers(0, 2^n, size=(m, c)) for c = k, k, k, |E| in turn, made by
-    _draw_blocks as the top n bits of each 32-bit half of one random_raw
-    block; test_htest_mc_stream_and_verdicts_are_pinned pins them.
+    rng.integers(0, 2^n, size=(m, c)) for c = k, k, k, |E| in turn, read as
+    the column views _draw_blocks makes of one shifted random_raw block;
+    test_htest_mc_stream_and_verdicts_are_pinned pins them.  The kernel's
+    uint32 shift tables and bool sign tables are built once per call, not
+    once per chunk.
     """
-    tables = _folded_tables(fam)
+    tables = _verdict_tables(*_folded_tables(fam), np.uint32)
     cols = (fam.hypergraph.k,) * 3 + (len(fam.hypergraph.edges),)
     accepts = 0
     for rng, m in mc_chunks(trials, seed):

@@ -406,6 +406,23 @@ def test_family_file_with_an_unknown_key_exits_2_naming_it(tmp_path, capsys):
                        "(keys: n, k, edges, members, allow_singletons, fold)\n")
 
 
+@pytest.mark.parametrize("source", ["flag", "config-file", "family-file"])
+def test_edge_with_a_repeated_vertex_exits_2_naming_it(source, tmp_path, capsys):
+    """An edge that lists a vertex twice is refused, not run on its vertex set."""
+    path = tmp_path / "input.json"
+    doc = {"k": 3, "edges": [[1, 3], [1, 2, 2]], "n": 2, "members": "all=dict:1"}
+    if source == "flag":
+        argv = ["htest", "--k", 3, "--edges", "1,3;1,2,2", "--n", 2, "--members", "all=dict:1"]
+    elif source == "config-file":
+        path.write_text(json.dumps(doc))
+        argv = ["htest", "--config", path]
+    else:
+        path.write_text(json.dumps(doc))
+        argv = ["htest", "--family", path]
+    code, out = run(argv, capsys)
+    assert (code, out.out, out.err) == (2, "", "error: edge [1, 2, 2] repeats vertex 2\n")
+
+
 BAD_INPUT_FILES = {  # id -> (the file's text, None for no file; the key it names)
     "missing": (None, None),
     "invalid-json": ("{not json", None),

@@ -17,7 +17,8 @@ from dictatest.families import (
     random_folded,
 )
 from dictatest.fourier import influence, low_degree_influence, wht
-from dictatest.functions import is_folded, refold, table_to_hex
+from dictatest.functions import is_folded, make_folded, refold, table_to_hex
+from dictatest.rng import derive_rng, seed_key
 from dictatest.testers import (
     FunctionFamily,
     Hypergraph,
@@ -69,6 +70,19 @@ def test_random_folded_properties():
     # folding forces every sample's mean (hence its empirical average) to 0
     means = [wht(random_folded(4, s)).coeffs[0] for s in range(100)]
     assert means == [0.0] * 100
+
+
+def test_random_folded_signs_are_the_seeds_integers_stream():
+    """random_folded's half table is 1 - 2·rng.integers(0, 2, size=2^{n-1})
+    on the seed's stream, because numpy draws a bit as the top bit of each
+    32-bit half of random_raw, which is what _draw_blocks reads."""
+    for n in range(1, 21):
+        for seed in (0, 7, (n, 1), (3, n, 2), (2**40, 5)):
+            rng = derive_rng(*seed_key(seed))
+            half = 1 - 2 * rng.integers(0, 2, size=1 << (n - 1)).astype(np.int8)
+            f = random_folded(n, seed)
+            assert f.table.dtype == np.int8
+            assert f == make_folded(n, half), (n, seed)
 
 
 def test_noisy_dictator_zero_noise_is_exact():

@@ -22,7 +22,8 @@ def test_draw_blocks_equal_integers_block_by_block(cols):
             for block, c in zip(blocks, cols):
                 reference = expected.integers(0, 1 << n, size=(m, c))
                 assert block.dtype == np.uint32 and block.shape == (c, m)
-                assert block.flags.c_contiguous
+                # the transposed view of the block's (m, c) slice of one buffer
+                assert block.T.flags.c_contiguous and block.base is blocks[0].base
                 assert (block == reference.T).all(), (n, m, c)
 
 

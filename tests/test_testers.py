@@ -34,6 +34,7 @@ from dictatest.testers import (
     Hypergraph,
     _folded_tables,
     _htest_verdicts,
+    _verdict_tables,
     basic_test_prob_exact,
     basic_test_prob_fourier,
     complete_hypergraph,
@@ -75,6 +76,10 @@ def test_hypergraph_validation():
         Hypergraph(3, [frozenset({1, 2}), frozenset({2, 1})])
     with pytest.raises(ValueError):
         Hypergraph(2, [frozenset({1})])
+    with pytest.raises(ValueError, match=r"edge \[1, 2, 2\] repeats vertex 2"):
+        Hypergraph(3, [[1, 2, 2]])
+    with pytest.raises(ValueError, match=r"edge \[3, 3\] repeats vertex 3"):
+        Hypergraph(3, [[3, 3]], allow_singletons=True)
     # singleton edges only behind the flag
     h = Hypergraph(2, [frozenset({1})], allow_singletons=True)
     assert query_budget(h) == (2, 3, 5)
@@ -490,12 +495,14 @@ SINGLETON_AND_FREE = Hypergraph(4, [frozenset({1}), frozenset({1, 2}), frozenset
 
 def test_htest_mc_equals_query_level_run_on_its_draws():
     """Replaying each MC draw through run_hypergraph_test accepts exactly as
-    often as htest_prob_mc counts, over one full chunk and a partial one."""
+    often as htest_prob_mc counts, over one full chunk and a partial one,
+    also at n = 19, where the draws read a small part of each shift table."""
     trials = rng_module._MC_CHUNK + 3
     cases = [(complete_hypergraph(3), random_family, 3),
              (complete_hypergraph(3), noisy_family, 12),
              (SINGLETON_AND_FREE, random_family, 12),
-             (SINGLETON_AND_FREE, noisy_family, 3)]
+             (SINGLETON_AND_FREE, noisy_family, 3),
+             (complete_hypergraph(2), random_family, 19)]
     for h, make, n in cases:
         fam = make(h, n, 60 + n)
         cols = (h.k,) * 3 + (len(h.edges),)
@@ -521,7 +528,7 @@ def test_htest_kernel_accepts_every_dictator_draw(n):
             (rng, m), = rng_module.mc_chunks(rng_module._MC_CHUNK, (n, j, h.k))
             draws = rng_module._draw_blocks(rng, m, n, cols)
             assert max(int(d.max()) for d in draws) >= (1 << n) - (1 << max(0, n - 10))
-            assert _htest_verdicts(*tables, *draws).all()
+            assert kernel_verdicts(tables, *draws).all()
 
 
 def test_folded_tables_are_the_members_int8_folded_views():
@@ -537,6 +544,25 @@ def test_folded_tables_are_the_members_int8_folded_views():
                 assert table.dtype == np.int8
                 assert np.array_equal(table, folded_table(f))
             assert edges == [sorted(e) for e in h.edges]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.int64])
+def test_verdict_tables_are_shift_and_sign_tables_built_once_per_member(dtype):
+    """A vertex gets S[p] = p + [f(p) = -1]·1⃗ in the draws' dtype, an edge
+    gets f < 0, and members that share a function share its table."""
+    n = 5
+    f, g = random_folded(n, 1), random_folded(n, 2)
+    fam = FunctionFamily(complete_hypergraph(3), [f, g, f], [g, f, f, g])
+    tables = _folded_tables(fam)
+    idx = np.arange(1 << n)
+    shifts, signs, edges = _verdict_tables(*tables, dtype)
+    assert edges == tables[2]
+    for table, t in zip(shifts, tables[0]):
+        assert table.dtype == dtype
+        assert np.array_equal(table, np.where(t < 0, idx ^ ((1 << n) - 1), idx))
+    for table, t in zip(signs, tables[1]):
+        assert table.dtype == bool and np.array_equal(table, t < 0)
+    assert shifts[0] is shifts[2] and signs[1] is signs[2]
 
 
 def test_htest_mc_validation_and_determinism():
@@ -584,6 +610,13 @@ def reference_verdicts(vertex_tables, edge_tables, edges, xs, ys, zv, ze):
     return ok
 
 
+def kernel_verdicts(tables, xs, ys, zv, ze):
+    """_htest_verdicts on _folded_tables' int8 tables, converted by
+    _verdict_tables for the dtype of the x draws."""
+    dtype = np.asarray(xs[0]).dtype
+    return _htest_verdicts(*_verdict_tables(*tables, dtype), xs, ys, zv, ze)
+
+
 def test_verdict_kernel_matches_oracle_run_draw_for_draw():
     """The vectorised kernel on (1,) draw arrays reproduces run_hypergraph_test."""
     for h in (EDGE_12, complete_hypergraph(3)):
@@ -601,7 +634,7 @@ def test_verdict_kernel_matches_oracle_run_draw_for_draw():
                         rng.integers(0, points, size=(1, c)).T
                         for c in (k, k, k, n_edges)
                     )
-                    ok = _htest_verdicts(*tables, xs, ys, zv, ze)
+                    ok = kernel_verdicts(tables, xs, ys, zv, ze)
                     assert ok.shape == (1,)
                     assert bool(ok[0]) == expected
                     assert np.array_equal(ok, reference_verdicts(*tables, xs, ys, zv, ze))
@@ -638,7 +671,7 @@ def test_verdict_kernel_equals_reference_property(case):
     rng = derive_rng(91, seed)
     draws = rng.integers(0, 1 << fam.n, size=(3 * h.k + len(h.edges), 512), dtype=dtype)
     xs, ys, zv, ze = np.split(draws, [h.k, 2 * h.k, 3 * h.k])
-    ok = _htest_verdicts(*tables, xs, ys, zv, ze)
+    ok = kernel_verdicts(tables, xs, ys, zv, ze)
     assert np.array_equal(ok, reference_verdicts(*tables, xs, ys, zv, ze))
 
 
@@ -701,7 +734,7 @@ def test_htest_exact_grid_equals_flat_enumeration():
             draws = np.indices((1 << n,) * bits, dtype=np.uint8).reshape(bits, -1)
             xs, ys, zv, ze = np.split(draws, [k, 2 * k, 3 * k])
             tables = _folded_tables(fam)
-            ok = _htest_verdicts(*tables, xs, ys, zv, ze)
+            ok = kernel_verdicts(tables, xs, ys, zv, ze)
             assert np.array_equal(ok, reference_verdicts(*tables, xs, ys, zv, ze))
             assert htest_prob_exact(fam) == np.count_nonzero(ok) / 2 ** (bits * n)
 
@@ -730,7 +763,7 @@ def grid_accept_count(fam):
         digits = (combo[:, None] >> digit_shifts) & (points - 1)
         xs_ys = list(digits.T.reshape(2 * k, -1, *(1,) * z_dims))
         draws = xs_ys[:k], xs_ys[k:], zs[:k], zs[k:]
-        ok = _htest_verdicts(*tables, *draws)
+        ok = kernel_verdicts(tables, *draws)
         assert np.array_equal(ok, reference_verdicts(*tables, *draws))
         accepts += int(np.count_nonzero(ok))
     return accepts * points**free
