@@ -16,6 +16,12 @@ product is 2^{|L|} on a 2^{-|L|} share of the points, so both stay within
 table are exact on the same values, so dividing once by 2^n gives their
 floats bit for bit.
 
+A folded table, f(1⃗+x) = -f(x), has its spectrum on odd |α| only, where it
+is twice the transform of the table's lower half (x_n = 0), so from n =
+_FOLDED_MIN_N on ``spectrum_counts`` runs that one butterfly of 2^{n-1}
+entries.  Smaller tables keep the full butterfly, which costs less there
+than the route's fixed per-call overhead.
+
 The butterfly has constant geometry (Pease): each stage combines adjacent
 entries into the other buffer, sums to its low half and differences to its
 high half, which leaves natural order and the in-place butterfly's sum tree.
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functions import BooleanFunction, RealPointFunction, _set_table
+from .functions import BooleanFunction, RealPointFunction, _set_table, is_folded
 
 
 def _butterfly(values: np.ndarray) -> np.ndarray:
@@ -84,13 +90,54 @@ def wht(f: BooleanFunction | RealPointFunction) -> Spectrum:
     return Spectrum(f.n, _butterfly(np.asarray(f.table, dtype=np.float64)) / (1 << f.n))
 
 
+def _odd_weights(m: int) -> np.ndarray:
+    """[|α| odd] for every α in [0, 2^m) as uint8, built by doubling in place."""
+    odd = np.empty(1 << m, dtype=np.uint8)
+    odd[0] = 0
+    width = 1
+    while width < odd.size:
+        np.bitwise_xor(odd[:width], 1, out=odd[width:2 * width])
+        width *= 2
+    return odd
+
+
+# The smallest n at which spectrum_counts takes the half-size route.  Below
+# it the route saves one butterfly stage of short ufunc calls but adds the
+# fold check, the odd-weight table and three array calls, whose fixed costs
+# dominate: on a 2-vCPU x86 host the full butterfly of a folded table took 88
+# against 100 us at n = 12, and 139 against 127 us at n = 13.
+_FOLDED_MIN_N = 13
+
+
 def spectrum_counts(f: BooleanFunction) -> np.ndarray:
     """Unnormalized integer transform counts[α] = 2^n * f̂(α), exact in int32.
 
     Stage t of the butterfly holds signed sums of 2^t entries of ±1, so no
-    value exceeds 2^n <= 2^MAX_DIMENSION = 2^24 in magnitude.
+    value exceeds 2^n <= 2^MAX_DIMENSION = 2^24 in magnitude.  From n =
+    _FOLDED_MIN_N on, a folded table takes ``_folded_counts``, one butterfly
+    of 2^{n-1} entries instead of 2^n.
     """
-    return _butterfly(f.table.astype(np.int32))
+    if f.n < _FOLDED_MIN_N or not is_folded(f):
+        return _butterfly(f.table.astype(np.int32))
+    return _folded_counts(f.table)
+
+
+def _folded_counts(table: np.ndarray) -> np.ndarray:
+    """spectrum_counts of a folded ±1 table, f(1⃗+x) = -f(x), from its lower half.
+
+    The upper half (x_n = 1) is the negated reversal of the lower half, so
+    with α = (α', α_n) and H the transform of the lower half,
+    Σ_{x'} f(x', 1)(-1)^{<α',x'>} = -(-1)^{|α'|} H(α') and
+    counts[α] = H(α')(1 - (-1)^{|α|}): 2H on odd |α|, 0 on even.  |2H| <= 2^n
+    keeps the int32 bound.
+    """
+    half = table.size // 2
+    twice = _butterfly(table[:half].astype(np.int32))
+    twice += twice
+    counts = np.empty(table.size, dtype=np.int32)
+    np.multiply(twice, _odd_weights(half.bit_length() - 1), out=counts[:half])  # α_n = 0
+    np.subtract(twice, counts[:half], out=counts[half:])  # α_n = 1
+    return counts
 
 
 def _check_coordinate(n: int, i: int) -> int:
@@ -134,20 +181,25 @@ def low_degree_influence(s: Spectrum, i: int, w: int) -> float:
 
 
 def _subset_sums(values: np.ndarray) -> np.ndarray:
-    """out[α] = Σ_{β ⊆ α} values[β] along the last axis, in values' dtype."""
-    out = values.copy()
+    """Transform values in place to Σ_{β ⊆ α} values[β] along the last axis.
+
+    values must be C-contiguous, so every stage's reshape is a view of it;
+    returns values.
+    """
+    if not values.flags.c_contiguous:
+        raise ValueError("subset sums are taken in place of a C-contiguous array")
     width = 1
-    while width < out.shape[-1]:
-        view = out.reshape(-1, 2 * width)
+    while width < values.shape[-1]:
+        view = values.reshape(-1, 2 * width)
         if width < 8:  # strided 1-D adds beat a 2-D add with inner length 2 or 4
             for j in range(width):
                 view[:, width + j] += view[:, j]
         else:
             view[:, width:] += view[:, :width]
         width *= 2
-    return out
+    return values
 
 
 def subset_zeta(s: Spectrum) -> np.ndarray:
     """out[α] = Σ_{β ⊆ α} coeffs[β], by the O(n 2^n) subset-sum transform."""
-    return _subset_sums(s.coeffs)
+    return _subset_sums(s.coeffs.copy())

@@ -151,8 +151,13 @@ def refold(f: BooleanFunction) -> BooleanFunction:
 
 
 def is_folded(f: BooleanFunction) -> bool:
-    """True iff f(1⃗+x) = -f(x) for all x, i.e. f is its own folded view."""
-    return bool(np.array_equal(_fold_half(f.table[1::2]), f.table))
+    """True iff f(1⃗+x) = -f(x) for all x, i.e. f is its own folded view.
+
+    1⃗+x is the index 2^n-1-x, so the upper half must be the negated
+    reversal of the lower half; that compares each pair once.
+    """
+    half = f.table.size // 2
+    return bool(np.array_equal(f.table[half:], -f.table[half - 1::-1]))
 
 
 def require_folded(f: BooleanFunction, what: str = "input") -> None:

@@ -288,6 +288,11 @@ def basic_test_prob_exact(
     return int(per_y.sum()) / points**4
 
 
+# Entries per block of basic_test_prob_fourier: its float64 blocks stay in
+# cache, and a table of n <= 14 is one block.
+_FOURIER_BLOCK = 1 << 14
+
+
 def basic_test_prob_fourier(f: BooleanFunction) -> float:
     """Acceptance probability from the closed-form spectral identity.
 
@@ -296,22 +301,36 @@ def basic_test_prob_fourier(f: BooleanFunction) -> float:
     """
     require_folded(f)
     n = f.n
+    size = 1 << n
     counts = spectrum_counts(f)
-    # Both divisions by 2^n are exact: the int32 sums are the float64
-    # transforms' integers.  c*c*c and pow give the exact cube while
-    # |count| <= 2^17; beyond, pow (which can round ties differently) keeps
-    # coeffs**3's floats.  Each factor is made after the last one is freed,
-    # so at most three 2^n-entry float arrays are live at once.
-    c = counts / (1 << n)
-    terms = c * c
-    terms *= c
-    wide = np.abs(counts) > 1 << 17
-    terms[wide] = c[wide] ** 3
-    del c, wide
-    terms *= np.exp2(-np.arange(n + 1.0)).take(hamming_weights(n))
-    zeta = _subset_sums(counts) / (1 << n)
-    zeta += 1.0
-    terms *= zeta
+    # The terms are made in blocks of cache-sized float64 arrays, each with
+    # the floats of the whole-array pipeline: both divisions by 2^n are exact
+    # (the int32 sums are the float64 transforms' integers), and c*c*c and pow
+    # give the exact cube while |count| <= 2^17; beyond, pow (which can round
+    # ties differently) keeps coeffs**3's floats.  A block starting at a
+    # multiple of its size has weights 2^{-|j|} 2^{-|start|}, exact products
+    # of powers of two.  Besides the blocks, the int32 counts (their subset
+    # sums in place after the cubes) and the float64 terms are live; the one
+    # sum over all terms keeps the whole-array sum's float.
+    block = min(size, _FOURIER_BLOCK)
+    levels = np.exp2(-np.arange(n + 1.0))
+    block_weights = levels.take(hamming_weights(block.bit_length() - 1))
+    weights, c = np.empty(block), np.empty(block)
+    terms = np.empty(size)
+    for start in range(0, size, block):
+        part, t = counts[start : start + block], terms[start : start + block]
+        np.divide(part, size, out=c)
+        np.multiply(c, c, out=t)
+        t *= c
+        wide = np.abs(part) > 1 << 17
+        t[wide] = c[wide] ** 3
+        np.multiply(block_weights, levels[bin(start).count("1")], out=weights)
+        t *= weights
+    zeta = _subset_sums(counts)
+    for start in range(0, size, block):
+        np.divide(zeta[start : start + block], size, out=c)
+        c += 1.0
+        terms[start : start + block] *= c
     return 0.5 + 0.5 * float(terms.sum())
 
 

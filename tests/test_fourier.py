@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dictatest import fourier
 from dictatest.families import dictator, parity, random_folded
 from dictatest.fourier import (
     Spectrum,
     _butterfly,
+    _folded_counts,
     _subset_sums,
     hamming_weights,
     influence,
@@ -16,7 +18,13 @@ from dictatest.fourier import (
     subset_zeta,
     wht,
 )
-from dictatest.functions import MAX_DIMENSION, BooleanFunction, RealPointFunction
+from dictatest.functions import (
+    MAX_DIMENSION,
+    BooleanFunction,
+    RealPointFunction,
+    is_folded,
+    make_folded,
+)
 
 
 def influence_combinatorial(f, i):
@@ -149,6 +157,50 @@ def test_spectrum_counts_exact():
     for _ in range(20):
         f = random_boolean(4, rng)
         assert np.array_equal(spectrum_counts(f), wht(f).coeffs * 16)
+
+
+def spectrum_tables(n):
+    """Folded, unfolded, constant, and odd- and even-weight parity tables."""
+    rng = np.random.default_rng(n)
+    yield random_folded(n, n)
+    yield random_boolean(n, rng)
+    yield BooleanFunction(n, np.ones(1 << n))
+    yield BooleanFunction(n, -np.ones(1 << n))
+    yield parity(n, 1)  # odd weight: folded
+    yield parity(n, (1 << n) - 1)  # folded iff n is odd
+    if n >= 2:
+        yield parity(n, 3)  # even weight: not folded
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_spectrum_counts_equal_the_full_butterfly(n, monkeypatch):
+    """Both sides of the size gate: a folded table from n = _FOLDED_MIN_N on
+    is transformed as its lower half, every other table in full, and either
+    way the counts are the full int32 butterfly's."""
+    assert 1 < fourier._FOLDED_MIN_N <= 16  # n = 1..16 reaches both routes
+    sizes = []
+    butterfly = fourier._butterfly
+    monkeypatch.setattr(fourier, "_butterfly", lambda v: sizes.append(v.size) or butterfly(v))
+    routes = set()
+    for f in spectrum_tables(n):
+        sizes.clear()
+        counts = spectrum_counts(f)
+        assert counts.dtype == np.int32
+        assert np.array_equal(counts, butterfly(f.table.astype(np.int32)))
+        half_size = n >= fourier._FOLDED_MIN_N and is_folded(f)
+        assert sizes == [1 << (n - half_size)]
+        routes.add(half_size)
+    assert routes == ({False, True} if n >= fourier._FOLDED_MIN_N else {False})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.sampled_from([-1, 1]), min_size=1 << (n - 1), max_size=1 << (n - 1))))
+def test_folded_counts_equal_the_full_butterfly_property(half):
+    f = make_folded(len(half).bit_length(), half)
+    counts = _folded_counts(f.table)
+    assert counts.dtype == np.int32
+    assert np.array_equal(counts, _butterfly(f.table.astype(np.int32)))
 
 
 def assert_int32_routes_equal_float64(f):
@@ -379,7 +431,7 @@ def test_subset_sums_equal_the_block_add_loop_bit_for_bit(dtype, rows):
             values = rng.uniform(-1, 1, size=shape)
         else:
             values = rng.integers(-(1 << 40), 1 << 40, size=shape)
-        out = _subset_sums(values)
+        out = _subset_sums(values.copy())
         assert out.dtype == dtype
         assert np.array_equal(out, block_add_subset_sums(values)), n
 

@@ -840,7 +840,7 @@ def basic_fourier_float64(f):
     """The spectral identity with every transform of the table in float64."""
     n = f.n
     c = _butterfly(f.table.astype(np.float64)) / (1 << n)
-    zeta = _subset_sums(c)
+    zeta = _subset_sums(c.copy())
     cube = c * c * c
     wide = np.abs(c) > 2.0 ** (17 - n)
     cube[wide] = c[wide] ** 3
@@ -848,13 +848,16 @@ def basic_fourier_float64(f):
     return 0.5 + 0.5 * float(terms.sum())
 
 
-@pytest.mark.parametrize("n", [1, 3, 8, 13, 17, 20])
+# n = 15 and 16 are the first sizes of more than one 2^14-entry block
+@pytest.mark.parametrize("n", [1, 3, 8, 13, 15, 16, 17, 20])
 def test_basic_fourier_equals_the_float64_formula(n):
     specs = ["dict:1", f"dict:{n}", "parity:1", "random:5", "random:6", "noisydict:1:0.1:22"]
     if n % 2:
         specs += ["maj", f"parity:{(1 << n) - 1:x}"]
     if n >= 3:
         specs += ["parity:7", f"noisydict:{n}:0.1:4", "noisydict:2:0.3:9"]
+    if n == 20:
+        specs += ["noisydict:20:0.1:22"]
     for spec in specs:
         f = parse_fnspec(spec, n)
         assert basic_test_prob_fourier(f) == basic_fourier_float64(f), spec
@@ -864,6 +867,12 @@ def test_basic_fourier_equals_the_float64_formula(n):
         wide = np.abs(counts) > 1 << 17
         c = counts[wide] / (1 << n)
         assert np.any(c * c * c != c**3)
+    if n == 20:  # the same tie at α = {20}, in a block past the first
+        counts = spectrum_counts(parse_fnspec("noisydict:20:0.1:22", n))
+        wide = np.flatnonzero(np.abs(counts) > 1 << 17)
+        assert wide.tolist() == [1 << 19]
+        c = counts[wide] / (1 << n)
+        assert np.all(c * c * c != c**3)
 
 
 def test_basic_exact_beyond_int64_counts():
