@@ -6,15 +6,15 @@ Coefficients follow the averaging convention: coeffs[α] = 2^{-n} Σ_x f(x)
 once at the end, so boolean inputs give exactly representable dyadic
 coefficients.
 
-A ±1 table is transformed in int32 by ``spectrum_counts``, which ``wht`` of a
-BooleanFunction and ``testers.basic_test_prob_fourier`` (also for its subset
-sums of the counts) use.  Every butterfly intermediate is a signed sum of at
-most 2^n entries, and every subset-sum intermediate of the counts is
+``wht`` takes only a ±1 table, which ``spectrum_counts`` transforms in int32,
+as it does for ``testers.basic_test_prob_fourier`` (also for its subset sums
+of the counts).  Every butterfly intermediate is a signed sum of at most 2^n
+entries, and every subset-sum intermediate of the counts is
 Σ_x f(x) χ_H(x) Π_{i∈L} (1 + (-1)^{x_i}) for disjoint sets H and L, whose
 product is 2^{|L|} on a 2^{-|L|} share of the points, so both stay within
-2^n <= 2^MAX_DIMENSION = 2^24 < 2^31.  The float64 transforms of the same
-table are exact on the same values, so dividing once by 2^n gives their
-floats bit for bit.
+2^n <= 2^MAX_DIMENSION = 2^24 < 2^31.  A float64 transform of the same
+table is exact on the same values, so dividing once by 2^n gives its floats
+bit for bit.
 
 A folded table, f(1⃗+x) = -f(x), has its spectrum on odd |α| only, where it
 is twice the transform of the table's lower half (x_n = 0), so from n =
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functions import BooleanFunction, RealPointFunction, _set_table, is_folded
+from .functions import BooleanFunction, _set_table, is_folded
 
 
 def _butterfly(values: np.ndarray) -> np.ndarray:
@@ -79,15 +79,9 @@ class Spectrum:
         _set_table(self, "coeffs", np.float64)
 
 
-def wht(f: BooleanFunction | RealPointFunction) -> Spectrum:
-    """Fourier transform of a truth table.
-
-    A BooleanFunction goes through the int32 ``spectrum_counts``; a
-    RealPointFunction through the float64 butterfly.
-    """
-    if isinstance(f, BooleanFunction):
-        return Spectrum(f.n, spectrum_counts(f) / (1 << f.n))
-    return Spectrum(f.n, _butterfly(np.asarray(f.table, dtype=np.float64)) / (1 << f.n))
+def wht(f: BooleanFunction) -> Spectrum:
+    """Fourier transform of a ±1 table: the int32 ``spectrum_counts`` / 2^n."""
+    return Spectrum(f.n, spectrum_counts(f) / (1 << f.n))
 
 
 def _odd_weights(m: int) -> np.ndarray:
@@ -117,7 +111,13 @@ def spectrum_counts(f: BooleanFunction) -> np.ndarray:
     _FOLDED_MIN_N on, a folded table takes ``_folded_counts``, one butterfly
     of 2^{n-1} entries instead of 2^n.
     """
-    if f.n < _FOLDED_MIN_N or not is_folded(f):
+    return _spectrum_counts(f, None)
+
+
+def _spectrum_counts(f: BooleanFunction, folded: bool | None) -> np.ndarray:
+    """spectrum_counts, for a caller that may already know whether f is folded
+    (``folded``); None checks it, and only where the route depends on it."""
+    if f.n < _FOLDED_MIN_N or not (is_folded(f) if folded is None else folded):
         return _butterfly(f.table.astype(np.int32))
     return _folded_counts(f.table)
 

@@ -1,4 +1,7 @@
-"""Truth-table functions on the hypercube and the folded access rule.
+"""±1 truth-table functions on the hypercube and the folded access rule.
+
+``BooleanFunction``, an int8 table of ±1 values, is the package's one function
+type; spectra, Gowers sums and the noise operator are computed from it exactly.
 
 Conventions, fixed globally:
 
@@ -60,24 +63,6 @@ class BooleanFunction:
     def __post_init__(self):
         if not np.all(np.abs(_set_table(self, "table", np.int8)) == 1):
             raise ValueError("table entries must be -1 or +1")
-
-    def as_real(self) -> "RealPointFunction":
-        return RealPointFunction(self.n, self.table.astype(np.float64))
-
-
-@dataclass(frozen=True, eq=False)
-class RealPointFunction:
-    """A bounded function {0,1}^n -> [-1,1] given by its table."""
-
-    n: int
-    table: np.ndarray = field(repr=False)
-
-    _RANGE_TOL = 1e-12
-
-    def __post_init__(self):
-        table = _set_table(self, "table", np.float64)
-        if np.max(np.abs(table), initial=0.0) > 1.0 + self._RANGE_TOL:
-            raise ValueError("table entries must lie in [-1, 1]")
 
 
 class FoldedOracle:

@@ -3,16 +3,17 @@
 The U_d norm of f is the 2^d-th root of the inner product of the constant
 family ``IndexedFamily.constant(d, f)``; the CLI reports that power.
 
-Exact values come from the derivative recursion <{f_S}>_{U_d} =
+Members are ±1 tables (``BooleanFunction``), so every total here is an
+integer.  Exact values come from the derivative recursion <{f_S}>_{U_d} =
 E_h <{f_S · f_{S∪{d}}(· + h)}>_{U_{d-1}} down to a Fourier sum, on undivided
-sums: integer tables keep integer totals, and each caller divides once by a
-power of two.  The exact route raises GuardExceeded when the definition's
-randomness exceeds the guard, and a seeded Monte Carlo route estimates the
-same U_d inner product; the caller picks the route and reports it.  Monte
-Carlo draws come in per-chunk sub-streams derived by counter
-(``rng.mc_chunks``), so estimates are reproducible.  The linear inner
-product LU_d exists only as the undivided ``_linear_sum``, on which
-``testers.htest_prob_exact`` runs.
+sums in int64 while their bound fits 62 bits and Python ints beyond
+(``_count_dtype``); each caller divides once by a power of two.  The exact
+route raises GuardExceeded when the definition's randomness exceeds the
+guard, and a seeded Monte Carlo route estimates the same U_d inner product;
+the caller picks the route and reports it.  Monte Carlo draws come in
+per-chunk sub-streams derived by counter (``rng.mc_chunks``), so estimates
+are reproducible.  The linear inner product LU_d exists only as the
+undivided ``_linear_sum``, on which ``testers.htest_prob_exact`` runs.
 """
 
 from __future__ import annotations
@@ -23,24 +24,21 @@ import numpy as np
 
 from .errors import DEFAULT_GUARD_BITS, check_guard
 from .fourier import _butterfly, influences, wht
-from .functions import BooleanFunction, RealPointFunction, check_dimension
+from .functions import BooleanFunction, check_dimension
 from .rng import mc_chunks
 
 # Upper bound on the array elements an exact route evaluates at once.
 _EXACT_CHUNK = 1 << 18
 
 
-def _as_real(f) -> RealPointFunction:
-    if isinstance(f, BooleanFunction):
-        return f.as_real()
-    if isinstance(f, RealPointFunction):
-        return f
-    raise TypeError(f"expected a point function, got {type(f).__name__}")
+def _count_dtype(bits: int):
+    """int64 for counts below 2^bits while they fit 62 bits, else Python ints."""
+    return np.int64 if bits <= 62 else object
 
 
 @dataclass(frozen=True, eq=False)
 class IndexedFamily:
-    """2^d bounded functions indexed by the subsets of [d].
+    """2^d ±1 functions (``BooleanFunction``) indexed by the subsets of [d].
 
     Subsets are bitmasks (bit i-1 <-> element i).  Members missing from the
     input mapping default to the constant-1 function.
@@ -55,13 +53,15 @@ class IndexedFamily:
         if d < 1:
             raise ValueError(f"lattice dimension must be >= 1, got {d}")
         check_dimension(n)
-        given = {int(mask): _as_real(f) for mask, f in (members or {}).items()}
+        given = {int(mask): f for mask, f in (members or {}).items()}
         for mask, f in given.items():
+            if not isinstance(f, BooleanFunction):
+                raise TypeError(f"expected a BooleanFunction, got {type(f).__name__}")
             if not 0 <= mask < 1 << d:
                 raise ValueError(f"member mask {mask} out of range for d={d}")
             if f.n != n:
                 raise ValueError(f"member dimension {f.n} != family n={n}")
-        one = None if len(given) == 1 << d else RealPointFunction(n, np.ones(1 << n))
+        one = None if len(given) == 1 << d else BooleanFunction(n, np.ones(1 << n, np.int8))
         full = tuple(given.get(m, one) for m in range(1 << d))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)
@@ -69,13 +69,8 @@ class IndexedFamily:
 
     @classmethod
     def constant(cls, d: int, f) -> "IndexedFamily":
-        """All 2^d members equal to f."""
-        f = _as_real(f)
-        return cls(d, f.n, {m: f for m in range(1 << d)})
-
-
-def _family_tables(fam: IndexedFamily) -> list[np.ndarray]:
-    return [np.asarray(m.table) for m in fam.members]
+        """All 2^d members equal to f; anything else fails the member check."""
+        return cls(d, getattr(f, "n", 1), dict.fromkeys(range(1 << d), f))
 
 
 def _derivative_recursion(stack: np.ndarray, bottom):
@@ -100,9 +95,15 @@ def _derivative_recursion(stack: np.ndarray, bottom):
     return total
 
 
-def _u2_sum(stack: np.ndarray) -> float:
-    """Σ_b Σ_α Π_S F_S(α) with F = _butterfly(f): 2^n times the U_2 sums."""
-    return float(np.prod(_butterfly(stack), axis=1).sum())
+def _u2_sum(stack: np.ndarray) -> int:
+    """Σ_b Σ_α Π_S F_S(α) with F = _butterfly(f): 2^n times the U_2 sums.
+
+    ±1 members have |F| <= 2^n and Σ_α F(α)^2 = 4^n, so Σ_α |Π_S F_S(α)| <=
+    2^{4n}, and b families' bound b·2^{4n} picks the transforms' dtype."""
+    batch, _, points = stack.shape
+    bits = 4 * (points.bit_length() - 1) + batch.bit_length()
+    spectra = _butterfly(stack.astype(_count_dtype(bits)))
+    return np.prod(spectra, axis=1).sum(keepdims=True).item()
 
 
 def _lu2_sum(stack: np.ndarray):
@@ -127,15 +128,18 @@ def gowers_inner_product_exact(
 ) -> float:
     """<{f_S}>_{U_d}: E over (x, x_1..x_d) of Π_S f_S(x + Σ_{i in S} x_i).
 
-    By the derivative recursion down to Σ_α Π_S f̂_S(α) (d = 2) or
-    E f_∅ · E f_{1} (d = 1), then one division by 2^{(d+2)n}, which commutes
-    with rounding; the definition's (d + 1)·n bits must fit the guard.
+    By the derivative recursion, whose derived members (products of ±1
+    entries) stay int8, down to the exact ``_u2_sum`` at d = 2: the integer
+    total, at most 2^{(d+2)n}, is divided once by 2^{(d+2)n}.  At d = 1 it is
+    Σ f_∅ · Σ f_{1} / 2^{2n}.  The definition's (d + 1)·n bits must fit the
+    guard.
     """
-    check_guard((fam.d + 1) * fam.n, guard_bits)
-    stack = np.stack(_family_tables(fam))[None]
-    if fam.d == 1:
-        return float(stack[0, 0].mean() * stack[0, 1].mean())
-    return _derivative_recursion(stack, _u2_sum) / 2 ** ((fam.d + 2) * fam.n)
+    d, n = fam.d, fam.n
+    check_guard((d + 1) * n, guard_bits)
+    stack = np.stack([m.table for m in fam.members])[None]
+    if d == 1:
+        return int(stack[0, 0].sum()) * int(stack[0, 1].sum()) / 2 ** (2 * n)
+    return _derivative_recursion(stack, _u2_sum) / 2 ** ((d + 2) * n)
 
 
 def gowers_inner_product_mc(
@@ -145,23 +149,24 @@ def gowers_inner_product_mc(
 
     Each draw is (x, x_1..x_d), and its value Π_S f_S(x + Σ_{i in S} x_i);
     chunk c draws from the sub-stream (seed, c).  The 2^d points come in
-    mask order by XOR doubling, one XOR each.
+    mask order by XOR doubling, one XOR each.  Each value is a product of ±1
+    entries, taken in int8; the values sum to an exact integer, and their
+    mean square is 1.
     """
-    tables, points = _family_tables(fam), 1 << fam.n
-    total = total_sq = 0.0
+    tables, points = [m.table for m in fam.members], 1 << fam.n
+    total = 0
     for rng, m in mc_chunks(trials, seed):
         draws = rng.integers(0, points, size=(m, fam.d + 1))
         shifts = [draws[:, 0]]
         for i in range(fam.d):
             step = draws[:, 1 + i]
             shifts += [s ^ step for s in shifts]
-        prod = np.ones(m)
-        for table, shift in zip(tables, shifts):
+        prod = tables[0].take(shifts[0])
+        for table, shift in zip(tables[1:], shifts[1:]):
             prod *= table.take(shift)
-        total += float(prod.sum())
-        total_sq += float((prod**2).sum())
+        total += int(prod.sum())
     mean = total / trials
-    variance = max(total_sq / trials - mean**2, 0.0)
+    variance = max(1.0 - mean**2, 0.0)
     return mean, (variance / trials) ** 0.5
 
 

@@ -23,15 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DEFAULT_GUARD_BITS, check_guard
-from .fourier import _butterfly, _subset_sums, hamming_weights, spectrum_counts, wht
-from .functions import (
-    BooleanFunction,
-    FoldedOracle,
-    RealPointFunction,
-    folded_table,
-    require_folded,
-)
-from .gowers import _linear_sum
+from .fourier import _butterfly, _spectrum_counts, _subset_sums, hamming_weights, wht
+from .functions import BooleanFunction, FoldedOracle, folded_table, require_folded
+from .gowers import _count_dtype, _linear_sum
 # _MC_CHUNK is bound here for bench/spans.py, which counts htest_prob_mc chunks.
 from .rng import _MC_CHUNK, _draw_blocks, mc_chunks  # noqa: F401
 from .stats import wilson_interval
@@ -260,11 +254,6 @@ def run_hypergraph_test(
 # ---------------------------------------------------------------------------
 
 
-def _count_dtype(bits: int):
-    """int64 for counts below 2^bits while they fit 62 bits, else Python ints."""
-    return np.int64 if bits <= 62 else object
-
-
 def basic_test_prob_exact(
     f: BooleanFunction, *, guard_bits: int = DEFAULT_GUARD_BITS
 ) -> float:
@@ -280,7 +269,7 @@ def basic_test_prob_exact(
     n = f.n
     check_guard(4 * n, guard_bits)
     points = 1 << n
-    counts = spectrum_counts(f).astype(_count_dtype(4 * n))
+    counts = _spectrum_counts(f, True).astype(_count_dtype(4 * n))
     pair_count = (points * points + _butterfly(counts**3) // points) // 2
     idx = np.arange(points)
     shifts = np.where(folded_table(f) < 0, idx ^ (points - 1), idx)
@@ -302,7 +291,7 @@ def basic_test_prob_fourier(f: BooleanFunction) -> float:
     require_folded(f)
     n = f.n
     size = 1 << n
-    counts = spectrum_counts(f)
+    counts = _spectrum_counts(f, True)  # folded: require_folded checked it
     # The terms are made in blocks of cache-sized float64 arrays, each with
     # the floats of the whole-array pipeline: both divisions by 2^n are exact
     # (the int32 sums are the float64 transforms' integers), and c*c*c and pow
@@ -486,30 +475,31 @@ def _and_sums(table: np.ndarray) -> np.ndarray:
 
 def noise_and_operator(
     f: BooleanFunction, c, c_prime, *, guard_bits: int = DEFAULT_GUARD_BITS
-) -> RealPointFunction:
-    """g(x; y) = E_z f(c' + x + (c + y) ∧ z), as a table on 2n variables.
+) -> np.ndarray:
+    """2^n·g as an int32 table on 2n variables, g(x; y) = E_z f(c' + x + (c + y) ∧ z).
 
     The output point (x; y) is encoded as x | (y << n), matching the
-    spectrum encoding (α; β) -> α | (β << n).  Each entry is G[c' + x, c + y]
-    / 2^n with the integer sums G of ``_and_sums``, hence exact.  The guard
-    charges the 3n bits of (x, y, z).
+    spectrum encoding (α; β) -> α | (β << n).  Entry (x; y) is the integer
+    sum G[c' + x, c + y] of ``_and_sums``, so g is exact as the table / 2^n.
+    The guard charges the 3n bits of (x, y, z).
     """
     n = f.n
     c = _as_mask(c, n)
     c_prime = _as_mask(c_prime, n)
     check_guard(3 * n, guard_bits)
     idx = np.arange(1 << n)
-    sums = _and_sums(f.table)[c_prime ^ idx[None, :], c ^ idx[:, None]]
-    return RealPointFunction(2 * n, sums.reshape(-1) / (1 << n))
+    return _and_sums(f.table)[c_prime ^ idx[None, :], c ^ idx[:, None]].reshape(-1)
 
 
 def noisy_spectrum_law_deviation(
     f: BooleanFunction, c, c_prime, *, guard_bits: int = DEFAULT_GUARD_BITS
 ) -> float:
-    """Max over (α; β) of |ĝ(α;β)^2 - f̂(α)^2 1{β ⊆ α} 4^{-|α|}|."""
+    """Max over (α; β) of |ĝ(α;β)^2 - f̂(α)^2 1{β ⊆ α} 4^{-|α|}|, with ĝ the
+    int64 transform of noise_and_operator's 2^n·g (4^n entries of at most 2^n,
+    so no value passes 2^{3n}) divided once by 2^{3n}."""
     n = f.n
     g = noise_and_operator(f, c, c_prime, guard_bits=guard_bits)
-    g_sq = wht(g).coeffs ** 2
+    g_sq = (_butterfly(g.astype(np.int64)) / 2 ** (3 * n)) ** 2
     f_sq = wht(f).coeffs ** 2
     idx = np.arange(1 << n)
     subset = (idx[:, None] & ~idx[None, :]) == 0  # [β, α] -> β ⊆ α

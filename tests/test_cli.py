@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictatest import cli, fourier
+from dictatest import cli, fourier, gowers, testers
 from dictatest.cli import main
 from dictatest.families import parse_fnspec, random_folded
 from dictatest.functions import BooleanFunction, table_to_hex
@@ -747,3 +747,41 @@ def test_python_m_runs_main_and_the_package_root_loads_nothing(capsys):
         "or m.split('.')[0] == 'numpy'], dictatest.__version__)"
     )
     assert run_python(["-c", code]).stdout == "[] 0.1.0\n"
+
+
+# ---------------------------------------------------------------------------
+# One integer engine
+# ---------------------------------------------------------------------------
+
+# One call per subcommand and route; the gowers mc call reaches no transform.
+ENGINE_CALLS = [
+    "wht --fn random:3 --n 4",
+    "influence --fn random:4 --n 4 --degree 2",
+    "gowers --fn random:3 --n 3 --d 3 --method exact",
+    "gowers --fn random:3 --n 3 --d 2 --method mc --trials 300",
+    "basictest --fn random:5 --n 3 --method both",
+    "htest --complete-k 2 --n 2 --members all=random:1 --method exact",
+    "xcheck --law basic --n 3 --count 2",
+    "xcheck --law noise --n 3 --count 2",
+    "decode --n 4 --d 2 --coord 2 --rho 0.1 --tau 0.2 --w 2 --count 2",
+]
+
+
+def test_every_transform_runs_on_integer_tables(monkeypatch, capsys):
+    """No subcommand hands a float array to the butterfly: every transform runs
+    on int32/int64 tables, or Python ints past 62 bits."""
+    kinds = []
+    butterfly = fourier._butterfly
+
+    def recording(values):
+        kinds.append(values.dtype.kind)
+        return butterfly(values)
+
+    for module in (fourier, gowers, testers):  # where callers look it up
+        monkeypatch.setattr(module, "_butterfly", recording)
+    for argv in ENGINE_CALLS:
+        kinds.clear()
+        code, _ = run(argv.split(), capsys)
+        assert code == 0, argv
+        assert set(kinds) <= {"i", "O"}, (argv, kinds)
+        assert kinds or "--method mc" in argv, argv

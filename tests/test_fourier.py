@@ -21,7 +21,6 @@ from dictatest.fourier import (
 from dictatest.functions import (
     MAX_DIMENSION,
     BooleanFunction,
-    RealPointFunction,
     is_folded,
     make_folded,
 )
@@ -84,9 +83,7 @@ def test_wht_matches_naive_definition():
     for n in (1, 2, 3):
         for _ in range(10):
             f = random_boolean(n, rng)
-            assert np.allclose(wht(f).coeffs, naive_wht(f.table), atol=1e-12)
-            g = RealPointFunction(n, rng.uniform(-1, 1, size=1 << n))
-            assert np.allclose(wht(g).coeffs, naive_wht(g.table), atol=1e-12)
+            assert np.array_equal(wht(f).coeffs, naive_wht(f.table))
 
 
 def copying_butterfly(values):
@@ -262,9 +259,8 @@ def test_inverse_single_coefficient_gives_character():
 def test_inverse_roundtrip_100_random_tables():
     rng = np.random.default_rng(13)
     for _ in range(100):
-        f = RealPointFunction(4, rng.uniform(-1, 1, size=16))
-        back = inverse_wht(wht(f))
-        assert np.max(np.abs(back - f.table)) <= 1e-12
+        f = random_boolean(4, rng)
+        assert np.array_equal(inverse_wht(wht(f)), f.table)
 
 
 def test_inverse_zero_spectrum():
@@ -359,8 +355,8 @@ def influence_by_mask(s, i, w=None):
 @pytest.mark.parametrize("n", range(1, 15))
 def test_influences_equal_the_per_coordinate_masked_sums(n):
     rng = np.random.default_rng(200 + n)
-    for f in (random_boolean(n, rng), RealPointFunction(n, rng.uniform(-1, 1, size=1 << n))):
-        s = wht(f)
+    # a real-valued spectrum too, whose squares round, so the order of each sum counts
+    for s in (wht(random_boolean(n, rng)), Spectrum(n, rng.uniform(-1, 1, size=1 << n))):
         for w in (None, *range(n + 1)):
             expected = [influence_by_mask(s, i, w) for i in range(1, n + 1)]
             assert influences(s, w) == expected
@@ -395,12 +391,13 @@ def naive_subset_sums(coeffs):
 
 def test_subset_zeta_identities():
     rng = np.random.default_rng(16)
-    f = RealPointFunction(3, rng.uniform(-1, 1, size=8))
-    s = wht(f)
-    z = subset_zeta(s)
-    assert z[0] == s.coeffs[0]
-    # at the full set the sum is the inversion formula at the origin
-    assert abs(z[-1] - f.table[0]) <= 1e-12
+    for _ in range(10):
+        f = random_boolean(3, rng)
+        s = wht(f)
+        z = subset_zeta(s)
+        assert z[0] == s.coeffs[0]
+        # at the full set the sum is the inversion formula at the origin
+        assert z[-1] == f.table[0]
 
 
 def test_subset_zeta_matches_naive_double_loop():
@@ -442,23 +439,23 @@ def test_subset_sums_equal_the_block_add_loop_bit_for_bit(dtype, rows):
 
 
 def product(fs):
-    """The pointwise product of functions on one cube."""
-    return RealPointFunction(fs[0].n, np.prod([f.table for f in fs], axis=0))
+    """The pointwise product of ±1 functions on one cube."""
+    return BooleanFunction(fs[0].n, np.prod([f.table for f in fs], axis=0))
 
 
 def test_product_of_characters_is_character_sum():
     for a in range(8):
         for b in range(8):
-            prod = product([parity(3, a), parity(3, b)])
-            assert np.array_equal(prod.table, parity(3, a ^ b).table.astype(float))
+            assert product([parity(3, a), parity(3, b)]) == parity(3, a ^ b)
 
 
 def test_influence_of_product_bounded_functions():
+    """Tables in [-1, 1], transformed by the definition."""
     rng = np.random.default_rng(19)
     for _ in range(100):
-        fs = [RealPointFunction(3, rng.uniform(-1, 1, size=8)) for _ in range(3)]
-        prod_s = wht(product(fs))
-        member_s = [wht(f) for f in fs]
+        tables = rng.uniform(-1, 1, size=(3, 8))
+        prod_s = Spectrum(3, naive_wht(np.prod(tables, axis=0)))
+        member_s = [Spectrum(3, naive_wht(t)) for t in tables]
         for i in (1, 2, 3):
             bound = 3 * sum(influence(s, i) for s in member_s)
             assert influence(prod_s, i) <= bound + 1e-9

@@ -7,7 +7,6 @@ from dictatest.families import dictator, parity
 from dictatest.functions import (
     BooleanFunction,
     FoldedOracle,
-    RealPointFunction,
     folded_table,
     is_folded,
     make_folded,
@@ -44,8 +43,6 @@ def test_table_validation():
         BooleanFunction(1, np.array([1, 0], dtype=np.int8))
     with pytest.raises(ValueError):
         BooleanFunction(0, np.array([], dtype=np.int8))
-    with pytest.raises(ValueError):
-        RealPointFunction(1, np.array([1.0, -1.5]))
 
 
 def test_tables_are_immutable():
@@ -54,11 +51,9 @@ def test_tables_are_immutable():
         f.table[0] = -1
 
 
-@pytest.mark.parametrize("cls, dtype", [(BooleanFunction, np.int8),
-                                        (RealPointFunction, np.float64)])
-def test_construction_leaves_the_callers_array_writeable(cls, dtype):
-    a = np.array([1, -1, 1, -1], dtype=dtype)
-    f = cls(2, a)
+def test_construction_leaves_the_callers_array_writeable():
+    a = np.array([1, -1, 1, -1], dtype=np.int8)
+    f = BooleanFunction(2, a)
     assert a.flags.writeable and not f.table.flags.writeable
     a[0] = -1
     assert f.table[0] == 1

@@ -9,7 +9,7 @@ from dictatest import fourier, gowers
 from dictatest.errors import GuardExceeded
 from dictatest.families import dictator, noisy_dictator, parity, random_folded
 from dictatest.fourier import influence, low_degree_influence, wht
-from dictatest.functions import RealPointFunction
+from dictatest.functions import BooleanFunction
 from dictatest.gowers import (
     IndexedFamily,
     find_influential_pair,
@@ -19,8 +19,9 @@ from dictatest.gowers import (
 from dictatest.rng import mc_chunks
 
 
-def random_real(n, rng):
-    return RealPointFunction(n, rng.uniform(-1, 1, size=1 << n))
+def random_signs(n, rng):
+    """A uniformly random ±1 table, folded or not."""
+    return BooleanFunction(n, 1 - 2 * rng.integers(0, 2, size=1 << n))
 
 
 def brute_norm_pow(table, d):
@@ -101,7 +102,7 @@ def brute_linear_inner(tables, d):
 def linear_inner_product(fam):
     """<{f_S}>_{LU_d} through gowers._linear_sum, the engine of
     htest_prob_exact: 2^n times the sum over (x_1..x_d), divided once."""
-    stack = np.stack([m.table for m in fam.members])[None]
+    stack = np.stack([m.table for m in fam.members]).astype(np.int64)[None]
     return gowers._linear_sum(stack) / 2 ** ((fam.d + 1) * fam.n)
 
 
@@ -118,39 +119,38 @@ def norm_pow(f, d, **guard):
 def test_norm_u1_is_absolute_mean():
     rng = np.random.default_rng(30)
     for _ in range(20):
-        f = random_real(3, rng)
-        assert abs(norm_pow(f, 1) - f.table.mean() ** 2) <= 1e-12
+        f = random_signs(3, rng)
+        assert norm_pow(f, 1) == f.table.mean() ** 2
 
 
 def test_norm_u2_of_characters_is_one():
     for n in (1, 2, 3):
         for mask in range(1 << n):
-            assert abs(norm_pow(parity(n, mask), 2) - 1.0) <= 1e-12
+            assert norm_pow(parity(n, mask), 2) == 1.0
 
 
 def test_norm_u2_power_equals_fourth_moment_of_spectrum():
     rng = np.random.default_rng(31)
     for _ in range(20):
-        f = random_real(3, rng)
+        f = random_signs(3, rng)
         fourth = float(np.sum(wht(f).coeffs ** 4))
-        assert abs(norm_pow(f, 2) - fourth) <= 1e-10
+        assert norm_pow(f, 2) == fourth
 
 
 def test_recursion_matches_definition_and_brute_force():
     rng = np.random.default_rng(32)
     for n in (1, 2, 3):
         for _ in range(6):
-            f = random_real(n, rng)
+            f = random_signs(n, rng)
             for d in (1, 2, 3):
                 rec = norm_pow(f, d)
-                enum = definition_inner_product(IndexedFamily.constant(d, f))
-                assert abs(rec - enum) <= 1e-10
+                assert rec == definition_inner_product(IndexedFamily.constant(d, f))
                 if n <= 2 and d <= 2:
-                    assert abs(rec - brute_norm_pow(list(f.table), d)) <= 1e-10
+                    assert rec == brute_norm_pow(f.table.tolist(), d)
 
 
 def test_norm_guard_and_validation():
-    f = random_real(4, np.random.default_rng(33))
+    f = random_signs(4, np.random.default_rng(33))
     with pytest.raises(GuardExceeded):
         norm_pow(f, 7, guard_bits=26)
     with pytest.raises(ValueError):
@@ -167,7 +167,8 @@ def test_indexed_family_defaults_missing_members_to_one():
     assert len(fam.members) == 4
     assert np.array_equal(fam.members[0].table, dictator(3, 1).table)
     for mask in (1, 2, 3):
-        assert np.all(fam.members[mask].table == 1.0)
+        assert fam.members[mask].table.dtype == np.int8
+        assert np.all(fam.members[mask].table == 1)
 
 
 def test_indexed_family_validation():
@@ -177,6 +178,10 @@ def test_indexed_family_validation():
         IndexedFamily(2, 2, {0: dictator(3, 1)})
     with pytest.raises(ValueError):
         IndexedFamily(0, 2)
+    with pytest.raises(TypeError):  # members are ±1 functions, not raw tables
+        IndexedFamily(2, 2, {0: np.ones(4)})
+    with pytest.raises(TypeError):
+        IndexedFamily.constant(2, np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +192,22 @@ def test_indexed_family_validation():
 def test_inner_product_of_constant_family_is_norm_power():
     rng = np.random.default_rng(34)
     for d in (1, 2, 3):
-        f = random_real(2, rng)
+        f = random_signs(2, rng)
         fam = IndexedFamily.constant(d, f)
-        assert abs(
-            gowers_inner_product_exact(fam) - brute_norm_pow(list(f.table), d)
-        ) <= 1e-10
+        assert gowers_inner_product_exact(fam) == brute_norm_pow(f.table.tolist(), d)
 
 
-def test_inner_product_zero_member_kills_product():
-    f = random_real(2, np.random.default_rng(35))
-    fam = IndexedFamily(2, 2, {0: f, 1: RealPointFunction(2, np.zeros(4)), 2: f, 3: f})
-    assert gowers_inner_product_exact(fam) == 0.0
+def test_inner_product_with_one_nonconstant_character_is_zero():
+    # E χ_α(x + x_1 + x_2) = 0 for α != 0, whatever the other members
+    for alpha in range(1, 4):
+        fam = IndexedFamily(2, 2, {3: parity(2, alpha)})
+        assert gowers_inner_product_exact(fam) == 0.0
+        assert definition_inner_product(fam) == 0.0
 
 
 def test_inner_product_exact_vs_mc_three_sigma():
     rng = np.random.default_rng(36)
-    fam = IndexedFamily(2, 2, {m: random_real(2, rng) for m in range(4)})
+    fam = IndexedFamily(2, 2, {m: random_signs(2, rng) for m in range(4)})
     exact = gowers_inner_product_exact(fam)
     est, se = gowers_inner_product_mc(fam, 200_000, 77)
     assert abs(est - exact) <= 3 * se + 1e-9
@@ -229,7 +234,7 @@ def per_mask_mc(fam, trials, seed):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_inner_product_mc_equals_the_per_mask_products(d):
     rng = np.random.default_rng(50 + d)
-    fam = IndexedFamily(d, 6, {m: random_real(6, rng) for m in range(1 << d)})
+    fam = IndexedFamily(d, 6, {m: random_signs(6, rng) for m in range(1 << d)})
     assert gowers_inner_product_mc(fam, 70_000, d) == per_mask_mc(fam, 70_000, d)
 
 
@@ -244,8 +249,7 @@ def test_inner_product_exact_refuses_over_guard_where_mc_runs():
 
 def sign_families(d, n, seed):
     rng = np.random.default_rng(seed)
-    signs = {m: RealPointFunction(n, 1 - 2 * rng.integers(0, 2, size=1 << n))
-             for m in range(1 << d)}
+    signs = {m: random_signs(n, rng) for m in range(1 << d)}
     constants = [random_folded(n, (seed, d)), parity(n, (1 << n) - 1), dictator(n, n)]
     return [IndexedFamily(d, n, signs)] + [IndexedFamily.constant(d, f) for f in constants]
 
@@ -259,55 +263,77 @@ def test_inner_products_equal_definition_exactly_on_sign_families():
                 assert linear == definition_linear_inner_product(fam)
 
 
-def test_inner_products_match_definition_on_real_families():
-    rng = np.random.default_rng(41)
-    for d in (1, 2, 3, 4):
-        for n in (1, 2, 3):
-            fam = IndexedFamily(d, n, {m: random_real(n, rng) for m in range(1 << d)})
-            exact = gowers_inner_product_exact(fam)
-            assert abs(exact - definition_inner_product(fam)) <= 1e-12
-            linear = linear_inner_product(fam)
-            assert abs(linear - definition_linear_inner_product(fam)) <= 1e-12
-
-
 @st.composite
 def small_indexed_families(draw):
     d, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    values = st.sampled_from([-1.0, 1.0]) if draw(st.booleans()) else st.floats(-1, 1)
-    tables = draw(st.lists(st.lists(values, min_size=1 << n, max_size=1 << n),
-                           min_size=1 << d, max_size=1 << d))
-    return IndexedFamily(d, n, {m: RealPointFunction(n, t) for m, t in enumerate(tables)})
+    tables = draw(st.lists(
+        st.lists(st.sampled_from([-1, 1]), min_size=1 << n, max_size=1 << n),
+        min_size=1 << d, max_size=1 << d))
+    return IndexedFamily(d, n, {m: BooleanFunction(n, t) for m, t in enumerate(tables)})
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_indexed_families())
 def test_inner_products_match_definition_property(fam):
-    signs = all(np.all(np.abs(m.table) == 1.0) for m in fam.members)
-    tolerance = 0.0 if signs else 1e-12
-    exact = gowers_inner_product_exact(fam)
-    assert abs(exact - definition_inner_product(fam)) <= tolerance
-    linear = linear_inner_product(fam)
-    assert abs(linear - definition_linear_inner_product(fam)) <= tolerance
+    assert gowers_inner_product_exact(fam) == definition_inner_product(fam)
+    assert linear_inner_product(fam) == definition_linear_inner_product(fam)
+
+
+def recorded_count_dtypes(monkeypatch, forced=None):
+    """The dtypes gowers._count_dtype picks from now on; ``forced`` overrides them."""
+    chosen, count_dtype = [], gowers._count_dtype
+
+    def pick(bits):
+        chosen.append(forced or count_dtype(bits))
+        return chosen[-1]
+
+    monkeypatch.setattr(gowers, "_count_dtype", pick)
+    return chosen
+
+
+def test_inner_product_exact_in_python_ints_equals_int64(monkeypatch):
+    """The U_2 bottom sums switch to Python ints past 62 bits; forced there,
+    the total must equal the int64 total and the definition."""
+    cases = [fam for d in (2, 3) for n in (1, 2, 3)
+             for fam in sign_families(d, n, 60 + 10 * d + n)]
+    chosen = recorded_count_dtypes(monkeypatch)
+    expected = [gowers_inner_product_exact(fam) for fam in cases]
+    assert set(chosen) == {np.int64}
+    forced = recorded_count_dtypes(monkeypatch, object)
+    for fam, value in zip(cases, expected):
+        assert gowers_inner_product_exact(fam) == value == definition_inner_product(fam)
+    assert len(forced) >= len(cases)  # every total ran through a Python-int bottom
+
+
+@pytest.mark.parametrize("d, n", [(2, 15), (2, 16), (3, 4)])
+def test_u2_sums_switch_to_python_ints_only_past_62_bits(d, n, monkeypatch):
+    """A character family reaches each bottom sum's bound b·2^{4n}, so the
+    switch point matters: at d = 2 the one sum is 2^{4n}, in int64 up to
+    n = 15 and on Python ints from n = 16; both must read exactly 1."""
+    chosen = recorded_count_dtypes(monkeypatch)
+    fam = IndexedFamily.constant(d, parity(n, (1 << n) - 1))
+    assert gowers_inner_product_exact(fam, guard_bits=(d + 1) * n) == 1.0
+    assert set(chosen) == {object if 4 * n + 1 > 62 else np.int64}
 
 
 def test_linear_inner_product_all_dictators_is_one():
     for d in (2, 3):
         fam = IndexedFamily.constant(d, dictator(3, 2))
-        assert abs(linear_inner_product(fam) - 1.0) <= 1e-12
+        assert linear_inner_product(fam) == 1.0
 
 
 def test_linear_inner_product_single_character_member():
     # only the full-set member is a nontrivial character: expectation 0
     fam = IndexedFamily(2, 2, {3: parity(2, 3)})
-    assert abs(linear_inner_product(fam)) <= 1e-12
+    assert linear_inner_product(fam) == 0.0
 
 
 def test_linear_inner_product_matches_brute_force():
     rng = np.random.default_rng(37)
     for _ in range(10):
-        fam = IndexedFamily(2, 2, {m: random_real(2, rng) for m in range(4)})
-        brute = brute_linear_inner([list(m.table) for m in fam.members], 2)
-        assert abs(linear_inner_product(fam) - brute) <= 1e-12
+        stack = rng.integers(-3, 4, size=(1, 4, 4))
+        brute = brute_linear_inner(stack[0].tolist(), 2)
+        assert gowers._linear_sum(stack) / 2 ** (3 * 2) == brute
 
 
 def brute_linear_sum(tables, d):
@@ -322,17 +348,16 @@ def brute_linear_sum(tables, d):
 
 
 def test_linear_sums_of_integer_members_equal_brute_force():
-    """{-1, 0, 1} members keep every sum an exact float; wider integer members
-    give 2^n times the exact sum in Python ints, and that sum modulo 2^64 in
-    wrapping int64."""
+    """{-1, 0, 1} members give 2^n times the exact sum in int64; wider integer
+    members give it in Python ints, and that sum modulo 2^64 in wrapping
+    int64."""
     rng = np.random.default_rng(42)
     for d in (1, 2, 3, 4):
         for n in (1, 2):
             for _ in range(2):
-                tables = rng.integers(-1, 2, size=(1 << d, 1 << n)).astype(np.float64)
-                fam = IndexedFamily(d, n, {m: RealPointFunction(n, t) for m, t in enumerate(tables)})
-                expected = brute_linear_sum(tables.astype(np.int64).tolist(), d)
-                assert linear_inner_product(fam) == expected / 2 ** (d * n)
+                small = rng.integers(-1, 2, size=(1, 1 << d, 1 << n))
+                expected = brute_linear_sum(small[0].tolist(), d) << n
+                assert gowers._linear_sum(small) == expected
                 wide = rng.integers(0, 1 << 20, size=(1, 1 << d, 1 << n))
                 expected = brute_linear_sum(wide[0].tolist(), d) << n
                 assert gowers._linear_sum(wide.astype(object)) == expected
@@ -341,14 +366,13 @@ def test_linear_sums_of_integer_members_equal_brute_force():
 
 def test_linear_inner_product_is_multilinear():
     rng = np.random.default_rng(38)
-    fam = IndexedFamily(2, 2, {m: random_real(2, rng) for m in range(4)})
-    base = linear_inner_product(fam)
-    for c in (0.0, 0.5, -1.0):
-        members = dict(enumerate(fam.members))
-        members[2] = RealPointFunction(2, c * fam.members[2].table)
-        scaled = IndexedFamily(2, 2, members)
-        value = linear_inner_product(scaled)
-        assert abs(value - c * base) <= 1e-12
+    stack = rng.integers(-5, 6, size=(1, 4, 4))
+    base = gowers._linear_sum(stack)
+    for mask in range(4):
+        for c in (0, 3, -2, -1):
+            scaled = stack.copy()
+            scaled[0, mask] *= c
+            assert gowers._linear_sum(scaled) == c * base
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +435,7 @@ def decoder_families():
     rng = np.random.default_rng(41)
     planted = noisy_dictator(6, 4, 0.1, 7)
     yield IndexedFamily(2, 6, {0: random_folded(6, 1), 1: planted, 3: planted})
-    yield IndexedFamily(3, 5, {m: random_real(5, rng) for m in range(8)})
+    yield IndexedFamily(3, 5, {m: random_signs(5, rng) for m in range(8)})
     yield IndexedFamily.constant(2, parity(4, 0b0110))
 
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dictatest import fourier, functions, testers
 from dictatest import rng as rng_module
-from dictatest import testers
 from dictatest.errors import GuardExceeded, InvariantViolation
 from dictatest.families import (
     dictator,
@@ -820,8 +820,10 @@ def test_exact_counts_in_python_ints_match_int64(monkeypatch):
         return [htest_prob_exact(fam) for fam in fams] + [basic_test_prob_exact(f) for f in fs]
 
     expected = values()
-    monkeypatch.setattr(testers, "_count_dtype", lambda bits: object)
+    calls = []
+    monkeypatch.setattr(testers, "_count_dtype", lambda bits: calls.append(bits) or object)
     assert values() == expected
+    assert len(calls) == len(fams) + len(fs)  # every call took the Python-int branch
 
 
 def test_basic_fourier_cube_keeps_the_pow_floats():
@@ -873,6 +875,25 @@ def test_basic_fourier_equals_the_float64_formula(n):
         assert wide.tolist() == [1 << 19]
         c = counts[wide] / (1 << n)
         assert np.all(c * c * c != c**3)
+
+
+def test_basic_routes_check_the_fold_once(monkeypatch):
+    """require_folded's check is handed to spectrum_counts' route choice, which
+    runs it itself only when called on its own."""
+    n = fourier._FOLDED_MIN_N  # the first size whose route depends on the fold
+    f = random_folded(n, 3)
+    expected = basic_test_prob_fourier(f), basic_test_prob_exact(f, guard_bits=4 * n)
+    calls = []
+    is_folded = functions.is_folded
+    counting = lambda g: calls.append(g) or is_folded(g)  # noqa: E731
+    monkeypatch.setattr(functions, "is_folded", counting)  # require_folded's check
+    monkeypatch.setattr(fourier, "is_folded", counting)  # the route choice's
+    assert basic_test_prob_fourier(f) == expected[0]
+    assert basic_test_prob_exact(f, guard_bits=4 * n) == expected[1]
+    assert calls == [f, f]
+    calls.clear()
+    assert np.array_equal(spectrum_counts(f), _butterfly(f.table.astype(np.int32)))
+    assert calls == [f]
 
 
 def test_basic_exact_beyond_int64_counts():
@@ -966,29 +987,28 @@ def test_htest_no_edges_always_accepts():
 def test_noise_operator_constant():
     const = BooleanFunction(2, np.ones(4, dtype=np.int8))
     g = noise_and_operator(const, 0, 0)
-    assert np.all(g.table == 1.0)
-    assert g.n == 4
+    assert g.dtype == np.int32 and g.shape == (16,)
+    assert np.all(g == 4)  # 2^n·g with g = 1
 
 
 def test_noise_operator_dictator_spectrum():
     g = noise_and_operator(dictator(3, 2), 0, 0)
-    coeffs = wht(g).coeffs
-    nonzero = {alpha for alpha, c in enumerate(coeffs) if abs(c) > 1e-12}
+    coeffs = _butterfly(g.astype(np.int64)) / 2**9  # ĝ = WHT(2^n·g) / (2^n·4^n)
+    nonzero = {alpha for alpha, c in enumerate(coeffs) if c != 0.0}
     e2 = 1 << 1
     assert nonzero == {e2, e2 | (e2 << 3)}
     for alpha in nonzero:
-        assert abs(coeffs[alpha] ** 2 - 0.25) <= 1e-12
+        assert coeffs[alpha] ** 2 == 0.25
 
 
 def test_noise_operator_spectrum_law_random():
+    """The law holds exactly: every deviation is 0.0, not just small."""
     rng = np.random.default_rng(90)
-    worst = 0.0
-    for _ in range(50):
-        f = BooleanFunction(3, 1 - 2 * rng.integers(0, 2, size=8))
-        c = int(rng.integers(0, 8))
-        c_prime = int(rng.integers(0, 8))
-        worst = max(worst, noisy_spectrum_law_deviation(f, c, c_prime))
-    assert worst <= 1e-10
+    for n in range(1, 9):
+        for _ in range(20):
+            f = BooleanFunction(n, 1 - 2 * rng.integers(0, 2, size=1 << n))
+            c, c_prime = (int(v) for v in rng.integers(0, 1 << n, size=2))
+            assert noisy_spectrum_law_deviation(f, c, c_prime) == 0.0, (n, c, c_prime)
 
 
 def per_y_noise_table(f, c, c_prime):
@@ -1010,7 +1030,7 @@ def test_noise_operator_equals_per_y_sums():
             f = BooleanFunction(n, 1 - 2 * rng.integers(0, 2, size=1 << n))
             c, c_prime = (int(v) for v in rng.integers(0, 1 << n, size=2))
             g = noise_and_operator(f, c, c_prime)
-            assert np.array_equal(g.table, per_y_noise_table(f, c, c_prime))
+            assert np.array_equal(g / (1 << n), per_y_noise_table(f, c, c_prime))
 
 
 def test_noise_operator_dimension_mismatch():
