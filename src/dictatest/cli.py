@@ -42,7 +42,7 @@ from .families import (
     _int_lists, build_family, load_family, parse_fnspec, planted_decoder_family,
     random_family, random_folded, read_json_object,
 )
-from .fourier import hamming_weights, influences, wht
+from .fourier import hamming_weights, influences, spectrum_counts, wht
 from .functions import BooleanFunction, check_dimension, table_to_hex
 from .gowers import (
     IndexedFamily, find_influential_pair, gowers_inner_product_exact,
@@ -232,16 +232,15 @@ def _hypergraph(cfg: Config) -> Hypergraph:
 
 def _run_wht(cfg: Config) -> dict:
     _require(cfg, "n", "fn")
-    spectrum = wht(parse_fnspec(cfg.fn, cfg.n))
     return {"alpha_hex": [format(alpha, "x") for alpha in range(1 << cfg.n)],
-            "weight": hamming_weights(cfg.n), "coeff": spectrum.coeffs}
+            "weight": hamming_weights(cfg.n), "coeff": wht(parse_fnspec(cfg.fn, cfg.n))}
 
 
 def _run_influence(cfg: Config) -> dict:
     _require(cfg, "n", "fn")
-    spectrum = wht(parse_fnspec(cfg.fn, cfg.n))
-    low = [None] * cfg.n if cfg.w is None else influences(spectrum, cfg.w)
-    return {"coord": list(range(1, cfg.n + 1)), "influence": influences(spectrum),
+    counts = spectrum_counts(parse_fnspec(cfg.fn, cfg.n))
+    low = [None] * cfg.n if cfg.w is None else influences(counts, cfg.w)
+    return {"coord": list(range(1, cfg.n + 1)), "influence": influences(counts),
             "low_degree": low}
 
 
@@ -381,7 +380,7 @@ def _run_decode(cfg: Config) -> dict:
     for s in _count(cfg):
         start = time.perf_counter()
         fam, _ = planted_decoder_family(cfg.d, cfg.n, cfg.coord, cfg.rho, (cfg.seed, s))
-        found = find_influential_pair(fam, cfg.w, cfg.tau)
+        found = find_influential_pair(fam.members, cfg.w, cfg.tau)
         rows.append(ReportRow(
             experiment="decode", n=cfg.n, k=cfg.d,
             family=f"planted[{s}]:dict@{cfg.coord},rho={cfg.rho}", method="exact",

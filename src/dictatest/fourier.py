@@ -6,10 +6,11 @@ Coefficients follow the averaging convention: coeffs[α] = 2^{-n} Σ_x f(x)
 once at the end, so boolean inputs give exactly representable dyadic
 coefficients.
 
-``wht`` takes only a ±1 table, which ``spectrum_counts`` transforms in int32,
-as it does for ``testers.basic_test_prob_fourier`` (also for its subset sums
-of the counts).  Every butterfly intermediate is a signed sum of at most 2^n
-entries, and every subset-sum intermediate of the counts is
+A spectrum is the int32 array ``spectrum_counts(f)`` = 2^n·f̂ of a ±1 table;
+``wht`` divides it once by 2^n for the one report of floats, and
+``testers.basic_test_prob_fourier`` also takes subset sums of the counts.
+Every butterfly intermediate is a signed sum of at most 2^n entries, and
+every subset-sum intermediate of the counts is
 Σ_x f(x) χ_H(x) Π_{i∈L} (1 + (-1)^{x_i}) for disjoint sets H and L, whose
 product is 2^{|L|} on a 2^{-|L|} share of the points, so both stay within
 2^n <= 2^MAX_DIMENSION = 2^24 < 2^31.  A float64 transform of the same
@@ -25,18 +26,18 @@ than the route's fixed per-call overhead.
 The butterfly has constant geometry (Pease): each stage combines adjacent
 entries into the other buffer, sums to its low half and differences to its
 high half, which leaves natural order and the in-place butterfly's sum tree.
-``influences`` gives all n (low-degree) influences from one squared
-spectrum, each summed over a contiguous index-ordered copy so that it is the
-float a one-coordinate sum gives.
+``influences`` gives all n (low-degree) influences from one spectrum
+squared in int64: each square is at most 2^{2n} <= 2^48, and by Parseval
+the squared counts of a ±1 table sum to 4^n, so every partial sum is an
+exact integer below 2^53; each influence is one such sum divided once by
+4^n, an exact float.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .functions import BooleanFunction, _set_table, is_folded
+from .functions import BooleanFunction, is_folded
 
 
 def _butterfly(values: np.ndarray) -> np.ndarray:
@@ -68,20 +69,9 @@ def hamming_weights(n: int) -> np.ndarray:
     return w.astype(np.int64)
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """The 2^n Fourier coefficients of a function on {0,1}^n."""
-
-    n: int
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        _set_table(self, "coeffs", np.float64)
-
-
-def wht(f: BooleanFunction) -> Spectrum:
-    """Fourier transform of a ±1 table: the int32 ``spectrum_counts`` / 2^n."""
-    return Spectrum(f.n, spectrum_counts(f) / (1 << f.n))
+def wht(f: BooleanFunction) -> np.ndarray:
+    """Fourier coefficients of a ±1 table as float64: ``spectrum_counts`` / 2^n."""
+    return spectrum_counts(f) / (1 << f.n)
 
 
 def _odd_weights(m: int) -> np.ndarray:
@@ -103,20 +93,16 @@ def _odd_weights(m: int) -> np.ndarray:
 _FOLDED_MIN_N = 13
 
 
-def spectrum_counts(f: BooleanFunction) -> np.ndarray:
+def spectrum_counts(f: BooleanFunction, folded: bool | None = None) -> np.ndarray:
     """Unnormalized integer transform counts[α] = 2^n * f̂(α), exact in int32.
 
     Stage t of the butterfly holds signed sums of 2^t entries of ±1, so no
     value exceeds 2^n <= 2^MAX_DIMENSION = 2^24 in magnitude.  From n =
     _FOLDED_MIN_N on, a folded table takes ``_folded_counts``, one butterfly
-    of 2^{n-1} entries instead of 2^n.
+    of 2^{n-1} entries instead of 2^n.  A caller that already knows whether
+    f is folded passes ``folded``; None checks it, only where the route
+    depends on it.
     """
-    return _spectrum_counts(f, None)
-
-
-def _spectrum_counts(f: BooleanFunction, folded: bool | None) -> np.ndarray:
-    """spectrum_counts, for a caller that may already know whether f is folded
-    (``folded``); None checks it, and only where the route depends on it."""
     if f.n < _FOLDED_MIN_N or not (is_folded(f) if folded is None else folded):
         return _butterfly(f.table.astype(np.int32))
     return _folded_counts(f.table)
@@ -140,44 +126,42 @@ def _folded_counts(table: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _check_coordinate(n: int, i: int) -> int:
-    i = int(i)
+def _check_coordinate(counts: np.ndarray, i: int) -> int:
+    i, n = int(i), counts.size.bit_length() - 1
     if not 1 <= i <= n:
         raise ValueError(f"coordinate {i} out of range for n={n}")
     return i
 
 
-def influences(s: Spectrum, w: int | None = None) -> list[float]:
-    """[I_1(f), ..., I_n(f)], or the low-degree I_i^{<=w}(f) given w.
+def influences(counts: np.ndarray, w: int | None = None) -> list[float]:
+    """[I_1(f), ..., I_n(f)] from f's ``spectrum_counts``, or the low-degree
+    I_i^{<=w}(f) given w.
 
-    Squares the spectrum once for all n coordinates, and given w keeps only
-    the indices with |α| <= w.  Entry i-1 sums the α_i = 1 squares copied
-    contiguously in index order, so it is the float the one-coordinate sum
-    would give.
+    Squares the counts once for all n coordinates, and given w keeps only
+    the indices with |α| <= w.  Entry i-1 is the int64 sum of the α_i = 1
+    squares divided once by 4^n.
     """
-    if w is not None and not 0 <= int(w) <= s.n:
-        raise ValueError(f"degree bound {int(w)} out of range for n={s.n}")
-    squares = s.coeffs**2
-    if w is not None:
-        low = np.flatnonzero(hamming_weights(s.n) <= int(w))
+    n = counts.size.bit_length() - 1
+    if w is not None and not 0 <= int(w) <= n:
+        raise ValueError(f"degree bound {int(w)} out of range for n={n}")
+    squares = np.square(counts, dtype=np.int64)
+    if w is None:  # the α_i = 1 blocks
+        sums = [squares.reshape(-1, 2, 1 << (i - 1))[:, 1].sum() for i in range(1, n + 1)]
+    else:
+        low = np.flatnonzero(hamming_weights(n) <= int(w))
         squares = squares[low]
-        return [float(np.sum(squares[(low >> (i - 1)) & 1 == 1])) for i in range(1, s.n + 1)]
-    out = []
-    for i in range(1, s.n + 1):
-        half = squares.reshape(-1, 2, 1 << (i - 1))[:, 1]  # the α_i = 1 blocks
-        out.append(float(np.sum(half.ravel())))
-    return out
+        sums = [squares[(low >> (i - 1)) & 1 == 1].sum() for i in range(1, n + 1)]
+    return [int(total) / 4**n for total in sums]
 
 
-def influence(s: Spectrum, i: int) -> float:
-    """I_i(f) = Σ_{α: α_i = 1} f̂(α)^2."""
-    return influences(s)[_check_coordinate(s.n, i) - 1]
+def influence(counts: np.ndarray, i: int) -> float:
+    """I_i(f) = Σ_{α: α_i = 1} f̂(α)^2, from f's ``spectrum_counts``."""
+    return influences(counts)[_check_coordinate(counts, i) - 1]
 
 
-def low_degree_influence(s: Spectrum, i: int, w: int) -> float:
+def low_degree_influence(counts: np.ndarray, i: int, w: int) -> float:
     """I_i^{<=w}(f): the influence sum restricted to |α| <= w."""
-    i = _check_coordinate(s.n, i)
-    return influences(s, w)[i - 1]
+    return influences(counts, w)[_check_coordinate(counts, i) - 1]
 
 
 def _subset_sums(values: np.ndarray) -> np.ndarray:
@@ -200,6 +184,6 @@ def _subset_sums(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def subset_zeta(s: Spectrum) -> np.ndarray:
+def subset_zeta(coeffs: np.ndarray) -> np.ndarray:
     """out[α] = Σ_{β ⊆ α} coeffs[β], by the O(n 2^n) subset-sum transform."""
-    return _subset_sums(s.coeffs.copy())
+    return _subset_sums(np.array(coeffs))

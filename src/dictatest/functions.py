@@ -30,21 +30,6 @@ def check_dimension(n: int) -> int:
     return n
 
 
-def _set_table(obj, name: str, dtype) -> np.ndarray:
-    """Store obj.<name> as a read-only ``dtype`` array of length 2^obj.n,
-    copying the caller's array rather than freezing it."""
-    check_dimension(obj.n)
-    given = getattr(obj, name)
-    arr = np.asarray(given, dtype=dtype)
-    if arr is given:
-        arr = arr.copy()
-    if arr.shape != (1 << obj.n,):
-        raise ValueError(f"{name} must have length {1 << obj.n}, got {arr.shape}")
-    arr.setflags(write=False)
-    object.__setattr__(obj, name, arr)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class BooleanFunction:
     """A function {0,1}^n -> {-1,+1} given by its full truth table."""
@@ -61,8 +46,17 @@ class BooleanFunction:
         return hash((self.n, self.table.tobytes()))
 
     def __post_init__(self):
-        if not np.all(np.abs(_set_table(self, "table", np.int8)) == 1):
+        """Store a read-only int8 copy of the table, never freezing the caller's array."""
+        check_dimension(self.n)
+        table = np.asarray(self.table, dtype=np.int8)
+        if table is self.table:
+            table = table.copy()
+        if table.shape != (1 << self.n,):
+            raise ValueError(f"table must have length {1 << self.n}, got {table.shape}")
+        if not np.all(np.abs(table) == 1):
             raise ValueError("table entries must be -1 or +1")
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
 
 
 class FoldedOracle:

@@ -14,6 +14,9 @@ the caller picks the route and reports it.  Monte Carlo draws come in
 per-chunk sub-streams derived by counter (``rng.mc_chunks``), so estimates
 are reproducible.  The linear inner product LU_d exists only as the
 undivided ``_linear_sum``, on which ``testers.htest_prob_exact`` runs.
+
+The decoder ``find_influential_pair`` reads the exact integer influences of
+any sequence of ±1 functions, such as an ``IndexedFamily``'s members.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DEFAULT_GUARD_BITS, check_guard
-from .fourier import _butterfly, influences, wht
+from .fourier import _butterfly, influences, spectrum_counts
 from .functions import BooleanFunction, check_dimension
 from .rng import mc_chunks
 
@@ -171,18 +174,24 @@ def gowers_inner_product_mc(
 
 
 def find_influential_pair(
-    fam: IndexedFamily, w: int | None, tau: float
+    members, w: int | None, tau: float
 ) -> tuple[int, int, int] | None:
-    """Search for two members sharing an influential variable.
+    """Search a sequence of ±1 functions for two sharing an influential variable.
 
-    Returns the (S, T, i) maximizing min(I_i(f_S), I_i(f_T)) over S != T and
-    coordinates i, provided that minimum reaches tau; None otherwise.  With
-    an integer w the low-degree influences I_i^{<=w} are used instead.  Ties
-    break toward the smallest (i, S, T).
+    Returns the (S, T, i) maximizing min(I_i(members[S]), I_i(members[T]))
+    over positions S != T and coordinates i, provided that minimum reaches
+    tau; None otherwise.  For an ``IndexedFamily``'s members the positions
+    are the subset masks.  With an integer w the low-degree influences
+    I_i^{<=w} are used instead.  Ties break toward the smallest (i, S, T).
+    A member listed twice is transformed once.
     """
-    if tau <= 0.0:
-        raise ValueError(f"threshold must be positive, got {tau}")
-    table = [influences(wht(m), w) for m in fam.members]  # table[S][i-1]
+    if not 0.0 < tau < np.inf:  # also refuses nan
+        raise ValueError(f"threshold must be positive and finite, got {tau}")
+    if len(members) < 2 or len({m.n for m in members}) != 1:
+        raise ValueError("need at least two members on one cube")
+    distinct = {id(m): m for m in members}
+    by_id = {key: influences(spectrum_counts(m), w) for key, m in distinct.items()}
+    table = [by_id[id(m)] for m in members]  # table[S][i-1]
 
     best: tuple[int, int, int] | None = None
     best_value = tau

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DEFAULT_GUARD_BITS, check_guard
-from .fourier import _butterfly, _spectrum_counts, _subset_sums, hamming_weights, wht
+from .fourier import _butterfly, _subset_sums, hamming_weights, spectrum_counts, wht
 from .functions import BooleanFunction, FoldedOracle, folded_table, require_folded
 from .gowers import _count_dtype, _linear_sum
 # _MC_CHUNK is bound here for bench/spans.py, which counts htest_prob_mc chunks.
@@ -269,7 +269,7 @@ def basic_test_prob_exact(
     n = f.n
     check_guard(4 * n, guard_bits)
     points = 1 << n
-    counts = _spectrum_counts(f, True).astype(_count_dtype(4 * n))
+    counts = spectrum_counts(f, True).astype(_count_dtype(4 * n))
     pair_count = (points * points + _butterfly(counts**3) // points) // 2
     idx = np.arange(points)
     shifts = np.where(folded_table(f) < 0, idx ^ (points - 1), idx)
@@ -291,7 +291,7 @@ def basic_test_prob_fourier(f: BooleanFunction) -> float:
     require_folded(f)
     n = f.n
     size = 1 << n
-    counts = _spectrum_counts(f, True)  # folded: require_folded checked it
+    counts = spectrum_counts(f, True)  # folded: require_folded checked it
     # The terms are made in blocks of cache-sized float64 arrays, each with
     # the floats of the whole-array pipeline: both divisions by 2^n are exact
     # (the int32 sums are the float64 transforms' integers), and c*c*c and pow
@@ -500,7 +500,7 @@ def noisy_spectrum_law_deviation(
     n = f.n
     g = noise_and_operator(f, c, c_prime, guard_bits=guard_bits)
     g_sq = (_butterfly(g.astype(np.int64)) / 2 ** (3 * n)) ** 2
-    f_sq = wht(f).coeffs ** 2
+    f_sq = wht(f) ** 2
     idx = np.arange(1 << n)
     subset = (idx[:, None] & ~idx[None, :]) == 0  # [β, α] -> β ⊆ α
     weights = hamming_weights(n).astype(np.float64)

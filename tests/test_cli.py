@@ -130,6 +130,14 @@ def test_influence_degree_out_of_range_exits_2_naming_it(w, capsys):
     assert out.err == f"error: degree bound {w} out of range for n=3\n"
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf", "0", "-0.5"])
+def test_decode_threshold_not_positive_and_finite_exits_2(tau, capsys):
+    argv = ["decode", "--n", 4, "--d", 2, "--coord", 1, "--rho", 0.1, "--tau", tau, "--count", 1]
+    code, out = run(argv, capsys)
+    assert (code, out.out) == (2, "")
+    assert out.err == f"error: threshold must be positive and finite, got {float(tau)}\n"
+
+
 def test_unreadable_config_file_exits_2(tmp_path, capsys):
     code, _ = run(["wht", "--config", tmp_path / "missing.json"], capsys)
     assert code == 2
@@ -529,7 +537,7 @@ def test_write_report_formats_each_numpy_value_as_its_builtin(tmp_path):
 @pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
 def test_wht_report_equals_the_per_row_spectrum(as_json, capsys):
     n = 12
-    coeffs = fourier.wht(parse_fnspec("random:3", n)).coeffs
+    coeffs = fourier.wht(parse_fnspec("random:3", n))
     records = [{"alpha_hex": format(alpha, "x"), "weight": bin(alpha).count("1"),
                 "coeff": float(coeffs[alpha])} for alpha in range(1 << n)]
     code, out = run(["wht", "--fn", "random:3", "--n", n] + ["--json"] * as_json, capsys)
@@ -785,3 +793,32 @@ def test_every_transform_runs_on_integer_tables(monkeypatch, capsys):
         assert code == 0, argv
         assert set(kinds) <= {"i", "O"}, (argv, kinds)
         assert kinds or "--method mc" in argv, argv
+
+
+TRACED_CALLS = ENGINE_CALLS + [
+    "gowers --fn random:3 --n 3 --d 2 --method auto --trials 300",
+    "htest --complete-k 2 --n 2 --members all=random:1 --method mc --trials 300",
+    "htest --complete-k 2 --n 2 --random-families 1 --trials 300",
+]
+# traced names that only library callers reach
+LIBRARY_ONLY = {"fourier.subset_zeta", "fourier.influence", "fourier.low_degree_influence"}
+
+
+def test_every_subcommand_runs_under_the_bench_tracer(monkeypatch, capsys):
+    """bench/run.py --trace 1 wraps the functions in spans.TRACED by name and
+    reads their arguments; a changed name or signature must fail here."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    spans = importlib.import_module("spans")
+    original = fourier.wht
+    tracer = spans.Tracer()
+    uninstall = tracer.install()
+    try:
+        for argv in TRACED_CALLS:
+            code = cli.main(argv.split())  # through cli, where the tracer wraps main
+            capsys.readouterr()
+            assert code == 0, argv
+    finally:
+        uninstall()
+    assert fourier.wht is original
+    assert {argv.split()[0] for argv in TRACED_CALLS} == set(cli.COMMANDS)
+    assert {span.name for span in tracer.spans} == set(spans.TRACED) - LIBRARY_ONLY

@@ -16,7 +16,7 @@ from dictatest.families import (
     random_family,
     random_folded,
 )
-from dictatest.fourier import influence, low_degree_influence, wht
+from dictatest.fourier import influence, low_degree_influence, spectrum_counts, wht
 from dictatest.functions import is_folded, make_folded, refold, table_to_hex
 from dictatest.rng import derive_rng, seed_key
 from dictatest.testers import (
@@ -39,7 +39,7 @@ def test_dictator_table_and_spectrum():
         for i in range(1, n + 1):
             f = dictator(n, i)
             assert is_folded(f)
-            coeffs = wht(f).coeffs
+            coeffs = wht(f)
             assert coeffs[1 << (i - 1)] == 1.0
             assert np.count_nonzero(coeffs) == 1
     with pytest.raises(ValueError):
@@ -68,7 +68,7 @@ def test_random_folded_properties():
     assert random_folded(5, 7) == random_folded(5, 7)
     assert random_folded(5, 7) != random_folded(5, 8)
     # folding forces every sample's mean (hence its empirical average) to 0
-    means = [wht(random_folded(4, s)).coeffs[0] for s in range(100)]
+    means = [wht(random_folded(4, s))[0] for s in range(100)]
     assert means == [0.0] * 100
 
 
@@ -89,7 +89,7 @@ def test_noisy_dictator_zero_noise_is_exact():
     for seed in (0, 1, 2):
         f = noisy_dictator(4, 2, 0.0, seed)
         assert f == dictator(4, 2)
-        assert influence(wht(f), 2) == 1.0
+        assert influence(spectrum_counts(f), 2) == 1.0
 
 
 def _half_table_flips(f, base):
@@ -110,7 +110,7 @@ def test_noisy_dictator_keeps_low_degree_influence():
         m = _half_table_flips(f, base)
         assert is_folded(f)
         assert np.count_nonzero(f.table != base.table) == 2 * m
-        assert low_degree_influence(wht(f), i, 1) == (1 - 4 * m / 2**n) ** 2
+        assert low_degree_influence(spectrum_counts(f), i, 1) == (1 - 4 * m / 2**n) ** 2
 
 
 @pytest.mark.parametrize("n, i, rho", [(6, 4, 0.05), (5, 2, 0.3)])
@@ -139,7 +139,7 @@ def test_majority_small_cases():
     assert majority(1) == dictator(1, 1)
     m3 = majority(3)
     assert is_folded(m3)
-    s = wht(m3)
+    s = spectrum_counts(m3)
     for i in (1, 2, 3):
         assert influence(s, i) == 0.5
     with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from dictatest import fourier
 from dictatest.families import dictator, parity, random_folded
 from dictatest.fourier import (
-    Spectrum,
     _butterfly,
     _folded_counts,
     _subset_sums,
@@ -33,9 +32,9 @@ def influence_combinatorial(f, i):
     return int(np.count_nonzero(flipped != f.table)) / (1 << f.n)
 
 
-def inverse_wht(s):
+def inverse_wht(coeffs):
     """f(x) = Σ_α coeffs[α] χ_α(x): the unnormalized butterfly of the spectrum."""
-    return _butterfly(s.coeffs)
+    return _butterfly(coeffs)
 
 
 def naive_wht(table):
@@ -60,7 +59,7 @@ def random_boolean(n, rng):
 def test_wht_dictator_single_coefficient():
     for n in (1, 2, 3):
         for i in range(1, n + 1):
-            coeffs = wht(dictator(n, i)).coeffs
+            coeffs = wht(dictator(n, i))
             expected = np.zeros(1 << n)
             expected[1 << (i - 1)] = 1.0
             assert np.array_equal(coeffs, expected)
@@ -68,14 +67,14 @@ def test_wht_dictator_single_coefficient():
 
 def test_wht_constant():
     f = BooleanFunction(3, np.ones(8, dtype=np.int8))
-    coeffs = wht(f).coeffs
+    coeffs = wht(f)
     assert coeffs[0] == 1.0
     assert np.all(coeffs[1:] == 0.0)
 
 
 def test_wht_worked_example_n2():
     f = BooleanFunction(2, np.array([1, 1, 1, -1], dtype=np.int8))
-    assert list(wht(f).coeffs) == [0.5, 0.5, 0.5, -0.5]
+    assert list(wht(f)) == [0.5, 0.5, 0.5, -0.5]
 
 
 def test_wht_matches_naive_definition():
@@ -83,7 +82,7 @@ def test_wht_matches_naive_definition():
     for n in (1, 2, 3):
         for _ in range(10):
             f = random_boolean(n, rng)
-            assert np.array_equal(wht(f).coeffs, naive_wht(f.table))
+            assert np.array_equal(wht(f), naive_wht(f.table))
 
 
 def copying_butterfly(values):
@@ -153,7 +152,7 @@ def test_spectrum_counts_exact():
     rng = np.random.default_rng(11)
     for _ in range(20):
         f = random_boolean(4, rng)
-        assert np.array_equal(spectrum_counts(f), wht(f).coeffs * 16)
+        assert np.array_equal(spectrum_counts(f), wht(f) * 16)
 
 
 def spectrum_tables(n):
@@ -204,10 +203,10 @@ def assert_int32_routes_equal_float64(f):
     """The int32 spectrum and subset sums of the counts, divided once by 2^n,
     are the float64 transforms of the table bit for bit."""
     points = 1 << f.n
-    coeffs = wht(f).coeffs
+    coeffs = wht(f)
     assert coeffs.tobytes() == (_butterfly(f.table.astype(np.float64)) / points).tobytes()
     zeta = _subset_sums(spectrum_counts(f)) / points
-    assert zeta.tobytes() == subset_zeta(wht(f)).tobytes()
+    assert zeta.tobytes() == subset_zeta(coeffs).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -244,7 +243,7 @@ def test_parseval_boolean():
     rng = np.random.default_rng(12)
     for n in (1, 3, 5):
         for _ in range(10):
-            assert abs(np.sum(wht(random_boolean(n, rng)).coeffs ** 2) - 1.0) <= 1e-9
+            assert abs(np.sum(wht(random_boolean(n, rng)) ** 2) - 1.0) <= 1e-9
 
 
 def test_inverse_single_coefficient_gives_character():
@@ -252,7 +251,7 @@ def test_inverse_single_coefficient_gives_character():
         for alpha in range(1 << n):
             coeffs = np.zeros(1 << n)
             coeffs[alpha] = 1.0
-            table = inverse_wht(Spectrum(n, coeffs))
+            table = inverse_wht(coeffs)
             assert np.array_equal(table, parity(n, alpha).table.astype(float))
 
 
@@ -264,14 +263,14 @@ def test_inverse_roundtrip_100_random_tables():
 
 
 def test_inverse_zero_spectrum():
-    out = inverse_wht(Spectrum(3, np.zeros(8)))
+    out = inverse_wht(np.zeros(8))
     assert np.all(out == 0.0)
 
 
 def test_folded_zero_mode_is_exactly_zero():
     for seed in range(20):
         f = random_folded(4, seed)
-        assert wht(f).coeffs[0] == 0.0
+        assert wht(f)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +280,16 @@ def test_folded_zero_mode_is_exactly_zero():
 
 def test_influence_dictator_and_parity():
     f = dictator(4, 2)
-    s = wht(f)
+    s = spectrum_counts(f)
     for i in range(1, 5):
         assert influence(s, i) == (1.0 if i == 2 else 0.0)
-    g = wht(parity(4, {1, 3}))
+    g = spectrum_counts(parity(4, {1, 3}))
     for i in range(1, 5):
         assert influence(g, i) == (1.0 if i in (1, 3) else 0.0)
 
 
 def test_influence_worked_example():
-    s = wht(BooleanFunction(2, np.array([1, 1, 1, -1], dtype=np.int8)))
+    s = spectrum_counts(BooleanFunction(2, np.array([1, 1, 1, -1], dtype=np.int8)))
     assert influence(s, 1) == 0.5
 
 
@@ -305,13 +304,13 @@ def test_influence_two_definitions_agree_exactly():
     rng = np.random.default_rng(14)
     for _ in range(200):
         f = random_boolean(4, rng)
-        s = wht(f)
+        s = spectrum_counts(f)
         for i in range(1, 5):
             assert influence(s, i) == influence_combinatorial(f, i)
 
 
 def test_influence_coordinate_range():
-    s = wht(dictator(3, 1))
+    s = spectrum_counts(dictator(3, 1))
     with pytest.raises(ValueError):
         influence(s, 0)
     with pytest.raises(ValueError):
@@ -320,14 +319,14 @@ def test_influence_coordinate_range():
 
 def test_low_degree_influence_full_parity_vanishes():
     for n in (2, 3, 4):
-        s = wht(parity(n, (1 << n) - 1))
+        s = spectrum_counts(parity(n, (1 << n) - 1))
         for i in range(1, n + 1):
             assert low_degree_influence(s, i, 1) == 0.0
             assert low_degree_influence(s, i, n - 1) == 0.0
 
 
 def test_low_degree_influence_dictator():
-    s = wht(dictator(4, 3))
+    s = spectrum_counts(dictator(4, 3))
     assert low_degree_influence(s, 3, 1) == 1.0
 
 
@@ -335,30 +334,30 @@ def test_low_degree_influence_monotone_and_caps_at_full():
     rng = np.random.default_rng(15)
     for _ in range(20):
         f = random_boolean(4, rng)
-        s = wht(f)
+        s = spectrum_counts(f)
         for i in range(1, 5):
             values = [low_degree_influence(s, i, w) for w in range(5)]
             assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
             assert values[-1] == influence(s, i)
 
 
-def influence_by_mask(s, i, w=None):
-    """One coordinate at a time, by a boolean mask over every index; the
-    reference for influences."""
-    alphas = np.arange(1 << s.n)
+def influence_by_mask(f, i, w=None):
+    """One coordinate at a time, by a boolean mask over every index, as a
+    float sum of the squared float coefficients; the reference for influences."""
+    alphas = np.arange(1 << f.n)
     sel = (alphas >> (i - 1)) & 1 == 1
     if w is not None:
-        sel &= hamming_weights(s.n) <= w
-    return float(np.sum(s.coeffs[sel] ** 2))
+        sel &= hamming_weights(f.n) <= w
+    return float(np.sum(wht(f)[sel] ** 2))
 
 
 @pytest.mark.parametrize("n", range(1, 15))
 def test_influences_equal_the_per_coordinate_masked_sums(n):
     rng = np.random.default_rng(200 + n)
-    # a real-valued spectrum too, whose squares round, so the order of each sum counts
-    for s in (wht(random_boolean(n, rng)), Spectrum(n, rng.uniform(-1, 1, size=1 << n))):
+    for f in (random_boolean(n, rng), random_folded(n, 200 + n), parity(n, (1 << n) - 1)):
+        s = spectrum_counts(f)
         for w in (None, *range(n + 1)):
-            expected = [influence_by_mask(s, i, w) for i in range(1, n + 1)]
+            expected = [influence_by_mask(f, i, w) for i in range(1, n + 1)]
             assert influences(s, w) == expected
             if w is None:
                 assert [influence(s, i) for i in range(1, n + 1)] == expected
@@ -367,7 +366,7 @@ def test_influences_equal_the_per_coordinate_masked_sums(n):
 
 
 def test_low_degree_influence_range_checks():
-    s = wht(dictator(3, 1))
+    s = spectrum_counts(dictator(3, 1))
     with pytest.raises(ValueError):
         low_degree_influence(s, 1, 4)
     with pytest.raises(ValueError):
@@ -393,9 +392,9 @@ def test_subset_zeta_identities():
     rng = np.random.default_rng(16)
     for _ in range(10):
         f = random_boolean(3, rng)
-        s = wht(f)
-        z = subset_zeta(s)
-        assert z[0] == s.coeffs[0]
+        coeffs = wht(f)
+        z = subset_zeta(coeffs)
+        assert z[0] == coeffs[0]
         # at the full set the sum is the inversion formula at the origin
         assert z[-1] == f.table[0]
 
@@ -403,8 +402,8 @@ def test_subset_zeta_identities():
 def test_subset_zeta_matches_naive_double_loop():
     rng = np.random.default_rng(17)
     for _ in range(20):
-        s = Spectrum(3, rng.uniform(-1, 1, size=8))
-        assert np.allclose(subset_zeta(s), naive_subset_sums(s.coeffs), atol=1e-12)
+        coeffs = rng.uniform(-1, 1, size=8)
+        assert np.allclose(subset_zeta(coeffs), naive_subset_sums(coeffs), atol=1e-12)
 
 
 def block_add_subset_sums(values):
@@ -449,24 +448,20 @@ def test_product_of_characters_is_character_sum():
             assert product([parity(3, a), parity(3, b)]) == parity(3, a ^ b)
 
 
-def test_influence_of_product_bounded_functions():
-    """Tables in [-1, 1], transformed by the definition."""
-    rng = np.random.default_rng(19)
-    for _ in range(100):
-        tables = rng.uniform(-1, 1, size=(3, 8))
-        prod_s = Spectrum(3, naive_wht(np.prod(tables, axis=0)))
-        member_s = [Spectrum(3, naive_wht(t)) for t in tables]
-        for i in (1, 2, 3):
-            bound = 3 * sum(influence(s, i) for s in member_s)
-            assert influence(prod_s, i) <= bound + 1e-9
-
-
 def test_influence_of_product_boolean_union_bound():
     rng = np.random.default_rng(20)
     for _ in range(100):
         fs = [random_boolean(3, rng) for _ in range(3)]
-        prod_s = wht(product(fs))
-        member_s = [wht(f) for f in fs]
+        prod_s = spectrum_counts(product(fs))
+        member_s = [spectrum_counts(f) for f in fs]
         for i in (1, 2, 3):
             bound = sum(influence(s, i) for s in member_s)
             assert influence(prod_s, i) <= bound + 1e-9
+
+
+def test_influences_square_in_int64_past_the_int32_range():
+    # a dictator's count 2^20 squares to 2^40, which int32 would wrap to 0
+    counts = spectrum_counts(dictator(20, 7))
+    expected = [1.0 if i == 7 else 0.0 for i in range(1, 21)]
+    assert influences(counts) == expected
+    assert influences(counts, 1) == expected

@@ -7,8 +7,14 @@ from hypothesis import strategies as st
 
 from dictatest import fourier, gowers
 from dictatest.errors import GuardExceeded
-from dictatest.families import dictator, noisy_dictator, parity, random_folded
-from dictatest.fourier import influence, low_degree_influence, wht
+from dictatest.families import (
+    dictator,
+    noisy_dictator,
+    parity,
+    planted_decoder_family,
+    random_folded,
+)
+from dictatest.fourier import influence, low_degree_influence, spectrum_counts, wht
 from dictatest.functions import BooleanFunction
 from dictatest.gowers import (
     IndexedFamily,
@@ -17,6 +23,7 @@ from dictatest.gowers import (
     gowers_inner_product_mc,
 )
 from dictatest.rng import mc_chunks
+from dictatest.testers import FunctionFamily, complete_hypergraph
 
 
 def random_signs(n, rng):
@@ -133,7 +140,7 @@ def test_norm_u2_power_equals_fourth_moment_of_spectrum():
     rng = np.random.default_rng(31)
     for _ in range(20):
         f = random_signs(3, rng)
-        fourth = float(np.sum(wht(f).coeffs ** 4))
+        fourth = float(np.sum(wht(f) ** 4))
         assert norm_pow(f, 2) == fourth
 
 
@@ -382,7 +389,7 @@ def test_linear_inner_product_is_multilinear():
 
 def test_decoder_all_dictators():
     fam = IndexedFamily.constant(2, dictator(4, 2))
-    found = find_influential_pair(fam, None, 0.5)
+    found = find_influential_pair(fam.members, None, 0.5)
     assert found is not None
     s_mask, t_mask, coord = found
     assert s_mask != t_mask
@@ -391,8 +398,8 @@ def test_decoder_all_dictators():
 
 def test_decoder_constant_family_returns_none():
     fam = IndexedFamily(2, 3)  # all members default to constant 1
-    assert find_influential_pair(fam, None, 0.2) is None
-    assert find_influential_pair(fam, 2, 0.2) is None
+    assert find_influential_pair(fam.members, None, 0.2) is None
+    assert find_influential_pair(fam.members, 2, 0.2) is None
 
 
 def test_decoder_planted_noisy_dictator():
@@ -404,21 +411,21 @@ def test_decoder_planted_noisy_dictator():
         3: planted,
     }
     fam = IndexedFamily(2, 6, members)
-    found = find_influential_pair(fam, 2, 0.2)
+    found = find_influential_pair(fam.members, 2, 0.2)
     assert found == (1, 3, 3)
     # refolding mirrors each of the m half-table flips, so f^({3}) is exactly
     # 1 - 4m/2^6; the degree-1 term alone clears the 0.2 decoder threshold
     m = int(np.count_nonzero(planted.table[1::2] != dictator(6, 3).table[1::2]))
-    singleton_sq = wht(planted).coeffs[1 << 2] ** 2
+    singleton_sq = wht(planted)[1 << 2] ** 2
     assert singleton_sq == (1 - 4 * m / 2**6) ** 2
     assert singleton_sq >= 0.2
-    assert low_degree_influence(wht(planted), 3, 2) >= 0.2
+    assert low_degree_influence(spectrum_counts(planted), 3, 2) >= 0.2
 
 
 def decode_per_coordinate(fam, w, tau):
     """The decoder with one influence call per (member, coordinate); the
     reference for find_influential_pair."""
-    spectra = [wht(m) for m in fam.members]
+    spectra = [spectrum_counts(m) for m in fam.members]
     best, best_value = None, tau
     for i in range(1, fam.n + 1):
         values = [influence(s, i) if w is None else low_degree_influence(s, i, w)
@@ -443,7 +450,7 @@ def test_decoder_equals_per_coordinate_decoder():
     for fam in decoder_families():
         for w in (None, *range(fam.n + 1)):
             for tau in (1e-9, 0.05, 0.2, 0.5):
-                assert find_influential_pair(fam, w, tau) == decode_per_coordinate(fam, w, tau)
+                assert find_influential_pair(fam.members, w, tau) == decode_per_coordinate(fam, w, tau)
 
 
 def test_decoder_builds_one_weight_table_per_spectrum(monkeypatch):
@@ -464,11 +471,38 @@ def test_decoder_builds_one_weight_table_per_spectrum(monkeypatch):
     for i, fam in enumerate(decoder_families()):
         for w in (None, 2):
             calls.clear()
-            assert find_influential_pair(fam, w, 0.05) == expected[i, w]
+            assert find_influential_pair(fam.members, w, 0.05) == expected[i, w]
             assert len(calls) <= (0 if w is None else len(fam.members))
 
 
 def test_decoder_rejects_nonpositive_threshold():
     fam = IndexedFamily.constant(2, dictator(3, 1))
-    with pytest.raises(ValueError):
-        find_influential_pair(fam, None, 0.0)
+    for tau in (0.0, -0.5, float("nan"), float("inf")):  # no influence beats nan or inf
+        with pytest.raises(ValueError):
+            find_influential_pair(fam.members, None, tau)
+
+
+def test_decoder_rejects_fewer_than_two_members_or_mixed_cubes():
+    for members in ([], [dictator(3, 1)], [dictator(3, 1), dictator(4, 1)]):
+        with pytest.raises(ValueError):
+            find_influential_pair(members, None, 0.5)
+
+
+def test_decoder_transforms_each_distinct_member_once(monkeypatch):
+    fam, _ = planted_decoder_family(3, 14, 2, 0.05, 1)
+    distinct = {id(m) for m in fam.members}
+    assert len(distinct) < len(fam.members)  # the planted pair shares a member
+    expected = find_influential_pair(fam.members, None, 0.05)
+    calls = []
+    counts = gowers.spectrum_counts
+    monkeypatch.setattr(gowers, "spectrum_counts", lambda f: calls.append(id(f)) or counts(f))
+    assert find_influential_pair(fam.members, None, 0.05) == expected
+    assert sorted(calls) == sorted(distinct)
+
+
+@pytest.mark.parametrize("j", [1, 4])
+def test_decoder_runs_on_a_function_family(j):
+    """A FunctionFamily's vertex and edge functions are a member sequence too."""
+    fam = FunctionFamily.uniform(complete_hypergraph(3), dictator(5, j))
+    found = find_influential_pair(fam.vertex_functions + fam.edge_functions, None, 0.5)
+    assert found == (0, 1, j)

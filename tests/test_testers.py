@@ -832,9 +832,9 @@ def test_basic_fourier_cube_keeps_the_pow_floats():
     tie differently; the value must stay the pow one."""
     for spec in ("noisydict:1:0.1:22", "noisydict:1:0.1:24", "random:3"):
         f = parse_fnspec(spec, 20)
-        spectrum = wht(f)
+        coeffs = wht(f)
         weights = np.exp2(-hamming_weights(20).astype(np.float64))
-        terms = spectrum.coeffs**3 * weights * (1.0 + subset_zeta(spectrum))
+        terms = coeffs**3 * weights * (1.0 + subset_zeta(coeffs))
         assert basic_test_prob_fourier(f) == 0.5 + 0.5 * float(terms.sum())
 
 
