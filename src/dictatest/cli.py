@@ -219,6 +219,8 @@ def _elapsed_ms(start: float) -> int:
 
 def _hypergraph(cfg: Config) -> Hypergraph:
     if cfg.complete_k is not None:
+        if extra := [key for key in ("k", "edges") if getattr(cfg, key) is not None]:
+            raise SpecParseError(f"complete_k fixes the hypergraph; drop {', '.join(extra)}")
         return complete_hypergraph(cfg.complete_k)
     if cfg.k is not None and cfg.edges is not None:
         return Hypergraph(cfg.k, cfg.edges)

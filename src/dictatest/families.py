@@ -38,7 +38,7 @@ from .functions import (
 )
 from .gowers import IndexedFamily
 from .rng import _draw_blocks, derive_rng, seed_key
-from .testers import FunctionFamily, Hypergraph, edge_label, vertex_label
+from .testers import FunctionFamily, Hypergraph, member_labels
 
 
 def dictator(n: int, i: int) -> BooleanFunction:
@@ -163,8 +163,7 @@ def build_family(
     every parsed member (a no-op for already-folded functions); "strict"
     rejects unfolded members instead.
     """
-    labels = [vertex_label(i) for i in range(1, hypergraph.k + 1)]
-    labels += [edge_label(e) for e in hypergraph.edges]
+    labels = member_labels(hypergraph)
     if isinstance(members, str):
         text = members.strip()
         if not text.startswith("all="):
@@ -183,15 +182,13 @@ def build_family(
     specs = [spec_map[label] for label in labels]
     # each distinct spec is parsed and folded once, and its members share it
     resolved = {spec: _resolve_member(spec, n, fold) for spec in dict.fromkeys(specs)}
-    fns = [resolved[spec] for spec in specs]
-    return FunctionFamily(hypergraph, fns[: hypergraph.k], fns[hypergraph.k :])
+    return FunctionFamily(hypergraph, [resolved[spec] for spec in specs])
 
 
 def random_family(hypergraph: Hypergraph, n: int, seed) -> FunctionFamily:
     """I.i.d. uniformly random folded members; member j uses stream (seed, j)."""
     fns = [random_folded(n, (*seed_key(seed), j)) for j in range(hypergraph.t)]
-    k = hypergraph.k
-    return FunctionFamily(hypergraph, fns[:k], fns[k:])
+    return FunctionFamily(hypergraph, fns)
 
 
 def _int_lists(value) -> bool:

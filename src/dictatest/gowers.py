@@ -16,7 +16,7 @@ are reproducible.  The linear inner product LU_d exists only as the
 undivided ``_linear_sum``, on which ``testers.htest_prob_exact`` runs.
 
 The decoder ``find_influential_pair`` reads the exact integer influences of
-any sequence of ±1 functions, such as an ``IndexedFamily``'s members.
+any sequence of ±1 functions, such as a family's ``members``.
 """
 
 from __future__ import annotations
@@ -181,9 +181,10 @@ def find_influential_pair(
     Returns the (S, T, i) maximizing min(I_i(members[S]), I_i(members[T]))
     over positions S != T and coordinates i, provided that minimum reaches
     tau; None otherwise.  For an ``IndexedFamily``'s members the positions
-    are the subset masks.  With an integer w the low-degree influences
-    I_i^{<=w} are used instead.  Ties break toward the smallest (i, S, T).
-    A member listed twice is transformed once.
+    are the subset masks, and for a ``FunctionFamily``'s they follow
+    ``testers.member_labels`` order.  With an integer w the low-degree
+    influences I_i^{<=w} are used instead.  Ties break toward the smallest
+    (i, S, T).  A member listed twice is transformed once.
     """
     if not 0.0 < tau < np.inf:  # also refuses nan
         raise ValueError(f"threshold must be positive and finite, got {tau}")

@@ -121,54 +121,42 @@ def soundness_identity_holds(k: int) -> bool:
     return bound == Fraction((t + 1) ** 2, 2**t)
 
 
+def member_labels(h: Hypergraph) -> list[str]:
+    """A family's member labels in order: v1..vk, then the edges in order."""
+    return [vertex_label(i) for i in range(1, h.k + 1)] + [edge_label(e) for e in h.edges]
+
+
 @dataclass(frozen=True, eq=False)
 class FunctionFamily:
-    """Folded boolean functions indexed by the vertices and edges of H."""
+    """Folded boolean functions indexed by the vertices and edges of H.
+
+    ``members`` is one tuple in ``member_labels`` order: the vertex functions
+    f_1..f_k, then one function per edge in ``hypergraph.edges`` order.
+    """
 
     hypergraph: Hypergraph
-    vertex_functions: tuple
-    edge_functions: tuple
+    members: tuple
 
-    def __init__(self, hypergraph: Hypergraph, vertex_functions, edge_functions):
-        vertex_functions = tuple(vertex_functions)
-        edge_functions = tuple(edge_functions)
-        if len(vertex_functions) != hypergraph.k:
-            raise ValueError(
-                f"need {hypergraph.k} vertex functions, got {len(vertex_functions)}"
-            )
-        if len(edge_functions) != len(hypergraph.edges):
-            raise ValueError(
-                f"need {len(hypergraph.edges)} edge functions, got {len(edge_functions)}"
-            )
-        members = vertex_functions + edge_functions
+    def __init__(self, hypergraph: Hypergraph, members):
+        members = tuple(members)
+        if len(members) != hypergraph.t:
+            raise ValueError(f"need {hypergraph.t} members (k + |E|), got {len(members)}")
         n = members[0].n
         for f in {id(f): f for f in members}.values():  # a shared member once
             if f.n != n:
                 raise ValueError("all family members must share one dimension")
             require_folded(f, "family member")
         object.__setattr__(self, "hypergraph", hypergraph)
-        object.__setattr__(self, "vertex_functions", vertex_functions)
-        object.__setattr__(self, "edge_functions", edge_functions)
+        object.__setattr__(self, "members", members)
 
     @property
     def n(self) -> int:
-        return self.vertex_functions[0].n
-
-    def members(self):
-        """(label, function) pairs: vertices v1..vk, then edges in order."""
-        for i, f in enumerate(self.vertex_functions, start=1):
-            yield vertex_label(i), f
-        for e, f in zip(self.hypergraph.edges, self.edge_functions):
-            yield edge_label(e), f
+        return self.members[0].n
 
     @classmethod
     def uniform(cls, hypergraph: Hypergraph, f: BooleanFunction) -> "FunctionFamily":
         """Every member equal to f."""
-        return cls(
-            hypergraph,
-            [f] * hypergraph.k,
-            [f] * len(hypergraph.edges),
-        )
+        return cls(hypergraph, [f] * hypergraph.t)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +195,8 @@ def run_hypergraph_test(
     h = fam.hypergraph
     k, n = h.k, fam.n
     ones = (1 << n) - 1
-    vertex_oracles = [FoldedOracle(f) for f in fam.vertex_functions]
-    edge_oracles = [FoldedOracle(f) for f in fam.edge_functions]
+    oracles = [FoldedOracle(f) for f in fam.members]
+    labels = member_labels(h)
 
     xs = [int(v) for v in rng.integers(0, 1 << n, size=k)]
     ys = [int(v) for v in rng.integers(0, 1 << n, size=k)]
@@ -218,8 +206,8 @@ def run_hypergraph_test(
     pass1 = []
     shifts = []
     for i in range(k):
-        s_y = vertex_oracles[i].fold_query(ys[i])
-        pass1.append(QueryRecord(vertex_label(i + 1), ys[i], s_y))
+        s_y = oracles[i].fold_query(ys[i])
+        pass1.append(QueryRecord(labels[i], ys[i], s_y))
         v = (1 - s_y) // 2
         shifts.append(ys[i] ^ (ones if v else 0))
 
@@ -227,8 +215,8 @@ def run_hypergraph_test(
     vertex_signs = []
     for i in range(k):
         point = xs[i] ^ (shifts[i] & zv[i])
-        sign = vertex_oracles[i].fold_query(point)
-        pass2.append(QueryRecord(vertex_label(i + 1), point, sign))
+        sign = oracles[i].fold_query(point)
+        pass2.append(QueryRecord(labels[i], point, sign))
         vertex_signs.append(sign)
 
     verdict = True
@@ -241,11 +229,11 @@ def run_hypergraph_test(
             shift_sum ^= shifts[i - 1]
             lhs *= vertex_signs[i - 1]
         point = x_sum ^ (shift_sum & ze[j])
-        sign = edge_oracles[j].fold_query(point)
-        pass2.append(QueryRecord(edge_label(e), point, sign))
+        sign = oracles[k + j].fold_query(point)
+        pass2.append(QueryRecord(labels[k + j], point, sign))
         verdict = verdict and lhs == sign
 
-    total = sum(o.query_count for o in vertex_oracles + edge_oracles)
+    total = sum(o.query_count for o in oracles)
     return TestTranscript(tuple(pass1), tuple(pass2), verdict, total)
 
 
@@ -365,35 +353,29 @@ def _htest_verdicts(shift_tables, sign_tables, edges, xs, ys, zv, ze):
     return ~bad
 
 
-def _folded_tables(fam: FunctionFamily):
-    # FunctionFamily requires folded members, whose folded_table is f.table
-    return (
-        [f.table for f in fam.vertex_functions],
-        [f.table for f in fam.edge_functions],
-        [sorted(e) for e in fam.hypergraph.edges],
-    )
+def _verdict_tables(fam: FunctionFamily, dtype):
+    """_htest_verdicts' tables and sorted edges for draws of ``dtype``.
 
-
-def _verdict_tables(vertex_tables, edge_tables, edges, dtype):
-    """_htest_verdicts' tables for draws of ``dtype``, from _folded_tables.
-
-    Vertex table t gives the shift table S[p] = p + [t(p) = -1]·1⃗ in
-    ``dtype``, and edge table t the bool sign table t < 0.  A table that
-    several members share is converted once.  Each shift table is one fresh
-    array, [t < 0]·1⃗ XOR-ed in place with an index array that all of them
-    share; a ufunc ``where=`` mask took over ten times as long.
+    A vertex member f gives the shift table S[p] = p + [f(p) = -1]·1⃗ in
+    ``dtype``, and an edge member the bool sign table f < 0; members are
+    folded, so f.table is their folded view.  A member that several slots
+    share is converted once.  Each shift table is one fresh array,
+    [f < 0]·1⃗ XOR-ed in place with an index array that all of them share;
+    a ufunc ``where=`` mask took over ten times as long.
     """
-    index = np.arange(vertex_tables[0].size, dtype=dtype)
+    k = fam.hypergraph.k
+    index = np.arange(1 << fam.n, dtype=dtype)
     shifts, signs = {}, {}
-    for t in vertex_tables:
-        if id(t) not in shifts:
-            shifts[id(t)] = table = np.multiply(t < 0, t.size - 1, dtype=dtype)
+    for f in fam.members[:k]:
+        if id(f) not in shifts:
+            shifts[id(f)] = table = np.multiply(f.table < 0, index.size - 1, dtype=dtype)
             table ^= index
-    for t in edge_tables:
-        if id(t) not in signs:
-            signs[id(t)] = t < 0
-    return ([shifts[id(t)] for t in vertex_tables],
-            [signs[id(t)] for t in edge_tables], edges)
+    for f in fam.members[k:]:
+        if id(f) not in signs:
+            signs[id(f)] = f.table < 0
+    return ([shifts[id(f)] for f in fam.members[:k]],
+            [signs[id(f)] for f in fam.members[k:]],
+            [sorted(e) for e in fam.hypergraph.edges])
 
 
 def htest_prob_exact(
@@ -417,11 +399,11 @@ def htest_prob_exact(
     bits = (3 * k + len(h.edges)) * n
     check_guard(bits, guard_bits)
     halves = {f: (_and_sums(f.table) >> 1) + (1 << (n - 1))
-              for f in dict.fromkeys(fam.vertex_functions + fam.edge_functions)}
+              for f in dict.fromkeys(fam.members)}
     stack = np.ones((1 << k, 1 << n, 1 << n), dtype=np.int64)
-    for i, f in enumerate(fam.vertex_functions):
+    for i, f in enumerate(fam.members[:k]):
         np.multiply(halves[f], f.table > 0, out=stack[1 << i])
-    for f, e in zip(fam.edge_functions, h.edges):
+    for f, e in zip(fam.members[k:], h.edges):
         stack[sum(1 << (i - 1) for i in e)] *= halves[f]
     dtype = _count_dtype(bits - 2 * k + 2 * n * (k > 1))
     total = _linear_sum(stack.reshape(1, 1 << k, -1).astype(dtype, copy=False))
@@ -443,7 +425,7 @@ def htest_prob_mc(
     uint32 shift tables and bool sign tables are built once per call, not
     once per chunk.
     """
-    tables = _verdict_tables(*_folded_tables(fam), np.uint32)
+    tables = _verdict_tables(fam, np.uint32)
     cols = (fam.hypergraph.k,) * 3 + (len(fam.hypergraph.edges),)
     accepts = 0
     for rng, m in mc_chunks(trials, seed):

@@ -67,6 +67,33 @@ def test_config_errors_exit_2(argv, capsys):
     assert out.err.startswith("error: ")
 
 
+EXIT_2_LINES = {  # id -> (argv, stderr line); FAMILY is a file with fold "loose"
+    "gowers-method": ("gowers --fn dict:1 --n 3 --d 1 --method bogus",
+                      "unknown gowers method 'bogus'"),
+    "basictest-method": ("basictest --fn dict:1 --n 3 --method bogus",
+                         "unknown basictest method 'bogus'"),
+    "htest-method": ("htest --complete-k 2 --n 2 --members all=dict:1 --method bogus",
+                     "unknown htest method 'bogus'"),
+    "xcheck-law": ("xcheck --law bogus --n 3 --count 1", "unknown xcheck law 'bogus'"),
+    "edge-not-integer": ("htest --k 2 --edges 1,x --n 2 --members all=dict:1",
+                         "bad edge list '1,x': invalid literal for int() with base 10: 'x'"),
+    "no-hypergraph": ("htest --n 2 --members all=dict:1",
+                      "need either complete_k or both k and edges"),
+    "k-without-edges": ("htest --k 2 --n 2 --members all=dict:1",
+                        "need either complete_k or both k and edges"),
+    "family-fold": ("htest --family FAMILY", "unknown fold policy 'loose'"),
+}
+
+
+@pytest.mark.parametrize("argv, line", EXIT_2_LINES.values(), ids=EXIT_2_LINES.keys())
+def test_exit_2_writes_nothing_but_its_error_line(argv, line, tmp_path, capsys):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(
+        {"n": 2, "k": 2, "edges": [[1, 2]], "members": "all=dict:1", "fold": "loose"}))
+    code, out = run(argv.replace("FAMILY", str(family)).split(), capsys)
+    assert (code, out.out, out.err) == (2, "", f"error: {line}\n")
+
+
 @pytest.mark.parametrize("law", ["basic", "noise"])
 def test_xcheck_checks_n_before_drawing_anything(law, capsys, monkeypatch):
     def refuse(*args):
@@ -291,6 +318,22 @@ def test_config_edges_must_be_a_string_or_integer_lists(edges, tmp_path, capsys)
     assert out.err == f"error: htest config {config}: bad value for 'edges': {edges!r}\n"
 
 
+def test_config_null_is_absent_and_an_integer_passes_for_a_float(tmp_path, capsys):
+    """A null config value leaves its option at the default, and an integer
+    fills a float option: the report equals the flag run's."""
+    argv = "decode --n 4 --d 2 --coord 2 --rho 0.0 --count 2".split()
+    code, out = run(argv + ["--tau", "1.0"], capsys)
+    assert code == 0
+    expected = csv_without_wall_ms(out.out)
+    value = expected[0].index("value")
+    assert [row[value] for row in expected[1:]] == ["1.0", "1.0"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tau": 1, "w": None, "seed": None, "guard_bits": None}))
+    code, out = run(argv + ["--config", config], capsys)
+    assert code == 0
+    assert csv_without_wall_ms(out.out) == expected
+
+
 FAMILY_FILE = {"n": 2, "k": 2, "edges": [[1, 2]], "members": "all=dict:2"}
 # Every option of every subcommand, so that each can be moved into a config file.
 ALL_OPTIONS = [
@@ -378,6 +421,32 @@ def test_family_file_names_every_conflicting_option(tmp_path, capsys):
     code, out = run(argv, capsys)
     assert (code, out.out) == (2, "")
     assert out.err == "error: a family file fixes the family; drop n, complete_k, members\n"
+
+
+HYPERGRAPH_CONFLICTS = {"k": {"k": 3}, "edges": {"edges": "1,2;2,3"},
+                        "k-and-edges": {"k": 3, "edges": "1,2;2,3"}}
+
+
+@pytest.mark.parametrize("source", ["flag", "config-file"])
+@pytest.mark.parametrize("rest", ["--members all=dict:1", "--random-families 1 --trials 10"],
+                         ids=["completeness", "soundness"])
+@pytest.mark.parametrize("extra", HYPERGRAPH_CONFLICTS.values(),
+                         ids=HYPERGRAPH_CONFLICTS.keys())
+def test_complete_k_beside_k_or_edges_exits_2_naming_them(extra, rest, source, tmp_path,
+                                                          capsys):
+    """complete_k fixes the hypergraph, so a k or edges beside it contradicts it."""
+    argv = ["htest", "--n", 2, *rest.split()]
+    if source == "flag":
+        argv += ["--complete-k", 2]
+        for key, value in extra.items():
+            argv += [f"--{key}", value]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"complete_k": 2, **extra}))
+        argv += ["--config", config]
+    code, out = run(argv, capsys)
+    message = f"error: complete_k fixes the hypergraph; drop {', '.join(extra)}\n"
+    assert (code, out.out, out.err) == (2, "", message)
 
 
 MALFORMED_FAMILY_FILES = {  # id -> (the bad key, the fields that replace FAMILY_FILE's)
@@ -727,10 +796,10 @@ def test_every_exported_name_resolves(module):
     assert all(namespace[name] is getattr(mod, name) for name in mod.__all__)
 
 
-def run_python(args):
+def run_python(args, check=True):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=check
     )
 
 
@@ -755,6 +824,22 @@ def test_python_m_runs_main_and_the_package_root_loads_nothing(capsys):
         "or m.split('.')[0] == 'numpy'], dictatest.__version__)"
     )
     assert run_python(["-c", code]).stdout == "[] 0.1.0\n"
+
+
+PROCESS_STATUSES = {
+    "success": ("htest --complete-k 2 --n 2 --members all=dict:1", 0),
+    "config-error": ("wht --fn dict:1 --n 0", 2),
+    "guard-exceeded": ("htest --complete-k 3 --n 3 --members all=dict:1", 3),
+}
+
+
+@pytest.mark.parametrize("argv, status", PROCESS_STATUSES.values(),
+                         ids=PROCESS_STATUSES.keys())
+def test_python_m_exits_with_mains_code(argv, status):
+    """The status a shell sees from ``python -m dictatest`` is main's return."""
+    result = run_python(["-m", "dictatest", *argv.split()], check=False)
+    assert result.returncode == status
+    assert (result.stdout == "") == (status != 0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,7 @@ from dictatest.testers import (
     FunctionFamily,
     Hypergraph,
     complete_hypergraph,
-    edge_label,
-    vertex_label,
+    member_labels,
 )
 
 
@@ -176,7 +175,7 @@ def test_build_family_all_spec():
     h = Hypergraph(2, [frozenset({1, 2})])
     fam = build_family(h, 3, "all=dict:1")
     assert isinstance(fam, FunctionFamily)
-    assert all(f == dictator(3, 1) for _, f in fam.members())
+    assert all(f == dictator(3, 1) for f in fam.members)
 
 
 def test_build_family_parses_and_checks_each_distinct_spec_once(monkeypatch):
@@ -197,14 +196,13 @@ def test_build_family_parses_and_checks_each_distinct_spec_once(monkeypatch):
     h = complete_hypergraph(3)
     fam = build_family(h, 5, "all=random:7")
     assert calls == {"parse_fnspec": 1, "is_folded": 1}
-    labels = [vertex_label(i) for i in (1, 2, 3)] + [edge_label(e) for e in h.edges]
     mixed = build_family(h, 5, {label: "dict:2" if label[0] == "v" else "parity:7"
-                                for label in labels})
+                                for label in member_labels(h)})
     assert calls == {"parse_fnspec": 3, "is_folded": 3}
     monkeypatch.undo()
-    assert all(f == refold(random_folded(5, 7)) for _, f in fam.members())
-    assert mixed.vertex_functions == (dictator(5, 2),) * 3
-    assert all(f == refold(parity(5, 7)) for f in mixed.edge_functions)
+    assert all(f == refold(random_folded(5, 7)) for f in fam.members)
+    assert mixed.members[:3] == (dictator(5, 2),) * 3
+    assert all(f == refold(parity(5, 7)) for f in mixed.members[3:])
 
 
 def test_build_family_per_member_and_labels():
@@ -212,20 +210,19 @@ def test_build_family_per_member_and_labels():
     fam = build_family(
         h, 3, {"v1": "dict:1", "v2": "dict:2", "e1,2": "random:4"}
     )
-    labels = [label for label, _ in fam.members()]
-    assert labels == ["v1", "v2", "e1,2"]
-    assert fam.vertex_functions[1] == dictator(3, 2)
+    assert member_labels(h) == ["v1", "v2", "e1,2"]
+    assert fam.members[1] == dictator(3, 2)
 
 
 def test_build_family_refolds_by_default():
     h = Hypergraph(2, [frozenset({1, 2})])
     fam = build_family(h, 2, "all=parity:3")  # even-weight character: unfolded
-    for _, f in fam.members():
+    for f in fam.members:
         assert is_folded(f)
     with pytest.raises(InvariantViolation):
         build_family(h, 2, "all=parity:3", fold="strict")
     strict = build_family(h, 2, "all=dict:1", fold="strict")
-    assert strict.vertex_functions[0] == dictator(2, 1)
+    assert strict.members[0] == dictator(2, 1)
 
 
 def test_build_family_label_mismatch():
@@ -244,11 +241,11 @@ def test_random_family_deterministic_and_folded():
     h = Hypergraph(3, [frozenset({1, 2}), frozenset({1, 2, 3})])
     fam = random_family(h, 4, 5)
     again = random_family(h, 4, 5)
-    for (_, f), (_, g) in zip(fam.members(), again.members()):
+    for f, g in zip(fam.members, again.members):
         assert is_folded(f)
         assert f == g
     # members are mutually independent draws
-    tables = [tuple(f.table) for _, f in fam.members()]
+    tables = [tuple(f.table) for f in fam.members]
     assert len(set(tables)) == len(tables)
 
 
@@ -264,14 +261,14 @@ def test_load_family_file(tmp_path):
     fam = load_family(path)
     assert fam.n == 2
     assert fam.hypergraph.k == 2
-    assert fam.vertex_functions[0] == dictator(2, 1)
+    assert fam.members[0] == dictator(2, 1)
 
 
 def test_load_family_all_string(tmp_path):
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"n": 3, "k": 2, "edges": [[1, 2]], "members": "all=maj"}))
     fam = load_family(path)
-    assert all(f == majority(3) for _, f in fam.members())
+    assert all(f == majority(3) for f in fam.members)
 
 
 def test_load_family_errors(tmp_path):

@@ -502,7 +502,7 @@ def test_decoder_transforms_each_distinct_member_once(monkeypatch):
 
 @pytest.mark.parametrize("j", [1, 4])
 def test_decoder_runs_on_a_function_family(j):
-    """A FunctionFamily's vertex and edge functions are a member sequence too."""
+    """A FunctionFamily's members are a member sequence too."""
     fam = FunctionFamily.uniform(complete_hypergraph(3), dictator(5, j))
-    found = find_influential_pair(fam.vertex_functions + fam.edge_functions, None, 0.5)
+    found = find_influential_pair(fam.members, None, 0.5)
     assert found == (0, 1, j)

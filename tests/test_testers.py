@@ -32,7 +32,6 @@ from dictatest.rng import derive_rng
 from dictatest.testers import (
     FunctionFamily,
     Hypergraph,
-    _folded_tables,
     _htest_verdicts,
     _verdict_tables,
     basic_test_prob_exact,
@@ -125,11 +124,12 @@ def test_query_budget_basic_cases():
 
 def test_family_requires_folded_members():
     with pytest.raises(InvariantViolation):
-        FunctionFamily(EDGE_12, [dictator(2, 1), dictator(2, 1)], [parity(2, 3)])
+        FunctionFamily(EDGE_12, [dictator(2, 1), dictator(2, 1), parity(2, 3)])
+    for count in (2, 4):  # EDGE_12 needs k + |E| = 3 members
+        with pytest.raises(ValueError, match=rf"need 3 members \(k \+ \|E\|\), got {count}"):
+            FunctionFamily(EDGE_12, [dictator(2, 1)] * count)
     with pytest.raises(ValueError):
-        FunctionFamily(EDGE_12, [dictator(2, 1)], [dictator(2, 1)])
-    with pytest.raises(ValueError):
-        FunctionFamily(EDGE_12, [dictator(2, 1), dictator(3, 1)], [dictator(2, 1)])
+        FunctionFamily(EDGE_12, [dictator(2, 1), dictator(3, 1), dictator(2, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +403,7 @@ def test_htest_exact_completeness_all_small_hypergraphs():
 
 def test_htest_exact_negated_edge_member_rejects_sometimes():
     base = dictator(2, 1)
-    fam = FunctionFamily(EDGE_12, [base, base], [BooleanFunction(2, -base.table)])
+    fam = FunctionFamily(EDGE_12, [base, base, BooleanFunction(2, -base.table)])
     assert htest_prob_exact(fam) < 1.0
 
 
@@ -438,8 +438,8 @@ def pinned_mc_families():
     return {
         "random-k4": random_family(h4, 10, 21),
         "random-k3": random_family(complete_hypergraph(3), 12, 5),
-        "noisy-singleton": FunctionFamily(mixed, noisy[:3], noisy[3:]),
-        "noisy-k4": FunctionFamily(h4, noisy4[:4], noisy4[4:]),
+        "noisy-singleton": FunctionFamily(mixed, noisy),
+        "noisy-k4": FunctionFamily(h4, noisy4),
     }
 
 
@@ -524,44 +524,31 @@ def test_htest_kernel_accepts_every_dictator_draw(n):
     for h in shapes:
         cols = (h.k,) * 3 + (len(h.edges),)
         for j in {1, n}:
-            tables = _folded_tables(FunctionFamily.uniform(h, dictator(n, j)))
+            fam = FunctionFamily.uniform(h, dictator(n, j))
             (rng, m), = rng_module.mc_chunks(rng_module._MC_CHUNK, (n, j, h.k))
             draws = rng_module._draw_blocks(rng, m, n, cols)
             assert max(int(d.max()) for d in draws) >= (1 << n) - (1 << max(0, n - 10))
-            assert kernel_verdicts(tables, *draws).all()
-
-
-def test_folded_tables_are_the_members_int8_folded_views():
-    h = complete_hypergraph(3)
-    for n in (1, 4, 9):
-        families = [random_family(h, n, 6), FunctionFamily.uniform(h, dictator(n, n)),
-                    noisy_family(h, n, 2)]
-        for fam in families:
-            vertex_tables, edge_tables, edges = _folded_tables(fam)
-            members = fam.vertex_functions + fam.edge_functions
-            assert len(vertex_tables + edge_tables) == len(members)
-            for table, f in zip(vertex_tables + edge_tables, members):
-                assert table.dtype == np.int8
-                assert np.array_equal(table, folded_table(f))
-            assert edges == [sorted(e) for e in h.edges]
+            assert kernel_verdicts(fam, *draws).all()
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.int64])
 def test_verdict_tables_are_shift_and_sign_tables_built_once_per_member(dtype):
-    """A vertex gets S[p] = p + [f(p) = -1]·1⃗ in the draws' dtype, an edge
-    gets f < 0, and members that share a function share its table."""
-    n = 5
+    """A vertex gets S[p] = p + [f(p) = -1]·1⃗ in the draws' dtype and an edge
+    gets f < 0, each from its member's folded view; members that share a
+    function share its table."""
+    n, h = 5, complete_hypergraph(3)
     f, g = random_folded(n, 1), random_folded(n, 2)
-    fam = FunctionFamily(complete_hypergraph(3), [f, g, f], [g, f, f, g])
-    tables = _folded_tables(fam)
+    fam = FunctionFamily(h, [f, g, f, g, f, f, g])
     idx = np.arange(1 << n)
-    shifts, signs, edges = _verdict_tables(*tables, dtype)
-    assert edges == tables[2]
-    for table, t in zip(shifts, tables[0]):
+    shifts, signs, edges = _verdict_tables(fam, dtype)
+    assert edges == [sorted(e) for e in h.edges]
+    assert len(shifts) == h.k and len(signs) == len(h.edges)
+    for table, member in zip(shifts, fam.members[: h.k]):
         assert table.dtype == dtype
+        t = folded_table(member)
         assert np.array_equal(table, np.where(t < 0, idx ^ ((1 << n) - 1), idx))
-    for table, t in zip(signs, tables[1]):
-        assert table.dtype == bool and np.array_equal(table, t < 0)
+    for table, member in zip(signs, fam.members[h.k :]):
+        assert table.dtype == bool and np.array_equal(table, folded_table(member) < 0)
     assert shifts[0] is shifts[2] and signs[1] is signs[2]
 
 
@@ -588,8 +575,15 @@ def test_htest_exact_guard():
 
 
 def noisy_family(h, n, seed):
-    fns = [noisy_dictator(n, 1, 0.3, (seed, j)) for j in range(h.t)]
-    return FunctionFamily(h, fns[: h.k], fns[h.k :])
+    return FunctionFamily(h, [noisy_dictator(n, 1, 0.3, (seed, j)) for j in range(h.t)])
+
+
+def int8_tables(fam):
+    """reference_verdicts' tables: the members' int8 folded views, vertices
+    then edges, and each edge's vertices in increasing order."""
+    tables = [folded_table(f) for f in fam.members]
+    k = fam.hypergraph.k
+    return tables[:k], tables[k:], [sorted(e) for e in fam.hypergraph.edges]
 
 
 def reference_verdicts(vertex_tables, edge_tables, edges, xs, ys, zv, ze):
@@ -610,11 +604,10 @@ def reference_verdicts(vertex_tables, edge_tables, edges, xs, ys, zv, ze):
     return ok
 
 
-def kernel_verdicts(tables, xs, ys, zv, ze):
-    """_htest_verdicts on _folded_tables' int8 tables, converted by
-    _verdict_tables for the dtype of the x draws."""
+def kernel_verdicts(fam, xs, ys, zv, ze):
+    """_htest_verdicts on _verdict_tables' tables for the dtype of the x draws."""
     dtype = np.asarray(xs[0]).dtype
-    return _htest_verdicts(*_verdict_tables(*tables, dtype), xs, ys, zv, ze)
+    return _htest_verdicts(*_verdict_tables(fam, dtype), xs, ys, zv, ze)
 
 
 def test_verdict_kernel_matches_oracle_run_draw_for_draw():
@@ -624,7 +617,7 @@ def test_verdict_kernel_matches_oracle_run_draw_for_draw():
         for n in (2, 3):
             for make in (random_family, noisy_family):
                 fam = make(h, n, 40 + n)
-                tables = _folded_tables(fam)
+                tables = int8_tables(fam)
                 points = 1 << n
                 verdicts = set()
                 for seed in range(200):
@@ -634,7 +627,7 @@ def test_verdict_kernel_matches_oracle_run_draw_for_draw():
                         rng.integers(0, points, size=(1, c)).T
                         for c in (k, k, k, n_edges)
                     )
-                    ok = kernel_verdicts(tables, xs, ys, zv, ze)
+                    ok = kernel_verdicts(fam, xs, ys, zv, ze)
                     assert ok.shape == (1,)
                     assert bool(ok[0]) == expected
                     assert np.array_equal(ok, reference_verdicts(*tables, xs, ys, zv, ze))
@@ -657,8 +650,7 @@ def verdict_cases(draw):
     if rho is None:
         fam = random_family(h, n, seed)
     else:
-        fns = [noisy_dictator(n, 1, rho, (seed, j)) for j in range(h.t)]
-        fam = FunctionFamily(h, fns[:k], fns[k:])
+        fam = FunctionFamily(h, [noisy_dictator(n, 1, rho, (seed, j)) for j in range(h.t)])
     return fam, draw(st.sampled_from([np.uint8, np.uint32, np.int64])), seed
 
 
@@ -667,12 +659,11 @@ def verdict_cases(draw):
 def test_verdict_kernel_equals_reference_property(case):
     fam, dtype, seed = case
     h = fam.hypergraph
-    tables = _folded_tables(fam)
     rng = derive_rng(91, seed)
     draws = rng.integers(0, 1 << fam.n, size=(3 * h.k + len(h.edges), 512), dtype=dtype)
     xs, ys, zv, ze = np.split(draws, [h.k, 2 * h.k, 3 * h.k])
-    ok = kernel_verdicts(tables, xs, ys, zv, ze)
-    assert np.array_equal(ok, reference_verdicts(*tables, xs, ys, zv, ze))
+    ok = kernel_verdicts(fam, xs, ys, zv, ze)
+    assert np.array_equal(ok, reference_verdicts(*int8_tables(fam), xs, ys, zv, ze))
 
 
 class ScriptedDraws:
@@ -733,9 +724,8 @@ def test_htest_exact_grid_equals_flat_enumeration():
         for fam in (random_family(h, n, 0), noisy_family(h, n, 1)):
             draws = np.indices((1 << n,) * bits, dtype=np.uint8).reshape(bits, -1)
             xs, ys, zv, ze = np.split(draws, [k, 2 * k, 3 * k])
-            tables = _folded_tables(fam)
-            ok = kernel_verdicts(tables, xs, ys, zv, ze)
-            assert np.array_equal(ok, reference_verdicts(*tables, xs, ys, zv, ze))
+            ok = kernel_verdicts(fam, xs, ys, zv, ze)
+            assert np.array_equal(ok, reference_verdicts(*int8_tables(fam), xs, ys, zv, ze))
             assert htest_prob_exact(fam) == np.count_nonzero(ok) / 2 ** (bits * n)
 
 
@@ -749,7 +739,7 @@ def grid_accept_count(fam):
     """
     h = fam.hypergraph
     k, n = h.k, fam.n
-    tables = _folded_tables(fam)
+    tables = int8_tables(fam)
     points = 1 << n
     z_dims = k + len(h.edges)
     zs = [np.arange(points).reshape(-1, *(1,) * (z_dims - 1 - a)) for a in range(z_dims)]
@@ -763,7 +753,7 @@ def grid_accept_count(fam):
         digits = (combo[:, None] >> digit_shifts) & (points - 1)
         xs_ys = list(digits.T.reshape(2 * k, -1, *(1,) * z_dims))
         draws = xs_ys[:k], xs_ys[k:], zs[:k], zs[k:]
-        ok = kernel_verdicts(tables, *draws)
+        ok = kernel_verdicts(fam, *draws)
         assert np.array_equal(ok, reference_verdicts(*tables, *draws))
         accepts += int(np.count_nonzero(ok))
     return accepts * points**free
@@ -800,8 +790,7 @@ def small_families(draw):
     half = 1 << (n - 1)
     signs = st.lists(st.sampled_from([-1, 1]), min_size=half, max_size=half)
     halves = draw(st.lists(signs, min_size=h.t, max_size=h.t))
-    fns = [make_folded(n, values) for values in halves]
-    return FunctionFamily(h, fns[:k], fns[k:])
+    return FunctionFamily(h, [make_folded(n, values) for values in halves])
 
 
 @settings(max_examples=60, deadline=None)
@@ -968,14 +957,14 @@ def test_htest_exact_builds_one_and_table_per_distinct_member(monkeypatch):
     for fam in (uniform, mixed):
         calls.clear()
         assert htest_prob_exact(fam, guard_bits=bits) == grid_accept_count(fam) / 2**bits
-        distinct = set(fam.vertex_functions + fam.edge_functions)
+        distinct = set(fam.members)
         assert len(calls) == len(distinct)
     assert len(distinct) > 1
 
 
 def test_htest_no_edges_always_accepts():
     h = Hypergraph(2, [])
-    fam = FunctionFamily(h, [random_folded(2, 1), random_folded(2, 2)], [])
+    fam = FunctionFamily(h, [random_folded(2, 1), random_folded(2, 2)])
     assert htest_prob_exact(fam) == 1.0
 
 
