@@ -235,7 +235,8 @@ def load_family(path) -> FunctionFamily:
     members = doc.get("members", "")
     for key, ok in (("edges", _int_lists(doc.get("edges", []))),
                     ("members", type(members) is str
-                     or all(type(v) is str for v in members.values()))):
+                     or all(type(v) is str for v in members.values())),
+                    ("fold", doc["fold"] in ("refold", "strict"))):
         if not ok:
             raise SpecParseError(f"family file {path}: bad value for {key!r}: {doc[key]!r}")
     for key in ("n", "k", "edges", "members"):
@@ -256,16 +257,12 @@ def planted_decoder_family(
     """An indexed family with one noisy dictator planted at two slots.
 
     Two subset masks (chosen from stream (seed, 0)) share the same noisy
-    dictator at ``coord``; every other member is an independent random
-    folded function.  Returns the family and the planted mask pair.
+    dictator at ``coord``; every other mask holds an independent random folded
+    function, from stream (seed, 1, mask).  Returns (family, planted pair).
     """
     chooser = derive_rng(*seed_key(seed), 0)
     planted = sorted(int(m) for m in chooser.permutation(1 << d)[:2])
     shared = noisy_dictator(n, coord, rho, seed)
-    members = {}
-    for mask in range(1 << d):
-        if mask in planted:
-            members[mask] = shared
-        else:
-            members[mask] = random_folded(n, (*seed_key(seed), 1, mask))
-    return IndexedFamily(d, n, members), (planted[0], planted[1])
+    members = [shared if mask in planted else random_folded(n, (*seed_key(seed), 1, mask))
+               for mask in range(1 << d)]
+    return IndexedFamily(d, members), (planted[0], planted[1])

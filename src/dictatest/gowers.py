@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DEFAULT_GUARD_BITS, check_guard
 from .fourier import _butterfly, influences, spectrum_counts
-from .functions import BooleanFunction, check_dimension
+from .functions import BooleanFunction
 from .rng import mc_chunks
 
 # Upper bound on the array elements an exact route evaluates at once.
@@ -43,37 +43,35 @@ def _count_dtype(bits: int):
 class IndexedFamily:
     """2^d ±1 functions (``BooleanFunction``) indexed by the subsets of [d].
 
-    Subsets are bitmasks (bit i-1 <-> element i).  Members missing from the
-    input mapping default to the constant-1 function.
+    ``members`` is one tuple in subset-mask order: ``members[S]``, with bit
+    i-1 of S standing for element i.  Every member is given; none defaults.
     """
 
     d: int
-    n: int
     members: tuple = field(repr=False)
 
-    def __init__(self, d: int, n: int, members=None):
-        d = int(d)
+    def __init__(self, d: int, members):
+        d, members = int(d), tuple(members)
         if d < 1:
             raise ValueError(f"lattice dimension must be >= 1, got {d}")
-        check_dimension(n)
-        given = {int(mask): f for mask, f in (members or {}).items()}
-        for mask, f in given.items():
+        for f in {id(f): f for f in members}.values():  # a shared member once
             if not isinstance(f, BooleanFunction):
                 raise TypeError(f"expected a BooleanFunction, got {type(f).__name__}")
-            if not 0 <= mask < 1 << d:
-                raise ValueError(f"member mask {mask} out of range for d={d}")
-            if f.n != n:
-                raise ValueError(f"member dimension {f.n} != family n={n}")
-        one = None if len(given) == 1 << d else BooleanFunction(n, np.ones(1 << n, np.int8))
-        full = tuple(given.get(m, one) for m in range(1 << d))
+            if f.n != members[0].n:
+                raise ValueError("all family members must share one dimension")
+        if len(members) != 1 << d:
+            raise ValueError(f"need {1 << d} members (2^d), got {len(members)}")
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", full)
+        object.__setattr__(self, "members", members)
+
+    @property
+    def n(self) -> int:
+        return self.members[0].n
 
     @classmethod
-    def constant(cls, d: int, f) -> "IndexedFamily":
-        """All 2^d members equal to f; anything else fails the member check."""
-        return cls(d, getattr(f, "n", 1), dict.fromkeys(range(1 << d), f))
+    def constant(cls, d: int, f: BooleanFunction) -> "IndexedFamily":
+        """All 2^d members equal to f."""
+        return cls(d, [f] * (1 << d))
 
 
 def _derivative_recursion(stack: np.ndarray, bottom):

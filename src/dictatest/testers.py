@@ -17,7 +17,6 @@ goes through the folding rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -111,14 +110,6 @@ def complete_hypergraph(k: int) -> Hypergraph:
 def query_budget(h: Hypergraph) -> tuple[int, int, int]:
     """(pass-1, pass-2, total) query counts: (k, k + |E|, 2k + |E|)."""
     return h.k, h.k + len(h.edges), 2 * h.k + len(h.edges)
-
-
-def soundness_identity_holds(k: int) -> bool:
-    """Check 2^{k-|E|} == (t+1)^2 / 2^t for the complete hypergraph, exactly."""
-    h = complete_hypergraph(k)
-    t = h.t
-    bound = Fraction(2) ** (k - len(h.edges))
-    return bound == Fraction((t + 1) ** 2, 2**t)
 
 
 def member_labels(h: Hypergraph) -> list[str]:

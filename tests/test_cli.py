@@ -81,7 +81,8 @@ EXIT_2_LINES = {  # id -> (argv, stderr line); FAMILY is a file with fold "loose
                       "need either complete_k or both k and edges"),
     "k-without-edges": ("htest --k 2 --n 2 --members all=dict:1",
                         "need either complete_k or both k and edges"),
-    "family-fold": ("htest --family FAMILY", "unknown fold policy 'loose'"),
+    "family-fold": ("htest --family FAMILY",
+                    "family file FAMILY: bad value for 'fold': 'loose'"),
 }
 
 
@@ -91,6 +92,7 @@ def test_exit_2_writes_nothing_but_its_error_line(argv, line, tmp_path, capsys):
     family.write_text(json.dumps(
         {"n": 2, "k": 2, "edges": [[1, 2]], "members": "all=dict:1", "fold": "loose"}))
     code, out = run(argv.replace("FAMILY", str(family)).split(), capsys)
+    line = line.replace("FAMILY", str(family))
     assert (code, out.out, out.err) == (2, "", f"error: {line}\n")
 
 
@@ -460,6 +462,7 @@ MALFORMED_FAMILY_FILES = {  # id -> (the bad key, the fields that replace FAMILY
     "allow-singletons-string": ("allow_singletons",
                                 {"allow_singletons": "false", "edges": [[1], [1, 2]]}),
     "fold-number": ("fold", {"fold": 1}),
+    "fold-unknown": ("fold", {"fold": "loose"}),
 }
 
 

@@ -26,6 +26,11 @@ from dictatest.rng import mc_chunks
 from dictatest.testers import FunctionFamily, complete_hypergraph
 
 
+def one(n):
+    """The constant-1 function on n variables."""
+    return BooleanFunction(n, np.ones(1 << n, np.int8))
+
+
 def random_signs(n, rng):
     """A uniformly random ±1 table, folded or not."""
     return BooleanFunction(n, 1 - 2 * rng.integers(0, 2, size=1 << n))
@@ -169,26 +174,31 @@ def test_norm_guard_and_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_indexed_family_defaults_missing_members_to_one():
-    fam = IndexedFamily(2, 3, {0: dictator(3, 1)})
-    assert len(fam.members) == 4
-    assert np.array_equal(fam.members[0].table, dictator(3, 1).table)
-    for mask in (1, 2, 3):
-        assert fam.members[mask].table.dtype == np.int8
-        assert np.all(fam.members[mask].table == 1)
-
-
 def test_indexed_family_validation():
-    with pytest.raises(ValueError):
-        IndexedFamily(2, 2, {5: dictator(2, 1)})
-    with pytest.raises(ValueError):
-        IndexedFamily(2, 2, {0: dictator(3, 1)})
-    with pytest.raises(ValueError):
-        IndexedFamily(0, 2)
+    f = dictator(2, 1)
+    for count in (3, 5):  # d = 2 needs 2^d = 4 members
+        with pytest.raises(ValueError, match=rf"need 4 members \(2\^d\), got {count}"):
+            IndexedFamily(2, [f] * count)
+    with pytest.raises(ValueError, match="share one dimension"):
+        IndexedFamily(2, [f, f, dictator(3, 1), f])
+    for d in (0, -1):
+        with pytest.raises(ValueError):
+            IndexedFamily(d, [f])
+        with pytest.raises(ValueError):
+            IndexedFamily.constant(d, f)
     with pytest.raises(TypeError):  # members are ±1 functions, not raw tables
-        IndexedFamily(2, 2, {0: np.ones(4)})
+        IndexedFamily(2, [f, f, np.ones(4), f])
     with pytest.raises(TypeError):
         IndexedFamily.constant(2, np.ones(4))
+    with pytest.raises(TypeError, match="got int"):  # a mask dict iterates as its masks
+        IndexedFamily(2, {0: f})
+
+
+def test_constant_indexed_family_shares_one_member():
+    f = random_folded(4, 5)
+    fam = IndexedFamily.constant(3, f)
+    assert fam.d == 3 and fam.n == f.n == 4
+    assert len(fam.members) == 8 and all(m is f for m in fam.members)
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +217,14 @@ def test_inner_product_of_constant_family_is_norm_power():
 def test_inner_product_with_one_nonconstant_character_is_zero():
     # E χ_α(x + x_1 + x_2) = 0 for α != 0, whatever the other members
     for alpha in range(1, 4):
-        fam = IndexedFamily(2, 2, {3: parity(2, alpha)})
+        fam = IndexedFamily(2, [one(2), one(2), one(2), parity(2, alpha)])
         assert gowers_inner_product_exact(fam) == 0.0
         assert definition_inner_product(fam) == 0.0
 
 
 def test_inner_product_exact_vs_mc_three_sigma():
     rng = np.random.default_rng(36)
-    fam = IndexedFamily(2, 2, {m: random_signs(2, rng) for m in range(4)})
+    fam = IndexedFamily(2, [random_signs(2, rng) for _ in range(4)])
     exact = gowers_inner_product_exact(fam)
     est, se = gowers_inner_product_mc(fam, 200_000, 77)
     assert abs(est - exact) <= 3 * se + 1e-9
@@ -241,7 +251,7 @@ def per_mask_mc(fam, trials, seed):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_inner_product_mc_equals_the_per_mask_products(d):
     rng = np.random.default_rng(50 + d)
-    fam = IndexedFamily(d, 6, {m: random_signs(6, rng) for m in range(1 << d)})
+    fam = IndexedFamily(d, [random_signs(6, rng) for _ in range(1 << d)])
     assert gowers_inner_product_mc(fam, 70_000, d) == per_mask_mc(fam, 70_000, d)
 
 
@@ -256,9 +266,9 @@ def test_inner_product_exact_refuses_over_guard_where_mc_runs():
 
 def sign_families(d, n, seed):
     rng = np.random.default_rng(seed)
-    signs = {m: random_signs(n, rng) for m in range(1 << d)}
+    signs = [random_signs(n, rng) for _ in range(1 << d)]
     constants = [random_folded(n, (seed, d)), parity(n, (1 << n) - 1), dictator(n, n)]
-    return [IndexedFamily(d, n, signs)] + [IndexedFamily.constant(d, f) for f in constants]
+    return [IndexedFamily(d, signs)] + [IndexedFamily.constant(d, f) for f in constants]
 
 
 def test_inner_products_equal_definition_exactly_on_sign_families():
@@ -276,7 +286,7 @@ def small_indexed_families(draw):
     tables = draw(st.lists(
         st.lists(st.sampled_from([-1, 1]), min_size=1 << n, max_size=1 << n),
         min_size=1 << d, max_size=1 << d))
-    return IndexedFamily(d, n, {m: BooleanFunction(n, t) for m, t in enumerate(tables)})
+    return IndexedFamily(d, [BooleanFunction(n, t) for t in tables])
 
 
 @settings(max_examples=80, deadline=None)
@@ -331,7 +341,7 @@ def test_linear_inner_product_all_dictators_is_one():
 
 def test_linear_inner_product_single_character_member():
     # only the full-set member is a nontrivial character: expectation 0
-    fam = IndexedFamily(2, 2, {3: parity(2, 3)})
+    fam = IndexedFamily(2, [one(2), one(2), one(2), parity(2, 3)])
     assert linear_inner_product(fam) == 0.0
 
 
@@ -397,20 +407,15 @@ def test_decoder_all_dictators():
 
 
 def test_decoder_constant_family_returns_none():
-    fam = IndexedFamily(2, 3)  # all members default to constant 1
+    fam = IndexedFamily.constant(2, one(3))
     assert find_influential_pair(fam.members, None, 0.2) is None
     assert find_influential_pair(fam.members, 2, 0.2) is None
 
 
 def test_decoder_planted_noisy_dictator():
     planted = noisy_dictator(6, 3, 0.05, 1234)
-    members = {
-        0: random_folded(6, (40, 0)),
-        1: planted,
-        2: random_folded(6, (40, 2)),
-        3: planted,
-    }
-    fam = IndexedFamily(2, 6, members)
+    members = [random_folded(6, (40, 0)), planted, random_folded(6, (40, 2)), planted]
+    fam = IndexedFamily(2, members)
     found = find_influential_pair(fam.members, 2, 0.2)
     assert found == (1, 3, 3)
     # refolding mirrors each of the m half-table flips, so f^({3}) is exactly
@@ -441,8 +446,8 @@ def decode_per_coordinate(fam, w, tau):
 def decoder_families():
     rng = np.random.default_rng(41)
     planted = noisy_dictator(6, 4, 0.1, 7)
-    yield IndexedFamily(2, 6, {0: random_folded(6, 1), 1: planted, 3: planted})
-    yield IndexedFamily(3, 5, {m: random_signs(5, rng) for m in range(8)})
+    yield IndexedFamily(2, [random_folded(6, 1), planted, one(6), planted])
+    yield IndexedFamily(3, [random_signs(5, rng) for _ in range(8)])
     yield IndexedFamily.constant(2, parity(4, 0b0110))
 
 
