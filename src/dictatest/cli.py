@@ -378,11 +378,13 @@ def _run_xcheck(cfg: Config) -> dict:
 
 def _run_decode(cfg: Config) -> dict:
     _require(cfg, "n", "d", "coord", "rho", "tau")
+    if cfg.d < 1:
+        raise SpecParseError(f"decode needs d >= 1, got {cfg.d}")
     rows = []
     for s in _count(cfg):
         start = time.perf_counter()
-        fam, _ = planted_decoder_family(cfg.d, cfg.n, cfg.coord, cfg.rho, (cfg.seed, s))
-        found = find_influential_pair(fam.members, cfg.w, cfg.tau)
+        members, _ = planted_decoder_family(cfg.d, cfg.n, cfg.coord, cfg.rho, (cfg.seed, s))
+        found = find_influential_pair(members, cfg.w, cfg.tau)
         rows.append(ReportRow(
             experiment="decode", n=cfg.n, k=cfg.d,
             family=f"planted[{s}]:dict@{cfg.coord},rho={cfg.rho}", method="exact",

@@ -36,7 +36,6 @@ from .functions import (
     require_folded,
     table_from_hex,
 )
-from .gowers import IndexedFamily
 from .rng import _draw_blocks, derive_rng, seed_key
 from .testers import FunctionFamily, Hypergraph, member_labels
 
@@ -253,16 +252,16 @@ def load_family(path) -> FunctionFamily:
 
 def planted_decoder_family(
     d: int, n: int, coord: int, rho: float, seed
-) -> tuple[IndexedFamily, tuple[int, int]]:
-    """An indexed family with one noisy dictator planted at two slots.
+) -> tuple[tuple, tuple[int, int]]:
+    """2^d members in subset-mask order with one noisy dictator at two masks.
 
     Two subset masks (chosen from stream (seed, 0)) share the same noisy
     dictator at ``coord``; every other mask holds an independent random folded
-    function, from stream (seed, 1, mask).  Returns (family, planted pair).
+    function, from stream (seed, 1, mask).  Returns (members, planted pair).
     """
     chooser = derive_rng(*seed_key(seed), 0)
     planted = sorted(int(m) for m in chooser.permutation(1 << d)[:2])
     shared = noisy_dictator(n, coord, rho, seed)
-    members = [shared if mask in planted else random_folded(n, (*seed_key(seed), 1, mask))
-               for mask in range(1 << d)]
-    return IndexedFamily(d, members), (planted[0], planted[1])
+    members = tuple(shared if mask in planted else random_folded(n, (*seed_key(seed), 1, mask))
+                    for mask in range(1 << d))
+    return members, (planted[0], planted[1])

@@ -11,7 +11,7 @@ sums in int64 while their bound fits 62 bits and Python ints beyond
 route raises GuardExceeded when the definition's randomness exceeds the
 guard, and a seeded Monte Carlo route estimates the same U_d inner product;
 the caller picks the route and reports it.  Monte Carlo draws come in
-per-chunk sub-streams derived by counter (``rng.mc_chunks``), so estimates
+per-chunk sub-streams derived by counter (``rng.mc_draws``), so estimates
 are reproducible.  The linear inner product LU_d exists only as the
 undivided ``_linear_sum``, on which ``testers.htest_prob_exact`` runs.
 
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DEFAULT_GUARD_BITS, check_guard
 from .fourier import _butterfly, influences, spectrum_counts
 from .functions import BooleanFunction
-from .rng import mc_chunks
+from .rng import mc_draws
 
 # Upper bound on the array elements an exact route evaluates at once.
 _EXACT_CHUNK = 1 << 18
@@ -148,19 +148,17 @@ def gowers_inner_product_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the Gowers inner product: (estimate, stderr).
 
-    Each draw is (x, x_1..x_d), and its value Π_S f_S(x + Σ_{i in S} x_i);
-    chunk c draws from the sub-stream (seed, c).  The 2^d points come in
-    mask order by XOR doubling, one XOR each.  Each value is a product of ±1
-    entries, taken in int8; the values sum to an exact integer, and their
-    mean square is 1.
+    Each draw is (x, x_1..x_d), and its value Π_S f_S(x + Σ_{i in S} x_i).
+    Chunk c's draws are the uint32 rows x, x_1..x_d of its one ``mc_draws``
+    block (cols = (d + 1,)): the sub-stream (seed, c)'s integers draws of
+    shape (m, d + 1), transposed.  The 2^d points come in mask order by XOR
+    doubling, one XOR each.  Each value is a product of ±1 entries, taken in
+    int8; the values sum to an exact integer, and their mean square is 1.
     """
-    tables, points = [m.table for m in fam.members], 1 << fam.n
-    total = 0
-    for rng, m in mc_chunks(trials, seed):
-        draws = rng.integers(0, points, size=(m, fam.d + 1))
-        shifts = [draws[:, 0]]
-        for i in range(fam.d):
-            step = draws[:, 1 + i]
+    tables, total = [m.table for m in fam.members], 0
+    for (draws,) in mc_draws(trials, seed, fam.n, (fam.d + 1,)):
+        shifts = [draws[0]]
+        for step in draws[1:]:
             shifts += [s ^ step for s in shifts]
         prod = tables[0].take(shifts[0])
         for table, shift in zip(tables[1:], shifts[1:]):

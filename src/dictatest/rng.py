@@ -2,7 +2,8 @@
 
 Every randomized operation takes an integer seed and derives independent
 sub-streams by counter, so any trial (or chunk of trials) is reproducible in
-isolation.
+isolation.  Both Monte Carlo estimators take their draws from ``mc_draws``:
+each chunk is one ``_draw_blocks`` block of the pinned ``integers`` stream.
 """
 
 from __future__ import annotations
@@ -46,16 +47,16 @@ def _draw_blocks(rng: np.random.Generator, m: int, n: int, cols) -> list[np.ndar
             for a, c in zip(accumulate((m * c for c in cols), initial=0), cols)]
 
 
-def mc_chunks(trials: int, seed):
-    """The Monte Carlo chunks of ``trials`` draws, as (rng, m) pairs.
+def mc_draws(trials: int, seed, n: int, cols):
+    """The Monte Carlo draws of ``trials`` trials, one chunk at a time.
 
-    Chunk c holds m <= _MC_CHUNK trials drawn from the sub-stream (seed, c);
-    the m's sum to ``trials``.
+    Chunk c is ``_draw_blocks(rng, m, n, cols)`` for the sub-stream rng of
+    (seed, c) and m <= _MC_CHUNK trials; the m's sum to ``trials``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     key = seed_key(seed)
     return (
-        (derive_rng(*key, c), min(_MC_CHUNK, trials - start))
+        _draw_blocks(derive_rng(*key, c), min(_MC_CHUNK, trials - start), n, cols)
         for c, start in enumerate(range(0, trials, _MC_CHUNK))
     )

@@ -26,7 +26,7 @@ from .fourier import _butterfly, _subset_sums, hamming_weights, spectrum_counts,
 from .functions import BooleanFunction, FoldedOracle, folded_table, require_folded
 from .gowers import _count_dtype, _linear_sum
 # _MC_CHUNK is bound here for bench/spans.py, which counts htest_prob_mc chunks.
-from .rng import _MC_CHUNK, _draw_blocks, mc_chunks  # noqa: F401
+from .rng import _MC_CHUNK, mc_draws  # noqa: F401
 from .stats import wilson_interval
 
 
@@ -42,25 +42,16 @@ def _as_mask(x, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def edge_label(edge: frozenset) -> str:
-    return "e" + ",".join(str(v) for v in sorted(edge))
-
-
-def vertex_label(i: int) -> str:
-    return f"v{i}"
-
-
 @dataclass(frozen=True)
 class Hypergraph:
     """H = ([k], E): vertices 1..k and a list of distinct vertex subsets.
 
     Each edge lists distinct vertices, and edges need at least 2 of them
-    unless ``allow_singletons`` is set.
+    unless the constructor is passed ``allow_singletons``.
     """
 
     k: int
     edges: tuple
-    allow_singletons: bool = False
 
     def __init__(self, k: int, edges, allow_singletons: bool = False):
         k = int(k)
@@ -85,7 +76,6 @@ class Hypergraph:
             normalized.append(e)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "edges", tuple(normalized))
-        object.__setattr__(self, "allow_singletons", allow_singletons)
 
     @property
     def t(self) -> int:
@@ -114,7 +104,8 @@ def query_budget(h: Hypergraph) -> tuple[int, int, int]:
 
 def member_labels(h: Hypergraph) -> list[str]:
     """A family's member labels in order: v1..vk, then the edges in order."""
-    return [vertex_label(i) for i in range(1, h.k + 1)] + [edge_label(e) for e in h.edges]
+    return ([f"v{i}" for i in range(1, h.k + 1)]
+            + ["e" + ",".join(map(str, sorted(e))) for e in h.edges])
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,9 +400,9 @@ def htest_prob_mc(
     Verdicts follow the same two-pass procedure as run_hypergraph_test, drawn
     and evaluated in vectorized chunks in one thread; chunk c uses the
     sub-stream (seed, c) and chunk counts are summed, so the estimate is
-    deterministic given (fam, trials, seed).  The draws are
-    rng.integers(0, 2^n, size=(m, c)) for c = k, k, k, |E| in turn, read as
-    the column views _draw_blocks makes of one shifted random_raw block;
+    deterministic given (fam, trials, seed).  Chunk c's draws are its
+    ``mc_draws`` blocks for cols = (k, k, k, |E|), the integers draws of
+    shape (m, j) for each j in turn as column views of one random_raw block;
     test_htest_mc_stream_and_verdicts_are_pinned pins them.  The kernel's
     uint32 shift tables and bool sign tables are built once per call, not
     once per chunk.
@@ -419,8 +410,8 @@ def htest_prob_mc(
     tables = _verdict_tables(fam, np.uint32)
     cols = (fam.hypergraph.k,) * 3 + (len(fam.hypergraph.edges),)
     accepts = 0
-    for rng, m in mc_chunks(trials, seed):
-        ok = _htest_verdicts(*tables, *_draw_blocks(rng, m, fam.n, cols))
+    for draws in mc_draws(trials, seed, fam.n, cols):
+        ok = _htest_verdicts(*tables, *draws)
         accepts += int(np.count_nonzero(ok))
     low, high = wilson_interval(accepts, trials)
     return accepts / trials, low, high

@@ -83,6 +83,10 @@ EXIT_2_LINES = {  # id -> (argv, stderr line); FAMILY is a file with fold "loose
                         "need either complete_k or both k and edges"),
     "family-fold": ("htest --family FAMILY",
                     "family file FAMILY: bad value for 'fold': 'loose'"),
+    "decode-d-0": ("decode --n 4 --d 0 --coord 1 --rho 0.1 --tau 0.3",
+                   "decode needs d >= 1, got 0"),
+    "decode-d-negative": ("decode --n 4 --d -1 --coord 1 --rho 0.1 --tau 0.3",
+                          "decode needs d >= 1, got -1"),
 }
 
 

@@ -289,9 +289,14 @@ def test_load_family_errors(tmp_path):
 
 
 def test_planted_decoder_family_structure():
-    fam, (s_mask, t_mask) = planted_decoder_family(2, 5, 2, 0.05, 17)
-    assert s_mask != t_mask
-    assert np.array_equal(fam.members[s_mask].table, fam.members[t_mask].table)
+    """A tuple of 2^d members in mask order: the planted masks share one noisy
+    dictator, and every other mask holds random_folded of (seed, 1, mask)."""
+    members, (s_mask, t_mask) = planted_decoder_family(2, 5, 2, 0.05, 17)
+    assert type(members) is tuple and len(members) == 4
+    assert s_mask < t_mask and members[s_mask] is members[t_mask]
+    assert members[s_mask] == noisy_dictator(5, 2, 0.05, 17)
+    for mask in set(range(4)) - {s_mask, t_mask}:
+        assert members[mask] == random_folded(5, (17, 1, mask))
     again, pair = planted_decoder_family(2, 5, 2, 0.05, 17)
     assert pair == (s_mask, t_mask)
-    assert np.array_equal(again.members[s_mask].table, fam.members[s_mask].table)
+    assert np.array_equal(again[s_mask].table, members[s_mask].table)

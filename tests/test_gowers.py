@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dictatest import fourier, gowers
+from dictatest import rng as rng_module
 from dictatest.errors import GuardExceeded
 from dictatest.families import (
     dictator,
@@ -22,7 +23,7 @@ from dictatest.gowers import (
     gowers_inner_product_exact,
     gowers_inner_product_mc,
 )
-from dictatest.rng import mc_chunks
+from dictatest.rng import _MC_CHUNK, derive_rng, seed_key
 from dictatest.testers import FunctionFamily, complete_hypergraph
 
 
@@ -231,9 +232,13 @@ def test_inner_product_exact_vs_mc_three_sigma():
 
 
 def per_mask_mc(fam, trials, seed):
-    """gowers_inner_product_mc with each member's point XORed up from x anew."""
+    """gowers_inner_product_mc with each member's point XORed up from x anew,
+    on rng.integers draws: chunk c holds the next _MC_CHUNK trials (or fewer)
+    of the sub-stream (seed, c)."""
     total = total_sq = 0.0
-    for rng, m in mc_chunks(trials, seed):
+    for c, start in enumerate(range(0, trials, _MC_CHUNK)):
+        m = min(_MC_CHUNK, trials - start)
+        rng = derive_rng(*seed_key(seed), c)
         draws = rng.integers(0, 1 << fam.n, size=(m, fam.d + 1))
         prod = np.ones(m)
         for mask, f in enumerate(fam.members):
@@ -253,6 +258,20 @@ def test_inner_product_mc_equals_the_per_mask_products(d):
     rng = np.random.default_rng(50 + d)
     fam = IndexedFamily(d, [random_signs(6, rng) for _ in range(1 << d)])
     assert gowers_inner_product_mc(fam, 70_000, d) == per_mask_mc(fam, 70_000, d)
+
+
+@pytest.mark.parametrize("n, d", [(16, 3), (12, 5), (1, 2), (24, 2)])
+def test_gowers_mc_draws_without_calling_integers(n, d, no_integers):
+    """The MC route reads the same pinned stream without Generator.integers,
+    over full chunks and a partial one."""
+    count = 1 << d if n < 20 else 1  # one member at n = 24 keeps the tables small
+    members = [random_folded(n, (n, d, j)) for j in range(count)]
+    fam = IndexedFamily(d, members * ((1 << d) // count))
+    trials = 2 * _MC_CHUNK + 7
+    for seed in (0, 123, (5, 1)):
+        assert gowers_inner_product_mc(fam, trials, seed) == per_mask_mc(fam, trials, seed)
+    with pytest.raises(AssertionError, match="integers was called"):
+        rng_module.derive_rng(0).integers(0, 2)
 
 
 def test_inner_product_exact_refuses_over_guard_where_mc_runs():
@@ -494,14 +513,14 @@ def test_decoder_rejects_fewer_than_two_members_or_mixed_cubes():
 
 
 def test_decoder_transforms_each_distinct_member_once(monkeypatch):
-    fam, _ = planted_decoder_family(3, 14, 2, 0.05, 1)
-    distinct = {id(m) for m in fam.members}
-    assert len(distinct) < len(fam.members)  # the planted pair shares a member
-    expected = find_influential_pair(fam.members, None, 0.05)
+    members, _ = planted_decoder_family(3, 14, 2, 0.05, 1)
+    distinct = {id(m) for m in members}
+    assert len(distinct) < len(members)  # the planted pair shares a member
+    expected = find_influential_pair(members, None, 0.05)
     calls = []
     counts = gowers.spectrum_counts
     monkeypatch.setattr(gowers, "spectrum_counts", lambda f: calls.append(id(f)) or counts(f))
-    assert find_influential_pair(fam.members, None, 0.05) == expected
+    assert find_influential_pair(members, None, 0.05) == expected
     assert sorted(calls) == sorted(distinct)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dictatest.rng import _draw_blocks, derive_rng
+from dictatest.rng import _MC_CHUNK, _draw_blocks, derive_rng, mc_draws
 
 # (x, y, z, edge) column counts; several give an odd m·(3k+|E|) for odd m, so
 # a block can start on the high 32-bit half of a random_raw word.
@@ -32,3 +32,23 @@ def test_draw_blocks_reject_n_outside_1_to_32(n):
     with pytest.raises(ValueError, match=r"n must be in \[1, 32\]"):
         _draw_blocks(derive_rng(0), 4, n, (1, 1, 1, 1))
 
+
+
+@pytest.mark.parametrize("trials", [1, _MC_CHUNK - 1, _MC_CHUNK, 2 * _MC_CHUNK + 5])
+@pytest.mark.parametrize("seed, key", [(9, (9,)), ((5, 1), (5, 1))])
+def test_mc_draws_are_the_chunk_blocks(trials, seed, key):
+    """Chunk c is _draw_blocks of the sub-stream (seed, c), holding _MC_CHUNK
+    trials except for a last, smaller chunk; the chunks hold ``trials``, and
+    fewer than one trial is refused."""
+    n, cols = 7, (2, 1, 3)
+    chunks = list(mc_draws(trials, seed, n, cols))
+    sizes = [blocks[0].shape[1] for blocks in chunks]
+    assert sum(sizes) == trials and all(m == _MC_CHUNK for m in sizes[:-1])
+    for c, (blocks, m) in enumerate(zip(chunks, sizes)):
+        expected = _draw_blocks(derive_rng(*key, c), m, n, cols)
+        assert len(blocks) == len(cols)
+        for block, reference in zip(blocks, expected):
+            assert block.dtype == np.uint32 and np.array_equal(block, reference)
+    for empty in (0, -trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            mc_draws(empty, seed, n, cols)  # raised at the call, before any chunk

@@ -467,19 +467,8 @@ def test_htest_mc_stream_and_verdicts_are_pinned():
         assert htest_prob_mc(families[name], MC_TRIALS, seed) == expected
 
 
-class NoIntegers(np.random.Generator):
-    """A Generator whose integers method fails; Generator itself is an
-    immutable extension type, so its method cannot be patched in place."""
-
-    def integers(self, *args, **kwargs):
-        raise AssertionError("Generator.integers was called")
-
-
-def test_htest_mc_draws_without_calling_integers(monkeypatch):
+def test_htest_mc_draws_without_calling_integers(no_integers):
     families = pinned_mc_families()
-    monkeypatch.setattr(
-        rng_module, "derive_rng",
-        lambda *key: NoIntegers(np.random.PCG64(np.random.SeedSequence(key))))
     for name, seed, expected in PINNED_MC:
         assert htest_prob_mc(families[name], MC_TRIALS, seed) == expected
     with pytest.raises(AssertionError, match="integers was called"):
@@ -505,8 +494,8 @@ def test_htest_mc_equals_query_level_run_on_its_draws():
         fam = make(h, n, 60 + n)
         cols = (h.k,) * 3 + (len(h.edges),)
         accepts = 0
-        for rng, m in rng_module.mc_chunks(trials, 8):
-            draws = np.concatenate(rng_module._draw_blocks(rng, m, n, cols)).T.tolist()
+        for blocks in rng_module.mc_draws(trials, 8, n, cols):
+            draws = np.concatenate(blocks).T.tolist()
             accepts += sum(run_hypergraph_test(fam, ScriptedDraws(trial)).verdict
                            for trial in draws)
         assert 0 < accepts < trials
@@ -523,8 +512,7 @@ def test_htest_kernel_accepts_every_dictator_draw(n):
         cols = (h.k,) * 3 + (len(h.edges),)
         for j in {1, n}:
             fam = FunctionFamily.uniform(h, dictator(n, j))
-            (rng, m), = rng_module.mc_chunks(rng_module._MC_CHUNK, (n, j, h.k))
-            draws = rng_module._draw_blocks(rng, m, n, cols)
+            draws, = rng_module.mc_draws(rng_module._MC_CHUNK, (n, j, h.k), n, cols)
             assert max(int(d.max()) for d in draws) >= (1 << n) - (1 << max(0, n - 10))
             assert kernel_verdicts(fam, *draws).all()
 
