@@ -100,8 +100,6 @@ class Config:
     json: bool = False
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise SpecParseError(f"'seed' must be >= 0, got {self.seed}")
         if isinstance(self.edges, str):
             self.edges = _parse_edges(self.edges)
 
@@ -464,16 +462,17 @@ def _config(args: argparse.Namespace) -> Config:
     """Each option from its flag, else from the config file, else the default."""
     types = _field_types()
     keys = {dest: types[dest] for _, dest, _ in COMMANDS[args.command].options + _COMMON}
-    doc = {}
+    doc, where = {}, f"{args.command} config {args.config}: "
     if args.config is not None:
         doc = read_json_object(args.config, f"{args.command} config", keys)
-        where = f"{args.command} config {args.config}"
-        if doc.get("seed", 0) < 0:
-            raise SpecParseError(f"{where}: 'seed' must be >= 0, got {doc['seed']}")
         if type(doc.get("edges")) is list and not _int_lists(doc["edges"]):
-            raise SpecParseError(f"{where}: bad value for 'edges': {doc['edges']!r}")
-    flags = {key: getattr(args, key) for key in keys}
-    return Config(**(doc | {key: value for key, value in flags.items() if value is not None}))
+            raise SpecParseError(f"{where}bad value for 'edges': {doc['edges']!r}")
+    flags = {key: value for key in keys if (value := getattr(args, key)) is not None}
+    for key in ("seed", "guard_bits"):  # the file's value first, then the flag's
+        for prefix, values in ((where, doc), ("", flags)):
+            if values.get(key, 0) < 0:
+                raise SpecParseError(f"{prefix}'{key}' must be >= 0, got {values[key]}")
+    return Config(**(doc | flags))
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,8 @@ every subset-sum intermediate of the counts is
 product is 2^{|L|} on a 2^{-|L|} share of the points, so both stay within
 2^n <= 2^MAX_DIMENSION = 2^24 < 2^31.  A float64 transform of the same
 table is exact on the same values, so dividing once by 2^n gives its floats
-bit for bit.
+bit for bit.  ``testers.basic_test_prob_exact`` takes int64 subset sums of
+c^3, each within Σ|c|^3 <= 2^n Σc^2 = 2^{3n}, so to n = 20.
 
 A folded table, f(1⃗+x) = -f(x), has its spectrum on odd |α| only, where it
 is twice the transform of the table's lower half (x_n = 0), so from n =

@@ -7,11 +7,11 @@ the per-vertex queries across edges.  Both are two-pass: the first pass reads
 f(y) values and the bits v = (1 - f(y))/2 steer the second, nonadaptive pass.
 
 Each tester has an exact acceptance probability: an integer accept count
-over all its randomness (guarded by that bit budget), computed from an
-identity rather than draw by draw.  The basic test also has a closed-form
-spectral evaluator, and the hypergraph test a query-level run
-(``run_hypergraph_test``) and a Monte Carlo estimate.  All oracle access
-goes through the folding rule.
+over all its randomness (guarded by that bit budget), from an identity: one
+subset sum over f^{-1}(-1) for the basic test, a linear-form sum for the
+hypergraph test.  The basic test also has a closed-form spectral evaluator,
+and the hypergraph test a query-level run (``run_hypergraph_test``) and a
+Monte Carlo estimate.  All oracle access goes through the folding rule.
 """
 
 from __future__ import annotations
@@ -229,22 +229,21 @@ def basic_test_prob_exact(
 ) -> float:
     """Exact acceptance probability over all (x_i, x_j, y, z) tuples.
 
-    pair_count[w] = #{(x_i, x_j) : f(x_i) f(x_j) = f(x_i + x_j + w)} is
-    (4^n + 2^{-n}·WHT(c^3)(w))/2 with c = spectrum_counts(f), and with
-    s = v·1⃗ + y, Σ_z pair_count[s ∧ z] = 2^{n-|s|} Σ_{u ⊆ s} pair_count[u].
-    The accept count over 2^{4n} tuples is an integer, so the float is the
-    exact dyadic rational.  Requires a folded input and 4n guard bits.
+    With c = spectrum_counts(f) and s = v·1⃗ + y, the character expansion of
+    f(x_i) f(x_j) = f(x_i + x_j + s ∧ z), summed over z, gives y
+    2^{3n-1} + Σ_{α ⊆ 1⃗+s} c(α)^3 / 2 accepting (x_i, x_j, z).  Folding puts
+    t = 1⃗ + s in f^{-1}(-1), reached from y = t and y = 1⃗ + t, so the accept
+    count is 2^{4n-1} + Σ_{t ∈ f^{-1}(-1)} Σ_{α ⊆ t} c(α)^3 (2^{4n} for a
+    dictator).  Its partial subset sums are within Σ|c|^3 <= 2^n Σc^2 = 2^{3n}
+    (Parseval): int64 to n = 20.  The count / 2^{4n} is an exact dyadic float.
+    Requires a folded input and 4n guard bits.
     """
     require_folded(f)
     n = f.n
     check_guard(4 * n, guard_bits)
-    points = 1 << n
-    counts = spectrum_counts(f, True).astype(_count_dtype(4 * n))
-    pair_count = (points * points + _butterfly(counts**3) // points) // 2
-    idx = np.arange(points)
-    shifts = np.where(folded_table(f) < 0, idx ^ (points - 1), idx)
-    per_y = _subset_sums(pair_count)[shifts] << (n - hamming_weights(n)[shifts])
-    return int(per_y.sum()) / points**4
+    counts = spectrum_counts(f, True).astype(_count_dtype(3 * n + 1))
+    zeta = _subset_sums(counts**3)[folded_table(f) < 0]
+    return (2 ** (4 * n - 1) + sum(zeta.tolist())) / 2 ** (4 * n)
 
 
 # Entries per block of basic_test_prob_fourier: its float64 blocks stay in

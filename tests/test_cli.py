@@ -148,6 +148,25 @@ def test_negative_seed_exits_2_naming_seed(argv, capsys, tmp_path):
     assert (code, out.out, out.err) == (2, "", message)
 
 
+NEGATIVE_GUARDS = NEGATIVE_SEEDS | {
+    "basictest": "basictest --fn dict:1 --n 2",
+    "gowers-auto": "gowers --fn dict:1 --n 2 --d 1",
+}
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_GUARDS.values(), ids=NEGATIVE_GUARDS.keys())
+def test_negative_guard_bits_exits_2_naming_guard_bits(argv, capsys, tmp_path):
+    """A negative guard is an argument out of range, not a guard that refuses
+    the exact route (exit 3) or sends gowers' auto method to Monte Carlo."""
+    code, out = run(argv.split() + ["--guard-bits", -1], capsys)
+    assert (code, out.out, out.err) == (2, "", "error: 'guard_bits' must be >= 0, got -1\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"guard_bits": -4}))
+    code, out = run(argv.split() + ["--config", config], capsys)
+    message = f"error: {argv.split()[0]} config {config}: 'guard_bits' must be >= 0, got -4\n"
+    assert (code, out.out, out.err) == (2, "", message)
+
+
 def test_singleton_edge_error_names_no_library_argument(capsys):
     argv = ["htest", "--k", 2, "--edges", "1;1,2", "--n", 2, "--members", "all=dict:1"]
     code, out = run(argv, capsys)

@@ -124,7 +124,7 @@ def test_butterfly_equals_copying_butterfly(n):
 
 
 def test_butterfly_equals_copying_butterfly_on_python_ints_past_2_63():
-    # the object-dtype path basic_test_prob_exact takes past 62 bits
+    # the object-dtype path the htest and Gowers sums take past 62 bits
     rng = np.random.default_rng(99)
     for n in (1, 4, 7):
         values = np.array([int(v) << 70 for v in rng.integers(-(1 << 20), 1 << 20, 1 << n)],

@@ -320,6 +320,65 @@ def test_basic_exact_dictator_completeness_n12():
         assert basic_test_prob_exact(dictator(12, ell), guard_bits=48) == 1.0
 
 
+def per_y_accept_count(f):
+    """The basic test's accept count by the per-y formula, in int64 to n = 15.
+
+    pair_count[w] = #{(x_i, x_j) : f(x_i) f(x_j) = f(x_i + x_j + w)} is
+    (4^n + 2^{-n}·WHT(c^3)(w))/2 with c = spectrum_counts(f), and y, with
+    s = v·1⃗ + y, accepts Σ_z pair_count[s ∧ z] = 2^{n-|s|} Σ_{u ⊆ s}
+    pair_count[u] of the (x_i, x_j, z).
+    """
+    n = f.n
+    points = 1 << n
+    counts = spectrum_counts(f, True).astype(np.int64)
+    pair_count = (points * points + _butterfly(counts**3) // points) // 2
+    idx = np.arange(points)
+    shifts = np.where(folded_table(f) < 0, idx ^ (points - 1), idx)
+    per_y = _subset_sums(pair_count)[shifts] << (n - hamming_weights(n)[shifts])
+    return int(per_y.sum())
+
+
+@pytest.mark.parametrize("n", range(8, 15))
+def test_basic_exact_equals_the_per_y_formula(n):
+    fs = [dictator(n, 1), dictator(n, n), noisy_dictator(n, 2, 0.2, n),
+          noisy_dictator(n, n, 0.1, 7)]
+    fs += [random_folded(n, (62, n, t)) for t in range(3)]
+    fs += [majority(n)] if n % 2 else []
+    for f in fs:
+        assert basic_test_prob_exact(f, guard_bits=4 * n) == per_y_accept_count(f) / 2 ** (4 * n)
+
+
+def test_basic_exact_subset_sums_run_in_int64_to_n20(monkeypatch):
+    """Partial subset sums of c^3 stay within 2^{3n}, so the transform's
+    input is int64 for every n <= 20 and Python ints from n = 21."""
+
+    class Handed(Exception):
+        pass
+
+    def record(values):
+        dtypes.append(values.dtype)
+        raise Handed
+
+    dtypes = []
+    monkeypatch.setattr(testers, "_subset_sums", record)
+    for n in range(1, 22):
+        with pytest.raises(Handed):
+            basic_test_prob_exact(dictator(n, 1), guard_bits=4 * n)
+    assert dtypes == [np.dtype(np.int64)] * 20 + [np.dtype(object)]
+
+
+def test_basic_exact_dictator_completeness_n20_and_n21():
+    for ell in (1, 20):
+        assert basic_test_prob_exact(dictator(20, ell), guard_bits=80) == 1.0
+    assert basic_test_prob_exact(dictator(21, 21), guard_bits=84) == 1.0  # Python ints
+
+
+def test_basic_exact_equals_fourier_at_n20():
+    for spec in ("random:3", "random:4", "noisydict:1:0.1:22", "noisydict:20:0.2:5"):
+        f = parse_fnspec(spec, 20)
+        assert abs(basic_test_prob_exact(f, guard_bits=80) - basic_test_prob_fourier(f)) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # Hypergraph test sampler
 # ---------------------------------------------------------------------------
@@ -872,7 +931,7 @@ def test_basic_routes_check_the_fold_once(monkeypatch):
 
 
 def test_basic_exact_beyond_int64_counts():
-    # 4n = 64 bits: the counts are Python ints
+    # 4n = 64 guard bits, past 2^62, while the subset sums stay int64
     assert basic_test_prob_exact(dictator(16, 3), guard_bits=64) == 1.0
     f = random_folded(16, 62)
     exact = basic_test_prob_exact(f, guard_bits=64)
@@ -952,6 +1011,83 @@ def test_htest_no_edges_always_accepts():
     h = Hypergraph(2, [])
     fam = FunctionFamily(h, [random_folded(2, 1), random_folded(2, 2)])
     assert htest_prob_exact(fam) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Symmetries and the junta reduction
+# ---------------------------------------------------------------------------
+
+
+def permute(f, perm):
+    """g(x) = f(π(x)): bit i of x moves to bit perm[i] (0-based)."""
+    idx = np.arange(1 << f.n)
+    image = sum(((idx >> i) & 1) << j for i, j in enumerate(perm))
+    return BooleanFunction(f.n, f.table[image])
+
+
+def lift(g, n, coords):
+    """g on {0,1}^r read off the coordinates ``coords`` (0-based bits) of n."""
+    idx = np.arange(1 << n)
+    image = sum(((idx >> c) & 1) << j for j, c in enumerate(coords))
+    return BooleanFunction(n, g.table[image])
+
+
+def relabel(fam, sigma):
+    """The family with vertex i renamed sigma[i - 1]; edges and members follow."""
+    h, k = fam.hypergraph, fam.hypergraph.k
+    vertices = [None] * k
+    for i, f in enumerate(fam.members[:k]):
+        vertices[sigma[i] - 1] = f
+    edges = [[sigma[i - 1] for i in e] for e in h.edges]
+    return FunctionFamily(Hypergraph(k, edges), vertices + list(fam.members[k:]))
+
+
+SYMMETRY_CASES = [(complete_hypergraph(2), 3), (complete_hypergraph(2), 4),
+                  (complete_hypergraph(3), 2), (PATH_3, 3)]
+
+
+@pytest.mark.parametrize("h, n", SYMMETRY_CASES)
+def test_htest_exact_is_invariant_under_coordinate_permutations(h, n):
+    rng = np.random.default_rng(130 + n)
+    bits = (3 * h.k + len(h.edges)) * n
+    for fam in htest_families(h, n):
+        value = htest_prob_exact(fam, guard_bits=bits)
+        for _ in range(3):
+            perm = rng.permutation(n)
+            moved = FunctionFamily(h, [permute(f, perm) for f in fam.members])
+            assert htest_prob_exact(moved, guard_bits=bits) == value
+
+
+@pytest.mark.parametrize("h, n", SYMMETRY_CASES)
+def test_htest_exact_is_invariant_under_vertex_relabelling(h, n):
+    bits = (3 * h.k + len(h.edges)) * n
+    for fam in htest_families(h, n):
+        value = htest_prob_exact(fam, guard_bits=bits)
+        for sigma in itertools.permutations(range(1, h.k + 1)):
+            assert htest_prob_exact(relabel(fam, sigma), guard_bits=bits) == value
+
+
+def test_basic_exact_is_invariant_under_coordinate_permutations():
+    rng = np.random.default_rng(131)
+    for n in range(2, 11):
+        for f in basic_families(n):
+            value = basic_test_prob_exact(f, guard_bits=4 * n)
+            for _ in range(3):
+                assert basic_test_prob_exact(permute(f, rng.permutation(n)), guard_bits=4 * n) == value
+
+
+@pytest.mark.parametrize("r, n", [(2, 4), (2, 5), (3, 5)])
+def test_exact_routes_reduce_a_junta_to_its_coordinates(r, n):
+    """Members that read only r of the n coordinates accept as their
+    restrictions to {0,1}^r do, on both exact routes."""
+    rng = np.random.default_rng(132 + 10 * r + n)
+    h = complete_hypergraph(2)
+    for fam in (random_family(h, r, 14), noisy_family(h, r, 15)):
+        coords = rng.choice(n, size=r, replace=False)
+        lifted = FunctionFamily(h, [lift(g, n, coords) for g in fam.members])
+        assert htest_prob_exact(lifted, guard_bits=7 * n) == htest_prob_exact(fam, guard_bits=7 * r)
+        for g, f in zip(fam.members, lifted.members):
+            assert basic_test_prob_exact(f, guard_bits=4 * n) == basic_test_prob_exact(g)
 
 
 # ---------------------------------------------------------------------------
