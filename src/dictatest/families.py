@@ -93,8 +93,7 @@ def noisy_dictator(n: int, i: int, rho: float, seed) -> BooleanFunction:
     base = dictator(n, i)
     half = base.table[1::2].copy()
     rng = derive_rng(*seed_key(seed))
-    flips = rng.random(half.size) < rho
-    half[flips] *= -1
+    np.negative(half, out=half, where=rng.random(half.size) < rho)
     return make_folded(n, half)
 
 
@@ -121,7 +120,7 @@ def parse_fnspec(spec: str, n: int) -> BooleanFunction:
             return dictator(n, int(parts[1]))
         if kind == "parity" and len(parts) == 2:
             if not parts[1] or not all(c in "0123456789abcdef" for c in parts[1]):
-                raise SpecParseError(f"parity mask must be lowercase hex: {spec!r}")
+                raise ValueError("parity mask must be lowercase hex")
             return parity(n, int(parts[1], 16))
         if kind == "table" and len(parts) == 2:
             return table_from_hex(n, parts[1])

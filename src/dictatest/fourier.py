@@ -27,11 +27,15 @@ than the route's fixed per-call overhead.
 The butterfly has constant geometry (Pease): each stage combines adjacent
 entries into the other buffer, sums to its low half and differences to its
 high half, which leaves natural order and the in-place butterfly's sum tree.
-``influences`` gives all n (low-degree) influences from one spectrum
-squared in int64: each square is at most 2^{2n} <= 2^48, and by Parseval
-the squared counts of a ±1 table sum to 4^n, so every partial sum is an
-exact integer below 2^53; each influence is one such sum divided once by
-4^n, an exact float.
+``influences`` gives all n (low-degree) influences from one spectrum squared
+in int64: each square is at most 2^{2n} <= 2^48, and by Parseval the squared
+counts of a ±1 table sum to 4^n, so every partial sum below is an exact
+integer of at most 2^48 < 2^53.  The n full sums come from one halving fold:
+coordinate n's sum is that of the upper half, and adding the upper half onto
+the lower leaves 2^{n-1} sums on which the same step gives coordinate n-1,
+so the fold makes about 2·2^n contiguous adds.  Given w, only the C(n, <=w)
+shell |α| <= w is squared and summed.  Each influence is one sum divided
+once by 4^n, an exact float.
 """
 
 from __future__ import annotations
@@ -138,20 +142,25 @@ def influences(counts: np.ndarray, w: int | None = None) -> list[float]:
     """[I_1(f), ..., I_n(f)] from f's ``spectrum_counts``, or the low-degree
     I_i^{<=w}(f) given w.
 
-    Squares the counts once for all n coordinates, and given w keeps only
-    the indices with |α| <= w.  Entry i-1 is the int64 sum of the α_i = 1
-    squares divided once by 4^n.
+    Without w, the first 2^i entries of the folded int64 squares hold at β
+    the sum over every α with low i bits β, so I_i·4^n is their upper half's
+    sum.  Given w, I_i^{<=w}·4^n sums the squares of the |α| <= w shell at
+    α_i = 1.  Each exact sum is divided once by 4^n (module docstring).
     """
     n = counts.size.bit_length() - 1
     if w is not None and not 0 <= int(w) <= n:
         raise ValueError(f"degree bound {int(w)} out of range for n={n}")
-    squares = np.square(counts, dtype=np.int64)
-    if w is None:  # the α_i = 1 blocks
-        sums = [squares.reshape(-1, 2, 1 << (i - 1))[:, 1].sum() for i in range(1, n + 1)]
+    if w is None:
+        squares = np.square(counts, dtype=np.int64)
+        sums = [0] * n
+        for i in range(n, 0, -1):
+            half = 1 << (i - 1)
+            sums[i - 1] = squares[half:2 * half].sum()
+            squares[:half] += squares[half:2 * half]
     else:
         low = np.flatnonzero(hamming_weights(n) <= int(w))
-        squares = squares[low]
-        sums = [squares[(low >> (i - 1)) & 1 == 1].sum() for i in range(1, n + 1)]
+        squares = np.square(counts[low], dtype=np.int64)
+        sums = [np.dot(squares, (low >> (i - 1)) & 1) for i in range(1, n + 1)]
     return [int(total) / 4**n for total in sums]
 
 

@@ -312,7 +312,8 @@ def _htest_verdicts(shift_tables, sign_tables, edges, xs, ys, zv, ze):
     The XORs stay in the draws' dtype, so uint32 draws are not widened to
     int64, and each read is a ``take``: indexing with uint32 takes numpy's
     slower casting path.  ``bad`` is rebound, not or-ed in place, because an
-    edge's mask can broadcast wider than xs[0] (its own z axis on a grid).
+    edge's mask can broadcast wider than xs[0]: the exact-route tests'
+    ``grid_accept_count`` gives each z its own axis of a grid.
     """
     sums = {}  # (i_1, ..., i_j) -> (Σ w_i, Σ s_i) over those vertices
     for i in set().union(*edges):

@@ -91,6 +91,21 @@ def test_noisy_dictator_zero_noise_is_exact():
         assert influence(spectrum_counts(f), 2) == 1.0
 
 
+@pytest.mark.parametrize("n, i, rho, seed", [
+    (1, 1, 0.5, 0), (4, 2, 0.1, 7), (9, 9, 0.3, (3, 1)),
+    (14, 3, 0.05, (2, 14, 1)), (17, 11, 0.25, 5), (20, 1, 0.5, (2**40, 3)),
+])
+def test_noisy_dictator_flips_are_the_seeds_random_stream(n, i, rho, seed):
+    """noisy_dictator's x_1 = 1 half is the dictator's half, negated exactly
+    where rng.random(2^{n-1}) < rho on the seed's stream."""
+    flips = derive_rng(*seed_key(seed)).random(1 << (n - 1)) < rho
+    base = dictator(n, i).table[1::2]
+    f = noisy_dictator(n, i, rho, seed)
+    assert f.table.dtype == np.int8
+    assert np.array_equal(f.table[1::2], np.where(flips, -base, base))
+    assert f == make_folded(n, f.table[1::2])
+
+
 def _half_table_flips(f, base):
     """Number m of x_1 = 1 half-table entries where f differs from base."""
     return int(np.count_nonzero(f.table[1::2] != base.table[1::2]))
@@ -163,6 +178,9 @@ def test_parse_fnspec_all_kinds():
 def test_parse_fnspec_errors():
     for bad in ("dict", "dict:0", "dict:9", "parity:QQ", "table:zz", "nope:1", "maj:1"):
         with pytest.raises(SpecParseError):
+            parse_fnspec(bad, 3)
+    for bad in ("dict:0", "parity:F", "parity:", "table:zz"):
+        with pytest.raises(SpecParseError, match=f"^bad fnspec '{bad}': "):
             parse_fnspec(bad, 3)
 
 

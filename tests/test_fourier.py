@@ -341,23 +341,28 @@ def test_low_degree_influence_monotone_and_caps_at_full():
             assert values[-1] == influence(s, i)
 
 
-def influence_by_mask(f, i, w=None):
+def influence_by_mask(coeffs, i, w=None):
     """One coordinate at a time, by a boolean mask over every index, as a
     float sum of the squared float coefficients; the reference for influences."""
-    alphas = np.arange(1 << f.n)
+    alphas = np.arange(coeffs.size)
     sel = (alphas >> (i - 1)) & 1 == 1
     if w is not None:
-        sel &= hamming_weights(f.n) <= w
-    return float(np.sum(wht(f)[sel] ** 2))
+        sel &= hamming_weights(coeffs.size.bit_length() - 1) <= w
+    return float(np.sum(coeffs[sel] ** 2))
 
 
-@pytest.mark.parametrize("n", range(1, 15))
+@pytest.mark.parametrize("n", [*range(1, 15), 16, 18])
 def test_influences_equal_the_per_coordinate_masked_sums(n):
     rng = np.random.default_rng(200 + n)
-    for f in (random_boolean(n, rng), random_folded(n, 200 + n), parity(n, (1 << n) - 1)):
-        s = spectrum_counts(f)
-        for w in (None, *range(n + 1)):
-            expected = [influence_by_mask(f, i, w) for i in range(1, n + 1)]
+    if n <= 14:
+        fs = (random_boolean(n, rng), random_folded(n, 200 + n), parity(n, (1 << n) - 1))
+        degrees = (None, *range(n + 1))
+    else:  # the sizes the wide-n workload runs: the fold and a few shells
+        fs, degrees = (random_folded(n, 200 + n),), (None, 0, 3, n)
+    for f in fs:
+        s, coeffs = spectrum_counts(f), wht(f)
+        for w in degrees:
+            expected = [influence_by_mask(coeffs, i, w) for i in range(1, n + 1)]
             assert influences(s, w) == expected
             if w is None:
                 assert [influence(s, i) for i in range(1, n + 1)] == expected

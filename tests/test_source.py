@@ -1,11 +1,12 @@
-"""Checks on the package source itself."""
+"""Checks on the package source and the test modules themselves."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "dictatest").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "dictatest").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(path):
