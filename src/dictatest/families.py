@@ -32,7 +32,6 @@ from .functions import (
     BooleanFunction,
     check_dimension,
     make_folded,
-    refold,
     require_folded,
     table_from_hex,
 )
@@ -140,7 +139,7 @@ def parse_fnspec(spec: str, n: int) -> BooleanFunction:
 def _resolve_member(spec: str, n: int, fold: str) -> BooleanFunction:
     f = parse_fnspec(spec, n)
     if fold == "refold":
-        return refold(f)
+        return make_folded(f.n, f.table[1::2])
     if fold == "strict":
         require_folded(f, f"member {spec!r}")
         return f

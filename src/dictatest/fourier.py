@@ -21,8 +21,10 @@ c^3, each within Σ|c|^3 <= 2^n Σc^2 = 2^{3n}, so to n = 20.
 A folded table, f(1⃗+x) = -f(x), has its spectrum on odd |α| only, where it
 is twice the transform of the table's lower half (x_n = 0), so from n =
 _FOLDED_MIN_N on ``spectrum_counts`` runs that one butterfly of 2^{n-1}
-entries.  Smaller tables keep the full butterfly, which costs less there
-than the route's fixed per-call overhead.
+entries.  It reads the fold from f's cached ``folded`` property, which the
+testers' ``require_folded`` has usually computed already.  Smaller tables
+keep the full butterfly, which costs less there than the route's fixed
+per-call overhead.
 
 The butterfly has constant geometry (Pease): each stage combines adjacent
 entries into the other buffer, sums to its low half and differences to its
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functions import BooleanFunction, is_folded
+from .functions import BooleanFunction
 
 
 def _butterfly(values: np.ndarray) -> np.ndarray:
@@ -67,27 +69,19 @@ def _butterfly(values: np.ndarray) -> np.ndarray:
 
 
 def hamming_weights(n: int) -> np.ndarray:
-    """Popcount of every index in [0, 2^n) as int64, built by doubling in uint8."""
-    w = np.zeros(1, dtype=np.uint8)
-    for _ in range(n):
-        w = np.concatenate([w, w + 1])
-    return w.astype(np.int64)
+    """Popcount of every index in [0, 2^n) as uint8, built by doubling in place."""
+    w = np.empty(1 << n, dtype=np.uint8)
+    w[0] = 0
+    width = 1
+    while width < w.size:
+        np.add(w[:width], 1, out=w[width:2 * width])
+        width *= 2
+    return w
 
 
 def wht(f: BooleanFunction) -> np.ndarray:
     """Fourier coefficients of a ±1 table as float64: ``spectrum_counts`` / 2^n."""
     return spectrum_counts(f) / (1 << f.n)
-
-
-def _odd_weights(m: int) -> np.ndarray:
-    """[|α| odd] for every α in [0, 2^m) as uint8, built by doubling in place."""
-    odd = np.empty(1 << m, dtype=np.uint8)
-    odd[0] = 0
-    width = 1
-    while width < odd.size:
-        np.bitwise_xor(odd[:width], 1, out=odd[width:2 * width])
-        width *= 2
-    return odd
 
 
 # The smallest n at which spectrum_counts takes the half-size route.  Below
@@ -98,17 +92,16 @@ def _odd_weights(m: int) -> np.ndarray:
 _FOLDED_MIN_N = 13
 
 
-def spectrum_counts(f: BooleanFunction, folded: bool | None = None) -> np.ndarray:
+def spectrum_counts(f: BooleanFunction) -> np.ndarray:
     """Unnormalized integer transform counts[α] = 2^n * f̂(α), exact in int32.
 
     Stage t of the butterfly holds signed sums of 2^t entries of ±1, so no
     value exceeds 2^n <= 2^MAX_DIMENSION = 2^24 in magnitude.  From n =
-    _FOLDED_MIN_N on, a folded table takes ``_folded_counts``, one butterfly
-    of 2^{n-1} entries instead of 2^n.  A caller that already knows whether
-    f is folded passes ``folded``; None checks it, only where the route
-    depends on it.
+    _FOLDED_MIN_N on, a folded table (``f.folded``, read only where the route
+    depends on it) takes ``_folded_counts``, one butterfly of 2^{n-1} entries
+    instead of 2^n.
     """
-    if f.n < _FOLDED_MIN_N or not (is_folded(f) if folded is None else folded):
+    if f.n < _FOLDED_MIN_N or not f.folded:
         return _butterfly(f.table.astype(np.int32))
     return _folded_counts(f.table)
 
@@ -126,7 +119,8 @@ def _folded_counts(table: np.ndarray) -> np.ndarray:
     twice = _butterfly(table[:half].astype(np.int32))
     twice += twice
     counts = np.empty(table.size, dtype=np.int32)
-    np.multiply(twice, _odd_weights(half.bit_length() - 1), out=counts[:half])  # α_n = 0
+    odd = hamming_weights(half.bit_length() - 1) & 1
+    np.multiply(twice, odd, out=counts[:half])  # α_n = 0
     np.subtract(twice, counts[:half], out=counts[half:])  # α_n = 1
     return counts
 

@@ -2,6 +2,10 @@
 
 ``BooleanFunction``, an int8 table of ±1 values, is the package's one function
 type; spectra, Gowers sums and the noise operator are computed from it exactly.
+Whether f is folded, f(1⃗+x) = -f(x), is its ``folded`` property: the table is
+read-only, so the pair compare runs at most once per function object, and
+``require_folded``, ``fourier.spectrum_counts`` and the family checks all
+read that one cached value.
 
 Conventions, fixed globally:
 
@@ -15,6 +19,7 @@ Conventions, fixed globally:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +62,16 @@ class BooleanFunction:
             raise ValueError("table entries must be -1 or +1")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
+
+    @cached_property
+    def folded(self) -> bool:
+        """True iff f(1⃗+x) = -f(x) for all x, i.e. f is its own folded view.
+
+        1⃗+x is the index 2^n-1-x, so the upper half must be the negated
+        reversal of the lower half; that compares each pair once.
+        """
+        half = self.table.size // 2
+        return bool(np.array_equal(self.table[half:], -self.table[half - 1::-1]))
 
 
 class FoldedOracle:
@@ -106,9 +121,9 @@ def folded_table(f: BooleanFunction) -> np.ndarray:
     """The induced folded view of f: F(x) = f(x) if x_1 = 1, else -f(1⃗+x).
 
     This is FoldedOracle's access rule applied to every point at once; the
-    tests compare it with a per-point FoldedOracle loop, its reference.
-    Exact routes index into this array instead of f.table.  For a folded f
-    it equals f.table.
+    tests compare it with a per-point FoldedOracle loop, its reference.  For
+    a folded f it equals f.table, which ``htest_prob_exact`` and the MC
+    kernel read; ``basic_test_prob_exact`` indexes into this array.
     """
     return _fold_half(f.table[1::2])
 
@@ -124,23 +139,8 @@ def make_folded(n: int, half_table) -> BooleanFunction:
     return BooleanFunction(n, _fold_half(half))
 
 
-def refold(f: BooleanFunction) -> BooleanFunction:
-    """Fold f: keep its x_1 = 1 half and rebuild the other half."""
-    return BooleanFunction(f.n, _fold_half(f.table[1::2]))
-
-
-def is_folded(f: BooleanFunction) -> bool:
-    """True iff f(1⃗+x) = -f(x) for all x, i.e. f is its own folded view.
-
-    1⃗+x is the index 2^n-1-x, so the upper half must be the negated
-    reversal of the lower half; that compares each pair once.
-    """
-    half = f.table.size // 2
-    return bool(np.array_equal(f.table[half:], -f.table[half - 1::-1]))
-
-
 def require_folded(f: BooleanFunction, what: str = "input") -> None:
-    if not is_folded(f):
+    if not f.folded:
         raise InvariantViolation(f"{what} must be folded (f(1⃗+x) = -f(x))")
 
 

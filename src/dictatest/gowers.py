@@ -54,7 +54,7 @@ class IndexedFamily:
         d, members = int(d), tuple(members)
         if d < 1:
             raise ValueError(f"lattice dimension must be >= 1, got {d}")
-        for f in {id(f): f for f in members}.values():  # a shared member once
+        for f in members:
             if not isinstance(f, BooleanFunction):
                 raise TypeError(f"expected a BooleanFunction, got {type(f).__name__}")
             if f.n != members[0].n:

@@ -124,7 +124,7 @@ class FunctionFamily:
         if len(members) != hypergraph.t:
             raise ValueError(f"need {hypergraph.t} members (k + |E|), got {len(members)}")
         n = members[0].n
-        for f in {id(f): f for f in members}.values():  # a shared member once
+        for f in members:
             if f.n != n:
                 raise ValueError("all family members must share one dimension")
             require_folded(f, "family member")
@@ -241,7 +241,7 @@ def basic_test_prob_exact(
     require_folded(f)
     n = f.n
     check_guard(4 * n, guard_bits)
-    counts = spectrum_counts(f, True).astype(_count_dtype(3 * n + 1))
+    counts = spectrum_counts(f).astype(_count_dtype(3 * n + 1))
     zeta = _subset_sums(counts**3)[folded_table(f) < 0]
     return (2 ** (4 * n - 1) + sum(zeta.tolist())) / 2 ** (4 * n)
 
@@ -260,7 +260,7 @@ def basic_test_prob_fourier(f: BooleanFunction) -> float:
     require_folded(f)
     n = f.n
     size = 1 << n
-    counts = spectrum_counts(f, True)  # folded: require_folded checked it
+    counts = spectrum_counts(f)
     # The terms are made in blocks of cache-sized float64 arrays, each with
     # the floats of the whole-array pipeline: both divisions by 2^n are exact
     # (the int32 sums are the float64 transforms' integers), and c*c*c and pow
@@ -427,13 +427,14 @@ def _and_sums(table: np.ndarray) -> np.ndarray:
 
     s ∧ z runs over the subsets u of s, each 2^{n-|s|} times, so G[a, s] is
     2^{n-|s|} times the subset sum over u ⊆ s of f(a + u), and |G| <= 2^n.
-    The shift amounts are int32 too, so nothing is widened to int64.
+    The shift amounts stay uint8 (``hamming_weights``), so nothing is widened
+    to int64.
     """
     n = table.size.bit_length() - 1
     idx = np.arange(table.size)
     shifted = table.astype(np.int32)[idx[:, None] ^ idx]  # [a, u] -> f(a + u)
     sums = _subset_sums(shifted)
-    sums <<= (n - hamming_weights(n)).astype(np.int32)
+    sums <<= n - hamming_weights(n)
     return sums
 
 
@@ -467,7 +468,6 @@ def noisy_spectrum_law_deviation(
     f_sq = wht(f) ** 2
     idx = np.arange(1 << n)
     subset = (idx[:, None] & ~idx[None, :]) == 0  # [β, α] -> β ⊆ α
-    weights = hamming_weights(n).astype(np.float64)
-    expected = f_sq[None, :] * subset * np.exp2(-2.0 * weights)[None, :]
+    expected = f_sq[None, :] * subset * np.exp2(-2.0 * hamming_weights(n))[None, :]
     actual = g_sq.reshape(1 << n, 1 << n)  # [β, α] after the (x; y) encoding
     return float(np.max(np.abs(actual - expected)))

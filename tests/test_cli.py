@@ -856,6 +856,7 @@ PROCESS_STATUSES = {
     "success": ("htest --complete-k 2 --n 2 --members all=dict:1", 0),
     "config-error": ("wht --fn dict:1 --n 0", 2),
     "guard-exceeded": ("htest --complete-k 3 --n 3 --members all=dict:1", 3),
+    "invariant-violation": ("basictest --fn parity:0 --n 3", 4),
 }
 
 

@@ -17,7 +17,7 @@ from dictatest.families import (
     random_folded,
 )
 from dictatest.fourier import influence, low_degree_influence, spectrum_counts, wht
-from dictatest.functions import is_folded, make_folded, refold, table_to_hex
+from dictatest.functions import make_folded, table_to_hex
 from dictatest.rng import derive_rng, seed_key
 from dictatest.testers import (
     FunctionFamily,
@@ -37,7 +37,7 @@ def test_dictator_table_and_spectrum():
     for n in (2, 3, 4):
         for i in range(1, n + 1):
             f = dictator(n, i)
-            assert is_folded(f)
+            assert f.folded
             coeffs = wht(f)
             assert coeffs[1 << (i - 1)] == 1.0
             assert np.count_nonzero(coeffs) == 1
@@ -57,13 +57,13 @@ def test_parity_foldedness_law():
     for n in (1, 2, 3, 4):
         for mask in range(1 << n):
             expected = bin(mask).count("1") % 2 == 1
-            assert is_folded(parity(n, mask)) == expected, (n, mask)
+            assert parity(n, mask).folded == expected, (n, mask)
 
 
 def test_random_folded_properties():
     for seed in range(30):
         f = random_folded(5, seed)
-        assert is_folded(f)
+        assert f.folded
     assert random_folded(5, 7) == random_folded(5, 7)
     assert random_folded(5, 7) != random_folded(5, 8)
     # folding forces every sample's mean (hence its empirical average) to 0
@@ -122,7 +122,7 @@ def test_noisy_dictator_keeps_low_degree_influence():
     for seed in range(20):
         f = noisy_dictator(n, i, 0.05, seed)
         m = _half_table_flips(f, base)
-        assert is_folded(f)
+        assert f.folded
         assert np.count_nonzero(f.table != base.table) == 2 * m
         assert low_degree_influence(spectrum_counts(f), i, 1) == (1 - 4 * m / 2**n) ** 2
 
@@ -152,7 +152,7 @@ def test_noisy_dictator_rejects_bad_rho():
 def test_majority_small_cases():
     assert majority(1) == dictator(1, 1)
     m3 = majority(3)
-    assert is_folded(m3)
+    assert m3.folded
     s = spectrum_counts(m3)
     for i in (1, 2, 3):
         assert influence(s, i) == 0.5
@@ -196,31 +196,24 @@ def test_build_family_all_spec():
     assert all(f == dictator(3, 1) for f in fam.members)
 
 
-def test_build_family_parses_and_checks_each_distinct_spec_once(monkeypatch):
+def test_build_family_parses_and_checks_each_distinct_spec_once(monkeypatch, folded_computations):
     import dictatest.families as families_module
-    import dictatest.functions as functions_module
 
-    calls = {"parse_fnspec": 0, "is_folded": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(families_module, "parse_fnspec", counted("parse_fnspec", parse_fnspec))
-    monkeypatch.setattr(functions_module, "is_folded", counted("is_folded", is_folded))
+    parsed = []
+    monkeypatch.setattr(families_module, "parse_fnspec",
+                        lambda spec, n: parsed.append(spec) or parse_fnspec(spec, n))
     h = complete_hypergraph(3)
     fam = build_family(h, 5, "all=random:7")
-    assert calls == {"parse_fnspec": 1, "is_folded": 1}
+    assert (len(parsed), len(folded_computations)) == (1, 1)
+    assert folded_computations[0] is fam.members[0]
     mixed = build_family(h, 5, {label: "dict:2" if label[0] == "v" else "parity:7"
                                 for label in member_labels(h)})
-    assert calls == {"parse_fnspec": 3, "is_folded": 3}
+    assert (len(parsed), len(folded_computations)) == (3, 3)
     monkeypatch.undo()
-    assert all(f == refold(random_folded(5, 7)) for f in fam.members)
+    assert all(f == random_folded(5, 7) for f in fam.members)
     assert mixed.members[:3] == (dictator(5, 2),) * 3
-    assert all(f == refold(parity(5, 7)) for f in mixed.members[3:])
+    folded_parity = make_folded(5, parity(5, 7).table[1::2])
+    assert all(f == folded_parity for f in mixed.members[3:])
 
 
 def test_build_family_per_member_and_labels():
@@ -236,7 +229,7 @@ def test_build_family_refolds_by_default():
     h = Hypergraph(2, [frozenset({1, 2})])
     fam = build_family(h, 2, "all=parity:3")  # even-weight character: unfolded
     for f in fam.members:
-        assert is_folded(f)
+        assert f.folded
     with pytest.raises(InvariantViolation):
         build_family(h, 2, "all=parity:3", fold="strict")
     strict = build_family(h, 2, "all=dict:1", fold="strict")
@@ -260,7 +253,7 @@ def test_random_family_deterministic_and_folded():
     fam = random_family(h, 4, 5)
     again = random_family(h, 4, 5)
     for f, g in zip(fam.members, again.members):
-        assert is_folded(f)
+        assert f.folded
         assert f == g
     # members are mutually independent draws
     tables = [tuple(f.table) for f in fam.members]

@@ -20,7 +20,6 @@ from dictatest.fourier import (
 from dictatest.functions import (
     MAX_DIMENSION,
     BooleanFunction,
-    is_folded,
     make_folded,
 )
 
@@ -183,7 +182,7 @@ def test_spectrum_counts_equal_the_full_butterfly(n, monkeypatch):
         counts = spectrum_counts(f)
         assert counts.dtype == np.int32
         assert np.array_equal(counts, butterfly(f.table.astype(np.int32)))
-        half_size = n >= fourier._FOLDED_MIN_N and is_folded(f)
+        half_size = n >= fourier._FOLDED_MIN_N and f.folded
         assert sizes == [1 << (n - half_size)]
         routes.add(half_size)
     assert routes == ({False, True} if n >= fourier._FOLDED_MIN_N else {False})
@@ -197,6 +196,13 @@ def test_folded_counts_equal_the_full_butterfly_property(half):
     counts = _folded_counts(f.table)
     assert counts.dtype == np.int32
     assert np.array_equal(counts, _butterfly(f.table.astype(np.int32)))
+
+
+def test_hamming_weights_are_uint8_popcounts():
+    for n in range(17):
+        weights = hamming_weights(n)
+        assert weights.dtype == np.uint8
+        assert weights.tolist() == [bin(i).count("1") for i in range(1 << n)]
 
 
 def assert_int32_routes_equal_float64(f):

@@ -8,9 +8,7 @@ from dictatest.functions import (
     BooleanFunction,
     FoldedOracle,
     folded_table,
-    is_folded,
     make_folded,
-    refold,
     table_from_hex,
     table_to_hex,
 )
@@ -145,7 +143,7 @@ def test_make_folded_outputs_are_folded_and_balanced():
         for _ in range(10):
             half = 1 - 2 * rng.integers(0, 2, size=1 << (n - 1))
             f = make_folded(n, half)
-            assert is_folded(f)
+            assert f.folded
             assert int(f.table.sum()) == 0
 
 
@@ -156,34 +154,34 @@ def test_make_folded_rejects_bad_half():
         make_folded(2, [1, 0])
 
 
-def test_is_folded_cases():
+def test_folded_cases():
     for n in (1, 2, 3):
         for i in range(1, n + 1):
-            assert is_folded(dictator(n, i))
-    assert not is_folded(constant(2))
-    assert not is_folded(parity(2, {1, 2}))
+            assert dictator(n, i).folded
+    assert not constant(2).folded
+    assert not parity(2, {1, 2}).folded
 
 
-def test_refold_identity_on_folded():
+def test_make_folded_of_the_x1_half_is_identity_on_folded():
     f = make_folded(3, [1, -1, -1, 1])
-    assert refold(f) == f
-    # refolding an unfolded table keeps its x_1 = 1 half
-    g = refold(constant(2))
-    assert is_folded(g)
+    assert make_folded(3, f.table[1::2]) == f
+    # folding an unfolded table keeps its x_1 = 1 half
+    g = make_folded(2, constant(2).table[1::2])
+    assert g.folded
     assert list(g.table[1::2]) == [1, 1]
 
 
-def test_folded_table_refold_make_folded_and_is_folded_agree():
-    """The four views of the fold rule agree on 20 random tables per n."""
+def test_folded_table_make_folded_and_folded_agree():
+    """The three views of the fold rule agree on 20 random tables per n."""
     rng = np.random.default_rng(12)
     for n in range(1, 13):
         for _ in range(20):
             f = BooleanFunction(n, 1 - 2 * rng.integers(0, 2, size=1 << n))
             view = folded_table(f)
-            assert np.array_equal(view, refold(f).table)
-            assert make_folded(n, f.table[1::2]) == refold(f)
-            assert is_folded(refold(f))
-            assert is_folded(f) == np.array_equal(view, f.table)
+            g = make_folded(n, f.table[1::2])
+            assert np.array_equal(view, g.table)
+            assert g.folded
+            assert f.folded == np.array_equal(view, f.table)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).parent.parent
-SOURCES = sorted((ROOT / "src" / "dictatest").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "dictatest").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+# The query-level run of the hypergraph test, kept as the tests' reference.
+UNREAD_ALLOWED = ["testers.run_hypergraph_test"]
 
 
 def unused_imports(path):
@@ -36,3 +40,52 @@ def unused_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_every_module_level_import_is_read(path):
     assert unused_imports(path) == []
+
+
+def read_names(paths):
+    """The names that the modules at ``paths`` read, as a Name or an Attribute."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def traced_names(spans_path):
+    """The "module.name" strings in bench/spans.py's TRACED."""
+    for stmt in ast.parse(spans_path.read_text()).body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in stmt.targets):
+            return {node.value for node in ast.walk(stmt.value)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    raise AssertionError(f"no TRACED assignment in {spans_path}")
+
+
+def unread_definitions(package, bench):
+    """"module.name" of each module-level function or class in ``package``
+    that no module of ``package`` or ``bench`` reads and TRACED does not name.
+    An import alone is no read."""
+    read = read_names(package + bench)
+    traced = traced_names(ROOT / "bench" / "spans.py")
+    return [f"{path.stem}.{stmt.name}" for path in package
+            for stmt in ast.parse(path.read_text()).body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and stmt.name not in read and f"{path.stem}.{stmt.name}" not in traced]
+
+
+def test_every_module_level_definition_is_read():
+    assert unread_definitions(PACKAGE, BENCH) == UNREAD_ALLOWED
+
+
+def test_the_dead_name_check_flags_an_unused_helper(tmp_path):
+    package = []
+    for path in PACKAGE:
+        package.append(tmp_path / path.name)
+        package[-1].write_text(path.read_text())
+    fourier = tmp_path / "fourier.py"
+    fourier.write_text(fourier.read_text() + "\n\ndef _unused_helper():\n    return 0\n")
+    assert unread_definitions(package, BENCH) == [
+        "fourier._unused_helper", *UNREAD_ALLOWED]

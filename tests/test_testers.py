@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictatest import fourier, functions, testers
+from dictatest import fourier, testers
 from dictatest import rng as rng_module
 from dictatest.errors import GuardExceeded, InvariantViolation
 from dictatest.families import (
@@ -330,7 +330,7 @@ def per_y_accept_count(f):
     """
     n = f.n
     points = 1 << n
-    counts = spectrum_counts(f, True).astype(np.int64)
+    counts = spectrum_counts(f).astype(np.int64)
     pair_count = (points * points + _butterfly(counts**3) // points) // 2
     idx = np.arange(points)
     shifts = np.where(folded_table(f) < 0, idx ^ (points - 1), idx)
@@ -911,23 +911,18 @@ def test_basic_fourier_equals_the_float64_formula(n):
         assert np.all(c * c * c != c**3)
 
 
-def test_basic_routes_check_the_fold_once(monkeypatch):
-    """require_folded's check is handed to spectrum_counts' route choice, which
-    runs it itself only when called on its own."""
+def test_basic_routes_check_the_fold_once(folded_computations):
+    """require_folded computes f.folded once per function object, and
+    spectrum_counts' route choice reads the cached value."""
     n = fourier._FOLDED_MIN_N  # the first size whose route depends on the fold
     f = random_folded(n, 3)
-    expected = basic_test_prob_fourier(f), basic_test_prob_exact(f, guard_bits=4 * n)
-    calls = []
-    is_folded = functions.is_folded
-    counting = lambda g: calls.append(g) or is_folded(g)  # noqa: E731
-    monkeypatch.setattr(functions, "is_folded", counting)  # require_folded's check
-    monkeypatch.setattr(fourier, "is_folded", counting)  # the route choice's
-    assert basic_test_prob_fourier(f) == expected[0]
-    assert basic_test_prob_exact(f, guard_bits=4 * n) == expected[1]
-    assert calls == [f, f]
-    calls.clear()
-    assert np.array_equal(spectrum_counts(f), _butterfly(f.table.astype(np.int32)))
-    assert calls == [f]
+    exact = basic_test_prob_exact(f, guard_bits=4 * n)
+    assert basic_test_prob_fourier(f) == pytest.approx(exact, abs=1e-12)
+    assert basic_test_prob_exact(f, guard_bits=4 * n) == exact
+    assert folded_computations == [f]
+    g = random_folded(n, 3)  # an equal function, but another object
+    assert np.array_equal(spectrum_counts(g), _butterfly(g.table.astype(np.int32)))
+    assert folded_computations == [f, g]
 
 
 def test_basic_exact_beyond_int64_counts():
@@ -1076,18 +1071,39 @@ def test_basic_exact_is_invariant_under_coordinate_permutations():
                 assert basic_test_prob_exact(permute(f, rng.permutation(n)), guard_bits=4 * n) == value
 
 
-@pytest.mark.parametrize("r, n", [(2, 4), (2, 5), (3, 5)])
-def test_exact_routes_reduce_a_junta_to_its_coordinates(r, n):
-    """Members that read only r of the n coordinates accept as their
-    restrictions to {0,1}^r do, on both exact routes."""
-    rng = np.random.default_rng(132 + 10 * r + n)
-    h = complete_hypergraph(2)
+@pytest.mark.parametrize("k, r, n", [
+    pytest.param(2, 2, 4, id="2-4"), pytest.param(2, 2, 5, id="2-5"),
+    pytest.param(2, 3, 5, id="3-5"), pytest.param(3, 2, 4, id="k3-2-4"),
+    pytest.param(4, 1, 2, id="k4-1-2"),
+])
+def test_exact_routes_reduce_a_junta_to_its_coordinates(k, r, n):
+    """Members of complete(k) that read only r of the n coordinates accept
+    as their restrictions to {0,1}^r do, on both exact routes."""
+    rng = np.random.default_rng(132 + 10 * r + n + 100 * (k - 2))
+    h = complete_hypergraph(k)
+    per_n = 3 * h.k + len(h.edges)
     for fam in (random_family(h, r, 14), noisy_family(h, r, 15)):
         coords = rng.choice(n, size=r, replace=False)
         lifted = FunctionFamily(h, [lift(g, n, coords) for g in fam.members])
-        assert htest_prob_exact(lifted, guard_bits=7 * n) == htest_prob_exact(fam, guard_bits=7 * r)
+        assert (htest_prob_exact(lifted, guard_bits=per_n * n)
+                == htest_prob_exact(fam, guard_bits=per_n * r))
         for g, f in zip(fam.members, lifted.members):
             assert basic_test_prob_exact(f, guard_bits=4 * n) == basic_test_prob_exact(g)
+
+
+@pytest.mark.parametrize("k, r", [(2, 4), (3, 3), (4, 2), (5, 2)])
+def test_htest_mc_of_a_lifted_junta_matches_its_restriction_exactly(k, r):
+    """Past the exact frontier: a random r-junta family lifted to n = 20 has
+    an MC estimate within 5 binomial standard errors of the exact value of
+    its restriction to {0,1}^r."""
+    n, trials = 20, 200_000
+    h = complete_hypergraph(k)
+    fam = random_family(h, r, (150, k))
+    coords = np.random.default_rng(151 + k).choice(n, size=r, replace=False)
+    lifted = FunctionFamily(h, [lift(g, n, coords) for g in fam.members])
+    exact = htest_prob_exact(fam, guard_bits=(3 * h.k + len(h.edges)) * r)
+    estimate, _, _ = htest_prob_mc(lifted, trials, (152, k))
+    assert abs(estimate - exact) <= 5 * np.sqrt(exact * (1 - exact) / trials)
 
 
 # ---------------------------------------------------------------------------
