@@ -243,11 +243,12 @@ def basic_test_prob_exact(
     check_guard(4 * n, guard_bits)
     counts = spectrum_counts(f).astype(_count_dtype(3 * n + 1))
     zeta = _subset_sums(counts**3)[folded_table(f) < 0]
-    return (2 ** (4 * n - 1) + sum(zeta.tolist())) / 2 ** (4 * n)
+    return (2 ** (4 * n - 1) + int(zeta.sum(dtype=object))) / 2 ** (4 * n)
 
 
-# Entries per block of basic_test_prob_fourier: its float64 blocks stay in
-# cache, and a table of n <= 14 is one block.
+# Entries per block of basic_test_prob_fourier: a power of two >= 2^8, so each
+# block is a subtree of numpy's pairwise sum, and small enough to stay in
+# cache; a table of n <= 14 is one block.
 _FOURIER_BLOCK = 1 << 14
 
 
@@ -261,22 +262,23 @@ def basic_test_prob_fourier(f: BooleanFunction) -> float:
     n = f.n
     size = 1 << n
     counts = spectrum_counts(f)
-    # The terms are made in blocks of cache-sized float64 arrays, each with
-    # the floats of the whole-array pipeline: both divisions by 2^n are exact
-    # (the int32 sums are the float64 transforms' integers), and c*c*c and pow
-    # give the exact cube while |count| <= 2^17; beyond, pow (which can round
-    # ties differently) keeps coeffs**3's floats.  A block starting at a
-    # multiple of its size has weights 2^{-|j|} 2^{-|start|}, exact products
-    # of powers of two.  Besides the blocks, the int32 counts (their subset
-    # sums in place after the cubes) and the float64 terms are live; the one
-    # sum over all terms keeps the whole-array sum's float.
+    zeta = _subset_sums(counts.copy())
+    # Each block's terms carry the whole-array pipeline's floats: both
+    # divisions by 2^n are exact (the int32 sums are the float64 transforms'
+    # integers), and c*c*c and pow give the exact cube while |count| <= 2^17;
+    # beyond, pow (which can round ties differently) keeps coeffs**3's floats.
+    # A block at a multiple of its size has weights 2^{-|j|} 2^{-|start|},
+    # exact products of powers of two.  Only the int32 counts, their subset
+    # sums ζ and one block of float64s are live.  numpy sums a contiguous
+    # float64 array of 2^m >= 2^8 entries pairwise, halving at every level, so
+    # joining the aligned block sums pairwise gives terms.sum()'s float.
     block = min(size, _FOURIER_BLOCK)
     levels = np.exp2(-np.arange(n + 1.0))
     block_weights = levels.take(hamming_weights(block.bit_length() - 1))
-    weights, c = np.empty(block), np.empty(block)
-    terms = np.empty(size)
+    weights, c, t = np.empty(block), np.empty(block), np.empty(block)
+    sums = np.empty(size // block)
     for start in range(0, size, block):
-        part, t = counts[start : start + block], terms[start : start + block]
+        part = counts[start : start + block]
         np.divide(part, size, out=c)
         np.multiply(c, c, out=t)
         t *= c
@@ -284,12 +286,13 @@ def basic_test_prob_fourier(f: BooleanFunction) -> float:
         t[wide] = c[wide] ** 3
         np.multiply(block_weights, levels[bin(start).count("1")], out=weights)
         t *= weights
-    zeta = _subset_sums(counts)
-    for start in range(0, size, block):
         np.divide(zeta[start : start + block], size, out=c)
         c += 1.0
-        terms[start : start + block] *= c
-    return 0.5 + 0.5 * float(terms.sum())
+        t *= c
+        sums[start // block] = t.sum()
+    while sums.size > 1:
+        sums = sums[0::2] + sums[1::2]
+    return 0.5 + 0.5 * float(sums[0])
 
 
 def _htest_verdicts(shift_tables, sign_tables, edges, xs, ys, zv, ze):

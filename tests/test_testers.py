@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -826,12 +827,16 @@ EDGE_POOL = [frozenset(e) for e in ({1}, {2}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3})
 
 
 @st.composite
-def small_families(draw):
+def small_families(draw, max_n=None):
+    """Folded families on k <= 3 vertices with up to 3 edges, singletons
+    allowed; n is at most max_n, or by default small enough to enumerate."""
     k = draw(st.integers(1, 3))
     pool = [e for e in EDGE_POOL if max(e) <= k]
     edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=3))
     h = Hypergraph(k, edges, allow_singletons=True)
-    n = draw(st.integers(1, 2 if (3 * k + len(edges)) * 2 <= 22 else 1))
+    if max_n is None:
+        max_n = 2 if (3 * k + len(edges)) * 2 <= 22 else 1
+    n = draw(st.integers(1, max_n))
     half = 1 << (n - 1)
     signs = st.lists(st.sampled_from([-1, 1]), min_size=half, max_size=half)
     halves = draw(st.lists(signs, min_size=h.t, max_size=h.t))
@@ -884,8 +889,8 @@ def basic_fourier_float64(f):
     return 0.5 + 0.5 * float(terms.sum())
 
 
-# n = 15 and 16 are the first sizes of more than one 2^14-entry block
-@pytest.mark.parametrize("n", [1, 3, 8, 13, 15, 16, 17, 20])
+# n = 15..20 sum 2, 4, 8, 16, 32 and 64 blocks of 2^14 entries
+@pytest.mark.parametrize("n", [1, 3, 8, 13, 15, 16, 17, 18, 19, 20])
 def test_basic_fourier_equals_the_float64_formula(n):
     specs = ["dict:1", f"dict:{n}", "parity:1", "random:5", "random:6", "noisydict:1:0.1:22"]
     if n % 2:
@@ -909,6 +914,51 @@ def test_basic_fourier_equals_the_float64_formula(n):
         assert wide.tolist() == [1 << 19]
         c = counts[wide] / (1 << n)
         assert np.all(c * c * c != c**3)
+
+
+def traced_peak(call, *args, **kwargs):
+    """Peak bytes numpy and Python allocate during one call, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_basic_fourier_traced_peak_stays_under_10_bytes_per_entry():
+    """Beside the int32 counts and their subset sums only one block of
+    float64 terms is live, about 8.6 bytes an entry at n = 20; a full 2^n
+    float64 term array reads 12.5."""
+    n = 20
+    for spec in ("random:5", "noisydict:1:0.1:22"):
+        f = parse_fnspec(spec, n)
+        assert f.folded  # computed before tracing, as require_folded would
+        assert traced_peak(basic_test_prob_fourier, f) < 10 << n, spec
+
+
+def test_basic_exact_traced_peak_stays_under_26_bytes_per_entry():
+    """The ζ values over f^{-1}(-1) are summed in place, not as a 2^{n-1}
+    element list: about 21 bytes an entry at n = 20, where the list read 32."""
+    f = parse_fnspec("random:5", 20)
+    assert f.folded
+    assert traced_peak(basic_test_prob_exact, f, guard_bits=80) < 26 << 20
+
+
+@pytest.mark.parametrize("m", range(15, 21))
+def test_numpy_sum_is_the_pairwise_join_of_its_block_sums(m):
+    """basic_test_prob_fourier relies on numpy's pairwise sum of a contiguous
+    float64 array of 2^m entries splitting at the midpoint, so that the sums
+    of its aligned 2^14-entry blocks, joined pairwise, give x.sum() exactly.
+    If a numpy release sums differently, this fails first."""
+    rng = np.random.default_rng(290 + m)
+    for _ in range(4):
+        x = rng.standard_normal(1 << m) * np.exp2(rng.integers(-30, 31, 1 << m))
+        blocks = x.reshape(-1, testers._FOURIER_BLOCK)
+        sums = np.array([block.sum() for block in blocks])
+        while sums.size > 1:
+            sums = sums[0::2] + sums[1::2]
+        assert sums[0] == x.sum()
 
 
 def test_basic_routes_check_the_fold_once(folded_computations):
@@ -1034,7 +1084,8 @@ def relabel(fam, sigma):
     for i, f in enumerate(fam.members[:k]):
         vertices[sigma[i] - 1] = f
     edges = [[sigma[i - 1] for i in e] for e in h.edges]
-    return FunctionFamily(Hypergraph(k, edges), vertices + list(fam.members[k:]))
+    return FunctionFamily(Hypergraph(k, edges, allow_singletons=True),
+                          vertices + list(fam.members[k:]))
 
 
 SYMMETRY_CASES = [(complete_hypergraph(2), 3), (complete_hypergraph(2), 4),
@@ -1060,6 +1111,28 @@ def test_htest_exact_is_invariant_under_vertex_relabelling(h, n):
         value = htest_prob_exact(fam, guard_bits=bits)
         for sigma in itertools.permutations(range(1, h.k + 1)):
             assert htest_prob_exact(relabel(fam, sigma), guard_bits=bits) == value
+
+
+def exact_bits(fam):
+    return (3 * fam.hypergraph.k + len(fam.hypergraph.edges)) * fam.n
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_families(max_n=3), st.data())
+def test_htest_exact_is_invariant_under_coordinate_permutations_property(fam, data):
+    perm = data.draw(st.permutations(range(fam.n)))
+    moved = FunctionFamily(fam.hypergraph, [permute(f, perm) for f in fam.members])
+    bits = exact_bits(fam)
+    assert htest_prob_exact(moved, guard_bits=bits) == htest_prob_exact(fam, guard_bits=bits)
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_families(max_n=3), st.data())
+def test_htest_exact_is_invariant_under_vertex_relabelling_property(fam, data):
+    sigma = data.draw(st.permutations(range(1, fam.hypergraph.k + 1)))
+    bits = exact_bits(fam)
+    value = htest_prob_exact(fam, guard_bits=bits)
+    assert htest_prob_exact(relabel(fam, sigma), guard_bits=bits) == value
 
 
 def test_basic_exact_is_invariant_under_coordinate_permutations():
