@@ -16,8 +16,8 @@ column.  ``main`` reuses one parser per process, built on its first call.
 A runner returns its report as columns: column name -> a list, or a numpy
 array for wht's 2^n-row weight and coeff columns.  ``write_report`` formats
 a numpy column once per distinct value, by the builtin's repr or str, and
-leaves lists to ``csv.writer``; JSON comes from the same columns through
-json's C encoder.
+leaves lists to ``csv.writer``; JSON is ``json.dumps(records, indent=2)``
+of the same columns, one record per row.
 
 Exit codes: 0 success; 2 parse/config error (a bad flag, config file or
 fnspec, an argument out of range, flags that contradict each other, or an
@@ -151,16 +151,6 @@ def _count(cfg: Config) -> range:
     return range(cfg.count)
 
 
-def _json_text(records: list) -> str:
-    """``json.dumps(records, indent=2) + "\n"`` for nonempty flat records, from
-    the C encoder that ``indent`` turns off.  An encoded string holds no raw
-    newline, so "},\n    {" only occurs between records."""
-    text = json.dumps(records, separators=(",\n    ", ": "))
-    if records:
-        text = "[\n  {\n    %s\n  }\n]" % text[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
-    return text + "\n"
-
-
 def _columns(row_type, rows) -> dict[str, list]:
     """A few-row report's rows as columns, in the row dataclass's field order."""
     return {f.name: [getattr(row, f.name) for row in rows] for f in fields(row_type)}
@@ -189,7 +179,7 @@ def write_report(report, columns, out: str | None, as_json: bool) -> None:
     if as_json:
         values = [v.tolist() if isinstance(v, np.ndarray) else v
                   for v in map(report.__getitem__, columns)]
-        text = _json_text([dict(zip(columns, row)) for row in zip(*values)])
+        text = json.dumps([dict(zip(columns, row)) for row in zip(*values)], indent=2) + "\n"
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

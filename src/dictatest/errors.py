@@ -7,8 +7,6 @@ class GuardExceeded(Exception):
     """An exact route would exceed the configured randomness budget."""
 
     def __init__(self, required_bits: int, guard_bits: int):
-        self.required_bits = required_bits
-        self.guard_bits = guard_bits
         super().__init__(
             f"exact route covers 2^{required_bits} random draws, "
             f"guard allows 2^{guard_bits}"

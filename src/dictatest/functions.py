@@ -51,14 +51,15 @@ class BooleanFunction:
         return hash((self.n, self.table.tobytes()))
 
     def __post_init__(self):
-        """Store a read-only int8 copy of the table, never freezing the caller's array."""
+        """Store a read-only int8 table, never freezing the caller's array: an
+        int8 input is copied unless it is read-only and owns its memory."""
         check_dimension(self.n)
         table = np.asarray(self.table, dtype=np.int8)
-        if table is self.table:
+        if table is self.table and (table.flags.writeable or not table.flags.owndata):
             table = table.copy()
         if table.shape != (1 << self.n,):
             raise ValueError(f"table must have length {1 << self.n}, got {table.shape}")
-        if not np.all(np.abs(table) == 1):
+        if table.min() < -1 or table.max() > 1 or np.count_nonzero(table) < table.size:
             raise ValueError("table entries must be -1 or +1")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
@@ -110,10 +111,13 @@ def _fold_half(half: np.ndarray) -> np.ndarray:
     half[m] is the value at the point 2m+1, the m-th point with x_1 = 1.
     F(x) = -F(1⃗+x) forces the x_1 = 0 half: 1⃗+x = 1⃗-x takes the point 2m to
     2(2^{n-1}-1-m)+1, so that half is the negated reversal of ``half``.
+    The fresh table is returned read-only, so ``BooleanFunction`` keeps it
+    without a copy.
     """
     table = np.empty(2 * half.size, dtype=half.dtype)
     table[1::2] = half
-    table[0::2] = -half[::-1]
+    np.negative(half[::-1], out=table[0::2])
+    table.setflags(write=False)
     return table
 
 

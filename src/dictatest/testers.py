@@ -47,7 +47,8 @@ class Hypergraph:
     """H = ([k], E): vertices 1..k and a list of distinct vertex subsets.
 
     Each edge lists distinct vertices, and edges need at least 2 of them
-    unless the constructor is passed ``allow_singletons``.
+    unless the constructor is passed ``allow_singletons``.  ``edges`` holds
+    each edge as the tuple of its vertices in increasing order.
     """
 
     k: int
@@ -73,7 +74,7 @@ class Hypergraph:
             if e in seen:
                 raise ValueError(f"duplicate edge {sorted(e)}")
             seen.add(e)
-            normalized.append(e)
+            normalized.append(tuple(sorted(e)))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "edges", tuple(normalized))
 
@@ -93,7 +94,7 @@ def complete_hypergraph(k: int) -> Hypergraph:
     edges = []
     for mask in range(1 << k):
         if mask.bit_count() >= 2:
-            edges.append(frozenset(i + 1 for i in range(k) if mask >> i & 1))
+            edges.append([i + 1 for i in range(k) if mask >> i & 1])
     return Hypergraph(k, edges)
 
 
@@ -105,7 +106,7 @@ def query_budget(h: Hypergraph) -> tuple[int, int, int]:
 def member_labels(h: Hypergraph) -> list[str]:
     """A family's member labels in order: v1..vk, then the edges in order."""
     return ([f"v{i}" for i in range(1, h.k + 1)]
-            + ["e" + ",".join(map(str, sorted(e))) for e in h.edges])
+            + ["e" + ",".join(map(str, e)) for e in h.edges])
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,11 +135,6 @@ class FunctionFamily:
     @property
     def n(self) -> int:
         return self.members[0].n
-
-    @classmethod
-    def uniform(cls, hypergraph: Hypergraph, f: BooleanFunction) -> "FunctionFamily":
-        """Every member equal to f."""
-        return cls(hypergraph, [f] * hypergraph.t)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +202,7 @@ def run_hypergraph_test(
         x_sum = 0
         shift_sum = 0
         lhs = 1
-        for i in sorted(e):
+        for i in e:
             x_sum ^= xs[i - 1]
             shift_sum ^= shifts[i - 1]
             lhs *= vertex_signs[i - 1]
@@ -296,13 +292,12 @@ def basic_test_prob_fourier(f: BooleanFunction) -> float:
 
 
 def _htest_verdicts(shift_tables, sign_tables, edges, xs, ys, zv, ze):
-    """Accept mask of the hypergraph test over broadcastable draw arrays.
+    """Accept mask of the hypergraph test over uint32 draw arrays of one shape.
 
-    The tables are _verdict_tables' for the draws' dtype.  xs, ys, zv hold
-    one array per vertex and ze one per edge; each draw is evaluated as in
-    run_hypergraph_test, and the mask has the broadcast shape of xs[0] and
-    the arrays the edge equations touch.  ``edges`` lists each edge's
-    vertices in increasing order.
+    The tables are _verdict_tables'.  xs, ys, zv hold one array per vertex
+    and ze one per edge, as ``mc_draws`` hands them out; each draw is
+    evaluated as in run_hypergraph_test.  ``edges`` is ``hypergraph.edges``,
+    each edge's vertices in increasing order.
 
     The pass-1 shift s_i = y_i + [f_i(y_i) = -1]·1⃗ is one read of the shift
     table, S_i[y_i].  Every table is folded, f(p + 1⃗) = -f(p), so the
@@ -312,11 +307,8 @@ def _htest_verdicts(shift_tables, sign_tables, edges, xs, ys, zv, ze):
     iff the sign table [f_e < 0] reads False at Σ_{i∈e} w_i + (Σ_{i∈e} s_i) ∧ z_e,
     and no sign is multiplied.  The sums over an edge extend the sums over
     its longest proper prefix, so edges that share a prefix share its XORs.
-    The XORs stay in the draws' dtype, so uint32 draws are not widened to
-    int64, and each read is a ``take``: indexing with uint32 takes numpy's
-    slower casting path.  ``bad`` is rebound, not or-ed in place, because an
-    edge's mask can broadcast wider than xs[0]: the exact-route tests'
-    ``grid_accept_count`` gives each z its own axis of a grid.
+    The XORs stay uint32, not widened to int64, and each read is a
+    ``take``: indexing with uint32 takes numpy's slower casting path.
     """
     sums = {}  # (i_1, ..., i_j) -> (Σ w_i, Σ s_i) over those vertices
     for i in set().union(*edges):
@@ -326,41 +318,40 @@ def _htest_verdicts(shift_tables, sign_tables, edges, xs, ys, zv, ze):
         w = table.take(xs[i - 1] ^ a)
         w ^= a
         sums[(i,)] = (w, s)
-    bad = np.zeros(np.shape(xs[0]), dtype=bool)
+    bad = np.zeros(xs[0].shape, dtype=bool)
     for negative, edge, z in zip(sign_tables, edges, ze):
         for j in range(2, len(edge) + 1):
-            prefix = tuple(edge[:j])
+            prefix = edge[:j]
             if prefix not in sums:
                 (w, s), (w_i, s_i) = sums[prefix[:-1]], sums[prefix[-1:]]
                 sums[prefix] = (w ^ w_i, s ^ s_i)
-        w, s = sums[tuple(edge)]
-        bad = bad | negative.take(w ^ (s & z))
+        w, s = sums[edge]
+        bad |= negative.take(w ^ (s & z))
     return ~bad
 
 
-def _verdict_tables(fam: FunctionFamily, dtype):
-    """_htest_verdicts' tables and sorted edges for draws of ``dtype``.
+def _verdict_tables(fam: FunctionFamily):
+    """_htest_verdicts' shift and sign tables.
 
-    A vertex member f gives the shift table S[p] = p + [f(p) = -1]·1⃗ in
-    ``dtype``, and an edge member the bool sign table f < 0; members are
-    folded, so f.table is their folded view.  A member that several slots
-    share is converted once.  Each shift table is one fresh array,
-    [f < 0]·1⃗ XOR-ed in place with an index array that all of them share;
-    a ufunc ``where=`` mask took over ten times as long.
+    A vertex member f gives the uint32 shift table S[p] = p + [f(p) = -1]·1⃗,
+    and an edge member the bool sign table f < 0; members are folded, so
+    f.table is their folded view.  A member that several slots share is
+    converted once.  Each shift table is one fresh array, [f < 0]·1⃗ XOR-ed
+    in place with an index array that all of them share; a ufunc ``where=``
+    mask took over ten times as long.
     """
     k = fam.hypergraph.k
-    index = np.arange(1 << fam.n, dtype=dtype)
+    index = np.arange(1 << fam.n, dtype=np.uint32)
     shifts, signs = {}, {}
     for f in fam.members[:k]:
         if id(f) not in shifts:
-            shifts[id(f)] = table = np.multiply(f.table < 0, index.size - 1, dtype=dtype)
+            shifts[id(f)] = table = np.multiply(f.table < 0, index.size - 1, dtype=np.uint32)
             table ^= index
     for f in fam.members[k:]:
         if id(f) not in signs:
             signs[id(f)] = f.table < 0
     return ([shifts[id(f)] for f in fam.members[:k]],
-            [signs[id(f)] for f in fam.members[k:]],
-            [sorted(e) for e in fam.hypergraph.edges])
+            [signs[id(f)] for f in fam.members[k:]])
 
 
 def htest_prob_exact(
@@ -410,11 +401,12 @@ def htest_prob_mc(
     uint32 shift tables and bool sign tables are built once per call, not
     once per chunk.
     """
-    tables = _verdict_tables(fam, np.uint32)
-    cols = (fam.hypergraph.k,) * 3 + (len(fam.hypergraph.edges),)
+    shifts, signs = _verdict_tables(fam)
+    edges = fam.hypergraph.edges
+    cols = (fam.hypergraph.k,) * 3 + (len(edges),)
     accepts = 0
     for draws in mc_draws(trials, seed, fam.n, cols):
-        ok = _htest_verdicts(*tables, *draws)
+        ok = _htest_verdicts(shifts, signs, edges, *draws)
         accepts += int(np.count_nonzero(ok))
     low, high = wilson_interval(accepts, trials)
     return accepts / trials, low, high

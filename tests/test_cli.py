@@ -9,8 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dictatest import cli, fourier, gowers, testers
 from dictatest.cli import main
@@ -669,22 +667,6 @@ def test_few_row_reports_never_reach_np_unique(tmp_path, monkeypatch, capsys):
             assert (code, calls) == (0, []), argv
     code, _ = run(["wht", "--fn", "dict:2", "--n", 3], capsys)
     assert (code, len(calls)) == (0, 2)  # one per numpy column
-
-
-# strings that look like the framing the JSON writer rewrites, or need escapes
-TRICKY_TEXT = ['"', '},\n    {', "}]", "[{", "\\", "é∑😀", "\x00\x1f\x7f", "\n  },\n  {"]
-JSON_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=True),
-    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
-    st.text(), st.sampled_from(TRICKY_TEXT),
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.dictionaries(st.one_of(st.text(), st.sampled_from(TRICKY_TEXT)),
-                                JSON_SCALARS, min_size=1, max_size=5), max_size=6))
-def test_json_report_text_equals_indented_json_dumps(records):
-    assert cli._json_text(records) == json.dumps(records, indent=2) + "\n"
 
 
 BUILTIN_SCALARS = {int, float, str, bool, type(None)}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,8 +39,9 @@ def test_evaluate_parity_example():
 def test_table_validation():
     with pytest.raises(ValueError):
         BooleanFunction(2, np.array([1, -1, 1], dtype=np.int8))
-    with pytest.raises(ValueError):
-        BooleanFunction(1, np.array([1, 0], dtype=np.int8))
+    for values in ([1, 0], [2, -1], [1, -2], [127, -128]):
+        with pytest.raises(ValueError, match=r"entries must be -1 or \+1"):
+            BooleanFunction(1, np.array(values, dtype=np.int8))
     with pytest.raises(ValueError):
         BooleanFunction(0, np.array([], dtype=np.int8))
 
@@ -55,6 +58,33 @@ def test_construction_leaves_the_callers_array_writeable():
     assert a.flags.writeable and not f.table.flags.writeable
     a[0] = -1
     assert f.table[0] == 1
+
+
+def test_a_read_only_view_of_a_writeable_array_is_copied():
+    a = np.array([1, -1, 1, -1], dtype=np.int8)
+    view = a.view()
+    view.setflags(write=False)
+    f = BooleanFunction(2, view)
+    assert not np.shares_memory(f.table, a)
+    a[0] = -1
+    assert f.table[0] == 1
+
+
+def test_make_folded_keeps_its_table_without_a_copy():
+    """At n = 20, make_folded's traced peak stays under 1.5 bytes a point: it
+    keeps _fold_half's fresh read-only table, and the ±1 check makes no 2^n
+    temporaries."""
+    n = 20
+    half = np.ones(1 << (n - 1), dtype=np.int8)
+    half[::3] = -1
+    tracemalloc.start()
+    try:
+        f = make_folded(n, half)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.folded and np.array_equal(f.table[1::2], half)
+    assert peak <= 1.5 * (1 << n)
 
 
 # ---------------------------------------------------------------------------

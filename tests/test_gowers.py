@@ -527,6 +527,6 @@ def test_decoder_transforms_each_distinct_member_once(monkeypatch):
 @pytest.mark.parametrize("j", [1, 4])
 def test_decoder_runs_on_a_function_family(j):
     """A FunctionFamily's members are a member sequence too."""
-    fam = FunctionFamily.uniform(complete_hypergraph(3), dictator(5, j))
+    fam = FunctionFamily(complete_hypergraph(3), [dictator(5, j)] * 7)
     found = find_influential_pair(fam.members, None, 0.5)
     assert found == (0, 1, j)

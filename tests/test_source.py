@@ -80,12 +80,60 @@ def test_every_module_level_definition_is_read():
     assert unread_definitions(PACKAGE, BENCH) == UNREAD_ALLOWED
 
 
-def test_the_dead_name_check_flags_an_unused_helper(tmp_path):
+def copy_package(directory):
+    """Copies of the package modules in ``directory``, in PACKAGE order."""
     package = []
     for path in PACKAGE:
-        package.append(tmp_path / path.name)
+        package.append(directory / path.name)
         package[-1].write_text(path.read_text())
+    return package
+
+
+def test_the_dead_name_check_flags_an_unused_helper(tmp_path):
+    package = copy_package(tmp_path)
     fourier = tmp_path / "fourier.py"
     fourier.write_text(fourier.read_text() + "\n\ndef _unused_helper():\n    return 0\n")
     assert unread_definitions(package, BENCH) == [
         "fourier._unused_helper", *UNREAD_ALLOWED]
+
+
+def unread_members(package, bench):
+    """"module.Class.name" of each non-dunder method or property of a class in
+    ``package``, and of each ``self.<name> =`` attribute its methods set, that
+    no module of ``package`` or ``bench`` reads as ``.<name>``.
+
+    Members match by name alone, whatever object the read is on: a
+    ``self.guard_bits`` attribute would pass because ``cfg.guard_bits`` is
+    read."""
+    read = {node.attr for path in package + bench
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in package:
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = [stmt.name for stmt in cls.body if isinstance(stmt, ast.FunctionDef)]
+            names += [target.attr for node in ast.walk(cls) if isinstance(node, ast.Assign)
+                      for target in node.targets
+                      if isinstance(target, ast.Attribute)
+                      and isinstance(target.value, ast.Name) and target.value.id == "self"]
+            unread += [f"{path.stem}.{cls.name}.{name}" for name in dict.fromkeys(names)
+                       if not (name.startswith("__") and name.endswith("__"))
+                       and name not in read]
+    return unread
+
+
+def test_every_class_member_is_read():
+    assert unread_members(PACKAGE, BENCH) == []
+
+
+def test_the_dead_member_check_flags_an_unused_method_and_attribute(tmp_path):
+    package = copy_package(tmp_path)
+    errors = tmp_path / "errors.py"
+    errors.write_text(errors.read_text() + (
+        "\n\nclass _Probe:\n"
+        "    def __init__(self):\n        self.unread_attribute = 0\n\n"
+        "    def unread_method(self):\n        return 0\n"))
+    assert unread_members(package, BENCH) == [
+        "errors._Probe.unread_method", "errors._Probe.unread_attribute"]

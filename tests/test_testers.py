@@ -86,7 +86,7 @@ def test_hypergraph_validation():
 
 def test_complete_hypergraph_counts():
     h2 = complete_hypergraph(2)
-    assert h2.edges == (frozenset({1, 2}),)
+    assert h2.edges == ((1, 2),)
     assert h2.t == 3
     h3 = complete_hypergraph(3)
     assert len(h3.edges) == 4
@@ -387,7 +387,7 @@ def test_basic_exact_equals_fourier_at_n20():
 
 def test_htest_transcript_shape_and_budget():
     h = complete_hypergraph(3)
-    fam = FunctionFamily.uniform(h, dictator(2, 1))
+    fam = FunctionFamily(h, [dictator(2, 1)] * h.t)
     transcript = run_hypergraph_test(fam, derive_rng(1))
     assert len(transcript.pass1) == h.k
     assert len(transcript.pass2) == h.k + len(h.edges)
@@ -399,7 +399,7 @@ def test_htest_dictator_family_always_accepts():
         h = complete_hypergraph(k)
         for n in (2, 4):
             for ell in range(1, n + 1):
-                fam = FunctionFamily.uniform(h, dictator(n, ell))
+                fam = FunctionFamily(h, [dictator(n, ell)] * h.t)
                 for trial in range(50):
                     assert run_hypergraph_test(fam, derive_rng(70, trial)).verdict
 
@@ -432,7 +432,7 @@ def test_htest_pass2_depends_on_pass1_only_through_v():
 
 
 def test_htest_transcripts_count_queries_per_member():
-    fam = FunctionFamily.uniform(EDGE_12, dictator(2, 1))
+    fam = FunctionFamily(EDGE_12, [dictator(2, 1)] * EDGE_12.t)
     transcript = run_hypergraph_test(fam, derive_rng(2))
     labels = [q.fn for q in transcript.pass1] + [q.fn for q in transcript.pass2]
     assert labels == ["v1", "v2", "v1", "v2", "e1,2"]
@@ -446,7 +446,7 @@ def test_htest_transcripts_count_queries_per_member():
 def test_htest_exact_dictator_completeness_k2():
     for n in (1, 2, 3):
         for ell in range(1, n + 1):
-            fam = FunctionFamily.uniform(EDGE_12, dictator(n, ell))
+            fam = FunctionFamily(EDGE_12, [dictator(n, ell)] * EDGE_12.t)
             assert htest_prob_exact(fam) == 1.0
 
 
@@ -455,7 +455,7 @@ def test_htest_exact_completeness_all_small_hypergraphs():
     for k in (1, 2, 3):
         for h in all_hypergraphs(k):
             for n in (1, 2):
-                fam = FunctionFamily.uniform(h, dictator(n, 1))
+                fam = FunctionFamily(h, [dictator(n, 1)] * h.t)
                 assert htest_prob_exact(fam) == 1.0
 
 
@@ -466,7 +466,7 @@ def test_htest_exact_negated_edge_member_rejects_sometimes():
 
 
 def test_htest_exact_vs_mc_three_sigma():
-    fam = FunctionFamily.uniform(EDGE_12, parity(1, 1))
+    fam = FunctionFamily(EDGE_12, [parity(1, 1)] * EDGE_12.t)
     exact = htest_prob_exact(fam)
     estimate, low, high = htest_prob_mc(fam, 50_000, 31)
     assert low <= exact <= high
@@ -478,7 +478,8 @@ def test_htest_exact_vs_mc_three_sigma():
 
 def test_htest_mc_dictator_family_hits_one():
     for k, n, ell in ((3, 4, 2), (4, 10, 7)):
-        fam = FunctionFamily.uniform(complete_hypergraph(k), dictator(n, ell))
+        h = complete_hypergraph(k)
+        fam = FunctionFamily(h, [dictator(n, ell)] * h.t)
         estimate, low, high = htest_prob_mc(fam, 20_000, 3)
         assert estimate == 1.0
         assert high == 1.0
@@ -571,26 +572,24 @@ def test_htest_kernel_accepts_every_dictator_draw(n):
     for h in shapes:
         cols = (h.k,) * 3 + (len(h.edges),)
         for j in {1, n}:
-            fam = FunctionFamily.uniform(h, dictator(n, j))
+            fam = FunctionFamily(h, [dictator(n, j)] * h.t)
             draws, = rng_module.mc_draws(rng_module._MC_CHUNK, (n, j, h.k), n, cols)
             assert max(int(d.max()) for d in draws) >= (1 << n) - (1 << max(0, n - 10))
             assert kernel_verdicts(fam, *draws).all()
 
 
-@pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.int64])
-def test_verdict_tables_are_shift_and_sign_tables_built_once_per_member(dtype):
-    """A vertex gets S[p] = p + [f(p) = -1]·1⃗ in the draws' dtype and an edge
-    gets f < 0, each from its member's folded view; members that share a
-    function share its table."""
+def test_verdict_tables_are_shift_and_sign_tables_built_once_per_member():
+    """A vertex gets S[p] = p + [f(p) = -1]·1⃗ in uint32 and an edge gets
+    f < 0, each from its member's folded view; members that share a function
+    share its table."""
     n, h = 5, complete_hypergraph(3)
     f, g = random_folded(n, 1), random_folded(n, 2)
     fam = FunctionFamily(h, [f, g, f, g, f, f, g])
     idx = np.arange(1 << n)
-    shifts, signs, edges = _verdict_tables(fam, dtype)
-    assert edges == [sorted(e) for e in h.edges]
+    shifts, signs = _verdict_tables(fam)
     assert len(shifts) == h.k and len(signs) == len(h.edges)
     for table, member in zip(shifts, fam.members[: h.k]):
-        assert table.dtype == dtype
+        assert table.dtype == np.uint32
         t = folded_table(member)
         assert np.array_equal(table, np.where(t < 0, idx ^ ((1 << n) - 1), idx))
     for table, member in zip(signs, fam.members[h.k :]):
@@ -599,7 +598,7 @@ def test_verdict_tables_are_shift_and_sign_tables_built_once_per_member(dtype):
 
 
 def test_htest_mc_validation_and_determinism():
-    fam = FunctionFamily.uniform(EDGE_12, dictator(2, 1))
+    fam = FunctionFamily(EDGE_12, [dictator(2, 1)] * EDGE_12.t)
     with pytest.raises(ValueError):
         htest_prob_mc(fam, 0, 1)
     a = htest_prob_mc(fam, 9_000, 5)
@@ -615,7 +614,7 @@ def test_htest_mc_seed_consistency_across_reruns():
 
 
 def test_htest_exact_guard():
-    fam = FunctionFamily.uniform(complete_hypergraph(3), dictator(3, 1))
+    fam = FunctionFamily(complete_hypergraph(3), [dictator(3, 1)] * 7)
     with pytest.raises(GuardExceeded):
         htest_prob_exact(fam)  # (9 + 4) * 3 = 39 bits
 
@@ -626,16 +625,16 @@ def noisy_family(h, n, seed):
 
 def int8_tables(fam):
     """reference_verdicts' tables: the members' int8 folded views, vertices
-    then edges, and each edge's vertices in increasing order."""
+    then edges, and the edges."""
     tables = [folded_table(f) for f in fam.members]
     k = fam.hypergraph.k
-    return tables[:k], tables[k:], [sorted(e) for e in fam.hypergraph.edges]
+    return tables[:k], tables[k:], fam.hypergraph.edges
 
 
 def reference_verdicts(vertex_tables, edge_tables, edges, xs, ys, zv, ze):
     """Verdicts as run_hypergraph_test states them: each edge compares the
     product of its vertex answers with its edge answer.  Takes the same
-    broadcastable draws as _htest_verdicts and gives the same mask shape."""
+    broadcastable draws as kernel_verdicts and gives the same mask shape."""
     ones = vertex_tables[0].size - 1
     shifts = [np.where(t[y] < 0, y ^ ones, y) for t, y in zip(vertex_tables, ys)]
     signs = [t[x ^ (s & z)] for t, x, s, z in zip(vertex_tables, xs, shifts, zv)]
@@ -651,9 +650,12 @@ def reference_verdicts(vertex_tables, edge_tables, edges, xs, ys, zv, ze):
 
 
 def kernel_verdicts(fam, xs, ys, zv, ze):
-    """_htest_verdicts on _verdict_tables' tables for the dtype of the x draws."""
-    dtype = np.asarray(xs[0]).dtype
-    return _htest_verdicts(*_verdict_tables(fam, dtype), xs, ys, zv, ze)
+    """_htest_verdicts on _verdict_tables' tables, with the draws cast to
+    uint32 and broadcast to one shape."""
+    k = fam.hypergraph.k
+    draws = np.broadcast_arrays(*(np.asarray(d, dtype=np.uint32) for d in (*xs, *ys, *zv, *ze)))
+    return _htest_verdicts(*_verdict_tables(fam), fam.hypergraph.edges,
+                           draws[:k], draws[k:2 * k], draws[2 * k:3 * k], draws[3 * k:])
 
 
 def test_verdict_kernel_matches_oracle_run_draw_for_draw():
@@ -756,7 +758,7 @@ def test_htest_exact_equals_scalar_oracle_enumeration():
     for h, n in cases:
         families = [random_family(h, n, s) for s in (8, 9)] + [noisy_family(h, n, 3)]
         if n % 2:
-            families.append(FunctionFamily.uniform(h, majority(n)))
+            families.append(FunctionFamily(h, [majority(n)] * h.t))
         for fam in families:
             bits = (3 * h.k + len(h.edges)) * n
             assert htest_prob_exact(fam) == oracle_accept_count(fam) / 2**bits
@@ -780,16 +782,18 @@ def grid_accept_count(fam):
 
     Evaluates the verdict kernel on a grid with the (x_1..x_k, y_1..y_k)
     assignments along axis 0, in chunks of about _EXACT_CHUNK grid elements,
-    and one z axis per vertex and per edge; a vertex z axis that no edge
-    reads counts 2^n times.
+    and one z axis per vertex and per edge; the z axis of a vertex that no
+    edge reads has length 1 and counts 2^n times.
     """
     h = fam.hypergraph
     k, n = h.k, fam.n
     tables = int8_tables(fam)
     points = 1 << n
     z_dims = k + len(h.edges)
-    zs = [np.arange(points).reshape(-1, *(1,) * (z_dims - 1 - a)) for a in range(z_dims)]
-    free = k - len(set().union(*h.edges))
+    read = set().union(*h.edges)
+    lengths = [points if i + 1 in read else 1 for i in range(k)] + [points] * len(h.edges)
+    zs = [np.arange(m).reshape(-1, *(1,) * (z_dims - 1 - a)) for a, m in enumerate(lengths)]
+    free = k - len(read)
     combos = points ** (2 * k)
     step = max(1, _EXACT_CHUNK // points ** (z_dims - free))
     digit_shifts = n * np.arange(2 * k)
@@ -807,9 +811,9 @@ def grid_accept_count(fam):
 
 def htest_families(h, n):
     fams = [random_family(h, n, s) for s in (5, 6)] + [noisy_family(h, n, 7)]
-    fams.append(FunctionFamily.uniform(h, dictator(n, n)))
+    fams.append(FunctionFamily(h, [dictator(n, n)] * h.t))
     if n % 2:
-        fams.append(FunctionFamily.uniform(h, majority(n)))
+        fams.append(FunctionFamily(h, [majority(n)] * h.t))
     return fams
 
 
@@ -987,7 +991,7 @@ def test_htest_exact_perfect_completeness_beyond_the_old_enumerator():
     path_4 = Hypergraph(4, [frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4})])
     for h, n in ((complete_hypergraph(3), 2), (complete_hypergraph(3), 3), (path_4, 2)):
         for ell in range(1, n + 1):
-            fam = FunctionFamily.uniform(h, dictator(n, ell))
+            fam = FunctionFamily(h, [dictator(n, ell)] * h.t)
             assert htest_prob_exact(fam, guard_bits=39) == 1.0
 
 
@@ -997,7 +1001,7 @@ def test_htest_exact_perfect_completeness_at_the_lu_frontier():
         for n in range(1, top + 1):
             bits = (3 * k + len(h.edges)) * n
             for ell in sorted({1, n}):
-                fam = FunctionFamily.uniform(h, dictator(n, ell))
+                fam = FunctionFamily(h, [dictator(n, ell)] * h.t)
                 assert htest_prob_exact(fam, guard_bits=bits) == 1.0
 
 
@@ -1007,7 +1011,7 @@ def test_htest_exact_odd_parity_on_one_edge_accepts_one_half_plus_2_to_1_minus_2
     h = complete_hypergraph(2)
     for w in (1, 3, 5, 7):
         for n in range(w, 8):
-            fam = FunctionFamily.uniform(h, parity(n, ((1 << w) - 1) << (n - w)))
+            fam = FunctionFamily(h, [parity(n, ((1 << w) - 1) << (n - w))] * h.t)
             value = htest_prob_exact(fam, guard_bits=7 * n)
             assert Fraction(value) == Fraction(1, 2) + Fraction(2) ** (1 - 2 * w)
 
@@ -1025,7 +1029,8 @@ def test_htest_exact_int64_at_its_widest_equals_python_ints(monkeypatch):
     for k, n in ((2, 7), (3, 4)):
         h = complete_hypergraph(k)
         bits = (3 * k + len(h.edges)) * (n + 1)
-        assert htest_prob_exact(FunctionFamily.uniform(h, dictator(n + 1, 1)), guard_bits=bits) == 1.0
+        fam = FunctionFamily(h, [dictator(n + 1, 1)] * h.t)
+        assert htest_prob_exact(fam, guard_bits=bits) == 1.0
         assert chosen.pop() is object
         fams = [random_family(h, n, 11), noisy_family(h, n, 12)]
         cases += [(fam, htest_prob_exact(fam, guard_bits=bits)) for fam in fams]
@@ -1038,7 +1043,7 @@ def test_htest_exact_int64_at_its_widest_equals_python_ints(monkeypatch):
 
 def test_htest_exact_builds_one_and_table_per_distinct_member(monkeypatch):
     h = complete_hypergraph(3)
-    uniform = FunctionFamily.uniform(h, random_folded(2, 9))
+    uniform = FunctionFamily(h, [random_folded(2, 9)] * h.t)
     mixed = random_family(h, 2, 5)
     bits = (3 * h.k + len(h.edges)) * 2
     calls = []
@@ -1072,7 +1077,7 @@ def permute(f, perm):
 
 def lift(g, n, coords):
     """g on {0,1}^r read off the coordinates ``coords`` (0-based bits) of n."""
-    idx = np.arange(1 << n)
+    idx = np.arange(1 << n, dtype=np.uint32)
     image = sum(((idx >> c) & 1) << j for j, c in enumerate(coords))
     return BooleanFunction(n, g.table[image])
 
@@ -1169,13 +1174,28 @@ def test_htest_mc_of_a_lifted_junta_matches_its_restriction_exactly(k, r):
     """Past the exact frontier: a random r-junta family lifted to n = 20 has
     an MC estimate within 5 binomial standard errors of the exact value of
     its restriction to {0,1}^r."""
-    n, trials = 20, 200_000
+    assert_lifted_junta_mc_matches_exact(k, r, 20, (150, k), 151 + k, (152, k))
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("k, r", [(2, 4), (3, 3)])
+def test_htest_mc_of_a_lifted_junta_at_the_dimension_cap(k, r, n):
+    """The same check at n = 16 and at the dimension cap n = 24, where each
+    vertex shift table holds 2^24 uint32 entries."""
+    assert_lifted_junta_mc_matches_exact(k, r, n, (153, k, n), [154, k, n], (155, k, n))
+
+
+def assert_lifted_junta_mc_matches_exact(k, r, n, family_seed, coords_seed, mc_seed):
+    """A random r-junta family on complete(k), lifted to n, has an MC estimate
+    of 200 000 draws within 5 binomial standard errors of the exact value of
+    its restriction to {0,1}^r."""
+    trials = 200_000
     h = complete_hypergraph(k)
-    fam = random_family(h, r, (150, k))
-    coords = np.random.default_rng(151 + k).choice(n, size=r, replace=False)
+    fam = random_family(h, r, family_seed)
+    coords = np.random.default_rng(coords_seed).choice(n, size=r, replace=False)
     lifted = FunctionFamily(h, [lift(g, n, coords) for g in fam.members])
     exact = htest_prob_exact(fam, guard_bits=(3 * h.k + len(h.edges)) * r)
-    estimate, _, _ = htest_prob_mc(lifted, trials, (152, k))
+    estimate, _, _ = htest_prob_mc(lifted, trials, mc_seed)
     assert abs(estimate - exact) <= 5 * np.sqrt(exact * (1 - exact) / trials)
 
 
