@@ -37,7 +37,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DEFAULT_GUARD_BITS, GuardExceeded, InvariantViolation, SpecParseError
+from .errors import (
+    DEFAULT_GUARD_BITS, GuardExceeded, InvariantViolation, SpecParseError, check_guard,
+)
 from .families import (
     _int_lists, build_family, load_family, parse_fnspec, planted_decoder_family,
     random_family, random_folded, read_json_object,
@@ -368,6 +370,7 @@ def _run_decode(cfg: Config) -> dict:
     _require(cfg, "n", "d", "coord", "rho", "tau")
     if cfg.d < 1:
         raise SpecParseError(f"decode needs d >= 1, got {cfg.d}")
+    check_guard(cfg.d + check_dimension(cfg.n), cfg.guard_bits)  # 2^d members of 2^n points
     rows = []
     for s in _count(cfg):
         start = time.perf_counter()

@@ -6,17 +6,12 @@ DEFAULT_GUARD_BITS = 26
 class GuardExceeded(Exception):
     """An exact route would exceed the configured randomness budget."""
 
-    def __init__(self, required_bits: int, guard_bits: int):
-        super().__init__(
-            f"exact route covers 2^{required_bits} random draws, "
-            f"guard allows 2^{guard_bits}"
-        )
-
 
 def check_guard(bits: int, guard_bits: int) -> None:
     """Raise GuardExceeded when a test's 2^bits random draws are over budget."""
     if bits > guard_bits:
-        raise GuardExceeded(bits, guard_bits)
+        raise GuardExceeded(
+            f"exact route covers 2^{bits} random draws, guard allows 2^{guard_bits}")
 
 
 class SpecParseError(ValueError):

@@ -2,6 +2,7 @@
 
 ``BooleanFunction``, an int8 table of ±1 values, is the package's one function
 type; spectra, Gowers sums and the noise operator are computed from it exactly.
+``folded_table`` applies the folded access rule to every point at once.
 Whether f is folded, f(1⃗+x) = -f(x), is its ``folded`` property: the table is
 read-only, so the pair compare runs at most once per function object, and
 ``require_folded``, ``fourier.spectrum_counts`` and the family checks all
@@ -75,36 +76,6 @@ class BooleanFunction:
         return bool(np.array_equal(self.table[half:], -self.table[half - 1::-1]))
 
 
-class FoldedOracle:
-    """Query-counting access to a function under the folding rule.
-
-    A query at x with x_1 = 1 reads the table directly; a query at x with
-    x_1 = 0 reads the complementary point 1⃗+x and negates the answer.  The
-    induced function F therefore satisfies F(1⃗+x) = -F(x) for every x and
-    has mean exactly 0, regardless of the wrapped table.  ``query_count``
-    counts every query made through it.
-    """
-
-    __slots__ = ("inner", "query_count")
-
-    def __init__(self, inner: BooleanFunction):
-        self.inner = inner
-        self.query_count = 0
-
-    @property
-    def n(self) -> int:
-        return self.inner.n
-
-    def fold_query(self, x) -> int:
-        j = int(x)
-        if not 0 <= j < 1 << self.n:
-            raise ValueError(f"point index {j} out of range for n={self.n}")
-        self.query_count += 1
-        if j & 1:
-            return int(self.inner.table[j])
-        return -int(self.inner.table[j ^ ((1 << self.n) - 1)])
-
-
 def _fold_half(half: np.ndarray) -> np.ndarray:
     """The table of the folded function whose x_1 = 1 half is ``half``.
 
@@ -124,10 +95,9 @@ def _fold_half(half: np.ndarray) -> np.ndarray:
 def folded_table(f: BooleanFunction) -> np.ndarray:
     """The induced folded view of f: F(x) = f(x) if x_1 = 1, else -f(1⃗+x).
 
-    This is FoldedOracle's access rule applied to every point at once; the
-    tests compare it with a per-point FoldedOracle loop, its reference.  For
-    a folded f it equals f.table, which ``htest_prob_exact`` and the MC
-    kernel read; ``basic_test_prob_exact`` indexes into this array.
+    F is folded and has mean exactly 0 for any f.  For a folded f it equals
+    f.table, which ``htest_prob_exact`` and the MC kernel read;
+    ``basic_test_prob_exact`` indexes into this array.
     """
     return _fold_half(f.table[1::2])
 

@@ -10,20 +10,19 @@ Each tester has an exact acceptance probability: an integer accept count
 over all its randomness (guarded by that bit budget), from an identity: one
 subset sum over f^{-1}(-1) for the basic test, a linear-form sum for the
 hypergraph test.  The basic test also has a closed-form spectral evaluator,
-and the hypergraph test a query-level run (``run_hypergraph_test``) and a
-Monte Carlo estimate.  All oracle access goes through the folding rule.
+and the hypergraph test a Monte Carlo estimate that runs both passes on
+vectorized draws.  All oracle access goes through the folding rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DEFAULT_GUARD_BITS, check_guard
 from .fourier import _butterfly, _subset_sums, hamming_weights, spectrum_counts, wht
-from .functions import BooleanFunction, FoldedOracle, folded_table, require_folded
+from .functions import BooleanFunction, folded_table, require_folded
 from .gowers import _count_dtype, _linear_sum
 # _MC_CHUNK is bound here for bench/spans.py, which counts htest_prob_mc chunks.
 from .rng import _MC_CHUNK, mc_draws  # noqa: F401
@@ -138,84 +137,6 @@ class FunctionFamily:
 
 
 # ---------------------------------------------------------------------------
-# Transcripts and the query-level run
-# ---------------------------------------------------------------------------
-
-
-class QueryRecord(NamedTuple):
-    fn: str
-    point: int
-    sign: int
-
-
-@dataclass(frozen=True)
-class TestTranscript:
-    """Ordered query log of one tester run: two passes and a verdict."""
-
-    pass1: tuple
-    pass2: tuple
-    verdict: bool
-    total_queries: int
-
-
-def run_hypergraph_test(
-    fam: FunctionFamily, rng: np.random.Generator
-) -> TestTranscript:
-    """One run of the hypergraph test against a family of folded oracles.
-
-    Draw order (four ``rng.integers`` calls): x_1..x_k, y_1..y_k, z_1..z_k,
-    then one z_e per edge in edge order.  Pass 1 reads f_i(y_i) for each
-    vertex; with v_i = (1 - f_i(y_i))/2 and s_i = v_i·1⃗ + y_i, pass 2 reads
-    f_i(x_i + s_i ∧ z_i) for each vertex and, for each edge e,
-    f_e(Σ_{i in e} x_i + (Σ_{i in e} s_i) ∧ z_e).  Accepts iff every edge
-    equation Π_{i in e} f_i(...) = f_e(...) holds.
-    """
-    h = fam.hypergraph
-    k, n = h.k, fam.n
-    ones = (1 << n) - 1
-    oracles = [FoldedOracle(f) for f in fam.members]
-    labels = member_labels(h)
-
-    xs = [int(v) for v in rng.integers(0, 1 << n, size=k)]
-    ys = [int(v) for v in rng.integers(0, 1 << n, size=k)]
-    zv = [int(v) for v in rng.integers(0, 1 << n, size=k)]
-    ze = [int(v) for v in rng.integers(0, 1 << n, size=len(h.edges))]
-
-    pass1 = []
-    shifts = []
-    for i in range(k):
-        s_y = oracles[i].fold_query(ys[i])
-        pass1.append(QueryRecord(labels[i], ys[i], s_y))
-        v = (1 - s_y) // 2
-        shifts.append(ys[i] ^ (ones if v else 0))
-
-    pass2 = []
-    vertex_signs = []
-    for i in range(k):
-        point = xs[i] ^ (shifts[i] & zv[i])
-        sign = oracles[i].fold_query(point)
-        pass2.append(QueryRecord(labels[i], point, sign))
-        vertex_signs.append(sign)
-
-    verdict = True
-    for j, e in enumerate(h.edges):
-        x_sum = 0
-        shift_sum = 0
-        lhs = 1
-        for i in e:
-            x_sum ^= xs[i - 1]
-            shift_sum ^= shifts[i - 1]
-            lhs *= vertex_signs[i - 1]
-        point = x_sum ^ (shift_sum & ze[j])
-        sign = oracles[k + j].fold_query(point)
-        pass2.append(QueryRecord(labels[k + j], point, sign))
-        verdict = verdict and lhs == sign
-
-    total = sum(o.query_count for o in oracles)
-    return TestTranscript(tuple(pass1), tuple(pass2), verdict, total)
-
-
-# ---------------------------------------------------------------------------
 # Exact routes
 # ---------------------------------------------------------------------------
 
@@ -295,9 +216,9 @@ def _htest_verdicts(shift_tables, sign_tables, edges, xs, ys, zv, ze):
     """Accept mask of the hypergraph test over uint32 draw arrays of one shape.
 
     The tables are _verdict_tables'.  xs, ys, zv hold one array per vertex
-    and ze one per edge, as ``mc_draws`` hands them out; each draw is
-    evaluated as in run_hypergraph_test.  ``edges`` is ``hypergraph.edges``,
-    each edge's vertices in increasing order.
+    and ze one per edge, as ``mc_draws`` hands them out; each draw is one
+    two-pass run of the test.  ``edges`` is ``hypergraph.edges``, each
+    edge's vertices in increasing order.
 
     The pass-1 shift s_i = y_i + [f_i(y_i) = -1]·1⃗ is one read of the shift
     table, S_i[y_i].  Every table is folded, f(p + 1⃗) = -f(p), so the
@@ -391,7 +312,7 @@ def htest_prob_mc(
 ) -> tuple[float, float, float]:
     """Monte Carlo acceptance estimate with a 99% Wilson interval.
 
-    Verdicts follow the same two-pass procedure as run_hypergraph_test, drawn
+    Each draw's verdict is one two-pass run (see _htest_verdicts), drawn
     and evaluated in vectorized chunks in one thread; chunk c uses the
     sub-stream (seed, c) and chunk counts are summed, so the estimate is
     deterministic given (fam, trials, seed).  Chunk c's draws are its

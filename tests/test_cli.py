@@ -110,6 +110,17 @@ def test_xcheck_checks_n_before_drawing_anything(law, capsys, monkeypatch):
     assert out.err == "error: dimension must be in [1, 24], got 25\n"
 
 
+def test_decode_checks_its_guard_before_drawing_anything(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew a family before checking the guard")
+
+    monkeypatch.setattr(cli, "planted_decoder_family", refuse)
+    argv = "decode --n 4 --d 30 --coord 1 --rho 0.1 --tau 0.1 --count 1".split()
+    code, out = run(argv, capsys)
+    assert (code, out.out) == (3, "")
+    assert "exact route covers 2^34 random draws, guard allows 2^26" in out.err
+
+
 NONPOSITIVE_COUNTS = {
     "xcheck-basic-count-0": "xcheck --law basic --n 3 --count 0",
     "xcheck-noise-count-0": "xcheck --law noise --n 3 --count 0",

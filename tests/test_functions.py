@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from dictatest.families import dictator, parity
 from dictatest.functions import (
     BooleanFunction,
-    FoldedOracle,
     folded_table,
     make_folded,
     table_from_hex,
     table_to_hex,
 )
+from reference import FoldedOracle
 
 
 def constant(n, sign=1):

@@ -27,7 +27,7 @@ from dictatest.fourier import (
     subset_zeta,
     wht,
 )
-from dictatest.functions import BooleanFunction, FoldedOracle, folded_table, make_folded
+from dictatest.functions import BooleanFunction, folded_table, make_folded
 from dictatest.gowers import _EXACT_CHUNK
 from dictatest.rng import derive_rng
 from dictatest.testers import (
@@ -43,8 +43,8 @@ from dictatest.testers import (
     noise_and_operator,
     noisy_spectrum_law_deviation,
     query_budget,
-    run_hypergraph_test,
 )
+from reference import FoldedOracle, run_basic_test, run_hypergraph_test
 
 EDGE_12 = Hypergraph(2, [frozenset({1, 2})])
 PATH_3 = Hypergraph(3, [frozenset({1, 2}), frozenset({2, 3})])
@@ -132,36 +132,8 @@ def test_family_requires_folded_members():
 
 
 # ---------------------------------------------------------------------------
-# Basic test sampler: the query-level reference
+# Basic test sampler
 # ---------------------------------------------------------------------------
-
-
-def run_basic_test(oracle, rng):
-    """One run of the four-query adaptive test against a single oracle.
-
-    Draws x_i, x_j, y, z (one ``rng.integers(0, 2^n, size=4)`` call, in that
-    order), reads f(y) in pass 1, sets v = (1 - f(y))/2, then reads f(x_i),
-    f(x_j) and f(x_i + x_j + (v·1⃗ + y) ∧ z) in pass 2; accepts iff
-    f(x_i) f(x_j) equals the third pass-2 value.
-    """
-    n = oracle.n
-    ones = (1 << n) - 1
-    before = oracle.query_count
-    x_i, x_j, y, z = (int(v) for v in rng.integers(0, 1 << n, size=4))
-    s_y = oracle.fold_query(y)
-    v = (1 - s_y) // 2
-    shift = y ^ (ones if v else 0)
-    probe = x_i ^ x_j ^ (shift & z)
-    s_i = oracle.fold_query(x_i)
-    s_j = oracle.fold_query(x_j)
-    s_probe = oracle.fold_query(probe)
-    record = testers.QueryRecord
-    return testers.TestTranscript(
-        pass1=(record("f", y, s_y),),
-        pass2=(record("f", x_i, s_i), record("f", x_j, s_j), record("f", probe, s_probe)),
-        verdict=s_i * s_j == s_probe,
-        total_queries=oracle.query_count - before,
-    )
 
 
 def test_basic_test_transcript_shape_and_count():
@@ -825,6 +797,86 @@ def test_htest_exact_equals_grid_enumeration():
         for fam in htest_families(h, n):
             expected = grid_accept_count(fam) / 2**bits
             assert htest_prob_exact(fam, guard_bits=bits) == expected
+
+
+# ---------------------------------------------------------------------------
+# Soundness checks that can fail: the exhaustive atlas and the mutants
+# ---------------------------------------------------------------------------
+
+
+TRIANGLE = Hypergraph(3, [frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3})])
+ATLAS = {
+    "complete2-n2": (complete_hypergraph(2), 2),
+    "complete2-n3": (complete_hypergraph(2), 3),
+    "path-n2": (PATH_3, 2),
+    "triangle-n2": (TRIANGLE, 2),
+    "complete3-n2": (complete_hypergraph(3), 2),
+    "singleton-n2": (Hypergraph(2, [{1}, {1, 2}], allow_singletons=True), 2),
+}
+
+
+@pytest.mark.parametrize("h, n", ATLAS.values(), ids=ATLAS.keys())
+def test_htest_exact_atlas_mean_is_the_floor_and_only_dictators_reach_one(h, n):
+    """Over every family of folded members, the mean acceptance is exactly
+    2^{-|E|}, and p = 1 holds on the n families with the same dictator χ_j
+    in every slot and on no other family."""
+    members = [make_folded(n, half) for half in itertools.product((-1, 1), repeat=1 << (n - 1))]
+    total, perfect = Fraction(0), []
+    for slots in itertools.product(members, repeat=h.t):
+        p = Fraction(htest_prob_exact(FunctionFamily(h, slots)))
+        total += p
+        if p == 1:
+            perfect.append(slots)
+    assert total / len(members) ** h.t == Fraction(1, 2 ** len(h.edges))
+    assert set(perfect) == {(dictator(n, j),) * h.t for j in range(1, n + 1)}
+
+
+def mutant_accept_probability(f, adaptive=True, vertex_noise=True, masked=True):
+    """The hypergraph test on complete(2) with f in every slot, over all
+    2^{7n} draws (x_1, x_2, y_1, y_2, z_1, z_2, z_e), with three switches:
+    ``adaptive=False`` sets s_i = y_i whatever f(y_i) is, ``vertex_noise=False``
+    queries f(x_i) in place of f(x_i + s_i ∧ z_i), and ``masked=False``
+    queries the edge at x_1 + x_2 + z_e in place of x_1 + x_2 + (s_1 + s_2) ∧ z_e."""
+    table, ones = folded_table(f), (1 << f.n) - 1
+    x1, x2, y1, y2, z1, z2, ze = np.indices((1 << f.n,) * 7, dtype=np.uint8).reshape(7, -1)
+    s1, s2 = (np.where(table[y] < 0, y ^ ones, y) if adaptive else y for y in (y1, y2))
+    a1, a2 = (s1 & z1, s2 & z2) if vertex_noise else (0, 0)
+    edge_mask = s1 ^ s2 if masked else ones
+    ok = table[x1 ^ a1] * table[x2 ^ a2] == table[x1 ^ x2 ^ (edge_mask & ze)]
+    return Fraction(np.count_nonzero(ok), ok.size)
+
+
+MUTANTS = {"paper": {}, "nonadaptive": {"adaptive": False},
+           "no vertex noise": {"vertex_noise": False}, "unmasked": {"masked": False}}
+# spec at n = 3 -> acceptance in MUTANTS' order
+MUTANT_TABLE = {
+    "dict:1": (Fraction(1), Fraction(5, 8), Fraction(1), Fraction(1, 2)),
+    "parity:7": (Fraction(17, 32), Fraction(65, 128), Fraction(5, 8), Fraction(1, 2)),
+    "maj": (Fraction(77, 128), Fraction(559, 1024), Fraction(77, 128), Fraction(1, 2)),
+    "random:5": (Fraction(73, 128), Fraction(529, 1024), Fraction(71, 128), Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("spec", MUTANT_TABLE)
+def test_mutant_enumerator_paper_setting_equals_htest_exact(spec):
+    f = parse_fnspec(spec, 3)
+    h = complete_hypergraph(2)
+    values = tuple(mutant_accept_probability(f, **switches) for switches in MUTANTS.values())
+    assert values == MUTANT_TABLE[spec]
+    assert values[0] == Fraction(htest_prob_exact(FunctionFamily(h, [f] * h.t)))
+
+
+def test_each_mutant_misses_a_paper_prediction():
+    """Dictator completeness (p = 1) and the weight-3 parity law
+    1/2 + 2^{1-2w} = 17/32 hold in the paper setting.  The dictator catches
+    the nonadaptive and unmasked mutants, and only the parity law catches the
+    one without vertex noise."""
+    predictions = {"dict:1": Fraction(1), "parity:7": Fraction(1, 2) + Fraction(2) ** (1 - 2 * 3)}
+    missed = {name: {spec for spec, p in predictions.items()
+                     if mutant_accept_probability(parse_fnspec(spec, 3), **switches) != p}
+              for name, switches in MUTANTS.items()}
+    assert missed == {"paper": set(), "nonadaptive": {"dict:1", "parity:7"},
+                      "no vertex noise": {"parity:7"}, "unmasked": {"dict:1", "parity:7"}}
 
 
 EDGE_POOL = [frozenset(e) for e in ({1}, {2}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3})]
