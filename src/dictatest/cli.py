@@ -106,11 +106,9 @@ class Config:
             self.edges = _parse_edges(self.edges)
 
 
-def _field_types() -> dict[str, tuple]:
-    """Config field name -> the types its annotation allows, flag type first.
-
-    This module does not postpone annotations, so ``f.type`` is a type."""
-    return {f.name: typing.get_args(f.type) or (f.type,) for f in fields(Config)}
+# Config field name -> the types its annotation allows, flag type first.
+# This module does not postpone annotations, so ``f.type`` is a type.
+_FIELD_TYPES = {f.name: typing.get_args(f.type) or (f.type,) for f in fields(Config)}
 
 
 @dataclass(kw_only=True)
@@ -370,7 +368,9 @@ def _run_decode(cfg: Config) -> dict:
     _require(cfg, "n", "d", "coord", "rho", "tau")
     if cfg.d < 1:
         raise SpecParseError(f"decode needs d >= 1, got {cfg.d}")
-    check_guard(cfg.d + check_dimension(cfg.n), cfg.guard_bits)  # 2^d members of 2^n points
+    n = check_dimension(cfg.n)
+    check_guard(cfg.d + n, cfg.guard_bits,
+                f"decode covers 2^{cfg.d} members of 2^{n} points (2^{cfg.d + n})")
     rows = []
     for s in _count(cfg):
         start = time.perf_counter()
@@ -440,11 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dictatorship-test experiments on the boolean hypercube.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    types = _field_types()
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         for flag, dest, help in command.options + _COMMON:
-            kind = types[dest][0]
+            kind = _FIELD_TYPES[dest][0]
             how = {"action": "store_const", "const": True} if kind is bool else {"type": kind}
             p.add_argument(flag, dest=dest, default=None, help=help, **how)
         p.add_argument("--config", type=str, default=None)
@@ -453,8 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config(args: argparse.Namespace) -> Config:
     """Each option from its flag, else from the config file, else the default."""
-    types = _field_types()
-    keys = {dest: types[dest] for _, dest, _ in COMMANDS[args.command].options + _COMMON}
+    keys = {dest: _FIELD_TYPES[dest] for _, dest, _ in COMMANDS[args.command].options + _COMMON}
     doc, where = {}, f"{args.command} config {args.config}: "
     if args.config is not None:
         doc = read_json_object(args.config, f"{args.command} config", keys)

@@ -7,11 +7,15 @@ class GuardExceeded(Exception):
     """An exact route would exceed the configured randomness budget."""
 
 
-def check_guard(bits: int, guard_bits: int) -> None:
-    """Raise GuardExceeded when a test's 2^bits random draws are over budget."""
+def check_guard(bits: int, guard_bits: int, what: str | None = None) -> None:
+    """Raise GuardExceeded when 2^bits counted things are over budget.
+
+    ``what`` names them in the message; by default they are an exact route's
+    2^bits random draws.
+    """
     if bits > guard_bits:
-        raise GuardExceeded(
-            f"exact route covers 2^{bits} random draws, guard allows 2^{guard_bits}")
+        what = what or f"exact route covers 2^{bits} random draws"
+        raise GuardExceeded(f"{what}, guard allows 2^{guard_bits}")
 
 
 class SpecParseError(ValueError):

@@ -339,17 +339,26 @@ def htest_prob_mc(
 
 
 def _and_sums(table: np.ndarray) -> np.ndarray:
-    """G[a, s] = Σ_z f(a + s ∧ z) as int32, for a ±1 table of f.
+    """G[a, s] = Σ_z f(a + s ∧ z) as a (2^n, 2^n) int32 table, for a ±1 table of f.
 
     s ∧ z runs over the subsets u of s, each 2^{n-|s|} times, so G[a, s] is
-    2^{n-|s|} times the subset sum over u ⊆ s of f(a + u), and |G| <= 2^n.
-    The shift amounts stay uint8 (``hamming_weights``), so nothing is widened
-    to int64.
+    2^{n-|s|} times P(a, s) = Σ_{u ⊆ s} f(a + u).  Column 0 is f, and stage j
+    builds the columns s = s' + e_j, s' < 2^j, from P(a, s) = P(a, s') +
+    P(a + e_j, s'), a sum that does not depend on a_j: one half-height add
+    writes the rows with a_j = 0 and one copy fills the rows with a_j = 1.
+    |P(a, s)| <= 2^{|s|}, so |G| <= 2^n.  The shift amounts stay uint8
+    (``hamming_weights``), so nothing is widened to int64.
     """
-    n = table.size.bit_length() - 1
-    idx = np.arange(table.size)
-    shifted = table.astype(np.int32)[idx[:, None] ^ idx]  # [a, u] -> f(a + u)
-    sums = _subset_sums(shifted)
+    size = table.size
+    n = size.bit_length() - 1
+    sums = np.empty((size, size), dtype=np.int32)
+    sums[:, 0] = table
+    for j in range(n):
+        width = 1 << j
+        rows = sums.reshape(-1, 2, width, size)  # [high bits of a, a_j, low bits, s]
+        low, high = rows[:, 0, :, width:2 * width], rows[:, 1, :, width:2 * width]
+        np.add(rows[:, 0, :, :width], rows[:, 1, :, :width], out=low)
+        high[...] = low
     sums <<= n - hamming_weights(n)
     return sums
 
@@ -362,28 +371,38 @@ def noise_and_operator(
     The output point (x; y) is encoded as x | (y << n), matching the
     spectrum encoding (α; β) -> α | (β << n).  Entry (x; y) is the integer
     sum G[c' + x, c + y] of ``_and_sums``, so g is exact as the table / 2^n.
-    The guard charges the 3n bits of (x, y, z).
+    It is read in two permutations: ``_and_sums`` runs on f permuted by c',
+    and its columns, taken as the output's rows, are permuted by c.  The
+    guard charges the 3n bits of (x, y, z).
     """
     n = f.n
     c = _as_mask(c, n)
     c_prime = _as_mask(c_prime, n)
     check_guard(3 * n, guard_bits)
     idx = np.arange(1 << n)
-    return _and_sums(f.table)[c_prime ^ idx[None, :], c ^ idx[:, None]].reshape(-1)
+    sums = _and_sums(f.table.take(c_prime ^ idx))  # [x, s] -> G[c' + x, s]
+    return sums.T.take(c ^ idx, axis=0).reshape(-1)  # [y, x] -> G[c' + x, c + y]
 
 
 def noisy_spectrum_law_deviation(
     f: BooleanFunction, c, c_prime, *, guard_bits: int = DEFAULT_GUARD_BITS
 ) -> float:
     """Max over (α; β) of |ĝ(α;β)^2 - f̂(α)^2 1{β ⊆ α} 4^{-|α|}|, with ĝ the
-    int64 transform of noise_and_operator's 2^n·g (4^n entries of at most 2^n,
-    so no value passes 2^{3n}) divided once by 2^{3n}."""
+    transform of noise_and_operator's 2^n·g divided once by 2^{3n}.
+
+    Its 4^n entries are at most 2^n, so no value passes 2^{3n}: the
+    butterfly runs in int32 while 3n <= 30 and in int64 above.  The float
+    arrays are reused in place, with the same operations on the same values.
+    """
     n = f.n
     g = noise_and_operator(f, c, c_prime, guard_bits=guard_bits)
-    g_sq = (_butterfly(g.astype(np.int64)) / 2 ** (3 * n)) ** 2
+    actual = _butterfly(g if 3 * n <= 30 else g.astype(np.int64)) / 2 ** (3 * n)
+    actual **= 2
     f_sq = wht(f) ** 2
     idx = np.arange(1 << n)
     subset = (idx[:, None] & ~idx[None, :]) == 0  # [β, α] -> β ⊆ α
-    expected = f_sq[None, :] * subset * np.exp2(-2.0 * hamming_weights(n))[None, :]
-    actual = g_sq.reshape(1 << n, 1 << n)  # [β, α] after the (x; y) encoding
-    return float(np.max(np.abs(actual - expected)))
+    expected = f_sq[None, :] * subset
+    expected *= np.exp2(-2.0 * hamming_weights(n))[None, :]
+    actual = actual.reshape(1 << n, 1 << n)  # [β, α] after the (x; y) encoding
+    actual -= expected
+    return float(np.abs(actual, out=actual).max())

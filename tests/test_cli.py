@@ -118,7 +118,7 @@ def test_decode_checks_its_guard_before_drawing_anything(capsys, monkeypatch):
     argv = "decode --n 4 --d 30 --coord 1 --rho 0.1 --tau 0.1 --count 1".split()
     code, out = run(argv, capsys)
     assert (code, out.out) == (3, "")
-    assert "exact route covers 2^34 random draws, guard allows 2^26" in out.err
+    assert "decode covers 2^30 members of 2^4 points (2^34), guard allows 2^26" in out.err
 
 
 NONPOSITIVE_COUNTS = {

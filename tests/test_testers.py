@@ -1001,6 +1001,23 @@ def test_basic_exact_traced_peak_stays_under_26_bytes_per_entry():
     assert traced_peak(basic_test_prob_exact, f, guard_bits=80) < 26 << 20
 
 
+def test_and_sums_traced_peak_stays_under_6_bytes_per_entry():
+    """The stages write the int32 output in place, so the peak stays near
+    the table's own 4 bytes per 4^n entry (4.5 at n = 10)."""
+    n = 10
+    f = parse_fnspec("random:5", n)
+    assert traced_peak(testers._and_sums, f.table) < 6 << 2 * n
+
+
+def test_noise_law_deviation_traced_peak_stays_under_30_bytes_per_entry():
+    """The int32 transform and float arrays reused in place keep the peak
+    near 21 bytes per 4^n entry at n = 10."""
+    n = 10
+    f = parse_fnspec("random:5", n)
+    peak = traced_peak(noisy_spectrum_law_deviation, f, 3, 5, guard_bits=3 * n)
+    assert peak < 30 << 2 * n
+
+
 @pytest.mark.parametrize("m", range(15, 21))
 def test_numpy_sum_is_the_pairwise_join_of_its_block_sums(m):
     """basic_test_prob_fourier relies on numpy's pairwise sum of a contiguous
@@ -1281,6 +1298,12 @@ def test_noise_operator_spectrum_law_random():
             f = BooleanFunction(n, 1 - 2 * rng.integers(0, 2, size=1 << n))
             c, c_prime = (int(v) for v in rng.integers(0, 1 << n, size=2))
             assert noisy_spectrum_law_deviation(f, c, c_prime) == 0.0, (n, c, c_prime)
+    for n in (9, 10, 11):  # the int32 transform's top (3n = 30), then int64
+        for _ in range(2):
+            f = BooleanFunction(n, 1 - 2 * rng.integers(0, 2, size=1 << n))
+            c, c_prime = (int(v) for v in rng.integers(0, 1 << n, size=2))
+            deviation = noisy_spectrum_law_deviation(f, c, c_prime, guard_bits=3 * n)
+            assert deviation == 0.0, (n, c, c_prime)
 
 
 def per_y_noise_table(f, c, c_prime):
@@ -1297,7 +1320,7 @@ def per_y_noise_table(f, c, c_prime):
 
 def test_noise_operator_equals_per_y_sums():
     rng = np.random.default_rng(91)
-    for n in range(1, 7):
+    for n in range(1, 8):
         for _ in range(4):
             f = BooleanFunction(n, 1 - 2 * rng.integers(0, 2, size=1 << n))
             c, c_prime = (int(v) for v in rng.integers(0, 1 << n, size=2))
