@@ -27,7 +27,6 @@ violation or arithmetic failure detected mid-run.
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -175,25 +174,28 @@ def _cells(column) -> list:
 
 def write_report(report, columns, out: str | None, as_json: bool) -> None:
     """Serialize ``report``'s ``columns`` (name -> a list or numpy array, all
-    of one length), a row per index; atomic rename when writing to a file."""
-    if as_json:
-        values = [v.tolist() if isinstance(v, np.ndarray) else v
-                  for v in map(report.__getitem__, columns)]
-        text = json.dumps([dict(zip(columns, row)) for row in zip(*values)], indent=2) + "\n"
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(zip(*(_cells(report[c]) for c in columns)))
-        text = buffer.getvalue()
+    of one length), a row per index; atomic rename when writing to a file.
+    CSV rows go to the stream through one ``csv.writer`` as they are made."""
+
+    def write(stream) -> None:
+        if as_json:
+            values = [v.tolist() if isinstance(v, np.ndarray) else v
+                      for v in map(report.__getitem__, columns)]
+            rows = [dict(zip(columns, row)) for row in zip(*values)]
+            stream.write(json.dumps(rows, indent=2) + "\n")
+        else:
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(zip(*(_cells(report[c]) for c in columns)))
+
     if out is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     tmp_name = os.path.join(os.path.dirname(out), f"tmp{os.urandom(6).hex()}.tmp")
     handle = open(tmp_name, "x")  # a new file's mode under the umask, as open() gives
     try:
         with handle:
-            handle.write(text)
+            write(handle)
         os.replace(tmp_name, out)
     except BaseException:
         if os.path.exists(tmp_name):

@@ -75,6 +75,10 @@ def random_folded(n: int, seed) -> BooleanFunction:
     return make_folded(n, 1 - 2 * bits.astype(np.int8))
 
 
+# Half-table entries per draw of noisy_dictator's flips.
+_FLIP_CHUNK = 1 << 16
+
+
 def noisy_dictator(n: int, i: int, rho: float, seed) -> BooleanFunction:
     """Dictator i with each half-table sign flipped with probability rho,
     then refolded (so the mean stays exactly 0).
@@ -86,13 +90,19 @@ def noisy_dictator(n: int, i: int, rho: float, seed) -> BooleanFunction:
     low-degree influence I^{<=1}_i = (1 - 4m/2^n)^2 is therefore bounded
     only in distribution: for rho > 0 no positive floor holds for every seed
     (m = 2^{n-2} gives 0).
+
+    Entry j flips where u_j < rho, u = the seed's rng.random(2^{n-1}).  The
+    doubles are drawn _FLIP_CHUNK at a time; each takes one 64-bit word of
+    the stream, so the chunks are the same numbers.  A chunk's entries are
+    multiplied by 1 - 2·[u < rho].
     """
     if not 0.0 <= rho <= 0.5:
         raise ValueError(f"flip probability must be in [0, 1/2], got {rho}")
-    base = dictator(n, i)
-    half = base.table[1::2].copy()
+    half = dictator(n, i).table[1::2].copy()
     rng = derive_rng(*seed_key(seed))
-    np.negative(half, out=half, where=rng.random(half.size) < rho)
+    for start in range(0, half.size, _FLIP_CHUNK):
+        part = half[start : start + _FLIP_CHUNK]
+        part *= 1 - 2 * (rng.random(part.size) < rho).view(np.int8)
     return make_folded(n, half)
 
 

@@ -7,12 +7,10 @@ once at the end, so boolean inputs give exactly representable dyadic
 coefficients.
 
 A spectrum is the int32 array ``spectrum_counts(f)`` = 2^n·f̂ of a ±1 table;
-``wht`` divides it once by 2^n for the one report of floats, and
-``testers.basic_test_prob_fourier`` also takes subset sums of the counts.
-Every butterfly intermediate is a signed sum of at most 2^n entries, and
-every subset-sum intermediate of the counts is
-Σ_x f(x) χ_H(x) Π_{i∈L} (1 + (-1)^{x_i}) for disjoint sets H and L, whose
-product is 2^{|L|} on a 2^{-|L|} share of the points, so both stay within
+``wht`` divides it once by 2^n for the one report of floats.  Every
+butterfly intermediate is a signed sum of at most 2^n entries, and so is
+every subset-sum intermediate of the table itself, which
+``testers.basic_test_prob_fourier`` takes, so both stay within
 2^n <= 2^MAX_DIMENSION = 2^24 < 2^31.  A float64 transform of the same
 table is exact on the same values, so dividing once by 2^n gives its floats
 bit for bit.  ``testers.basic_test_prob_exact`` takes int64 subset sums of
@@ -168,15 +166,17 @@ def low_degree_influence(counts: np.ndarray, i: int, w: int) -> float:
     return influences(counts, w)[_check_coordinate(counts, i) - 1]
 
 
-def _subset_sums(values: np.ndarray) -> np.ndarray:
+def _subset_sums(values: np.ndarray, width: int = 1) -> np.ndarray:
     """Transform values in place to Σ_{β ⊆ α} values[β] along the last axis.
 
-    values must be C-contiguous, so every stage's reshape is a view of it;
-    returns values.
+    Runs the stages from ``width`` (a power of two) up: a start of 2^j sums
+    over the bits j and above only, and the stages of the lower bits,
+    applied to each aligned 2^j-entry block, complete the transform.  values
+    must be C-contiguous, so every stage's reshape is a view of it; returns
+    values.
     """
     if not values.flags.c_contiguous:
         raise ValueError("subset sums are taken in place of a C-contiguous array")
-    width = 1
     while width < values.shape[-1]:
         view = values.reshape(-1, 2 * width)
         if width < 8:  # strided 1-D adds beat a 2-D add with inner length 2 or 4

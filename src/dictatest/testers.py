@@ -169,47 +169,94 @@ def basic_test_prob_exact(
 _FOURIER_BLOCK = 1 << 14
 
 
+def _top_stages(table: np.ndarray, width: int, transform: bool) -> np.ndarray:
+    """The butterfly (``transform``) or subset-sum stages on the bits from
+    log2(width) up of a ±1 table, run once in place on an int8 copy, or
+    int16 past six stages: after t stages every value is a signed sum of 2^t
+    entries.  A table of at most ``width`` entries has none and is returned
+    as it is.  The stages of the lower bits, run on each aligned block of
+    ``width`` entries, complete the transform."""
+    stages = table.size.bit_length() - width.bit_length()
+    if stages <= 0:
+        return table
+    narrow = table.astype(np.int8 if stages <= 6 else np.int16)
+    if not transform:
+        return _subset_sums(narrow, width)
+    for _ in range(stages):
+        pairs = narrow.reshape(-1, 2, width)
+        low, high = pairs[:, 0], pairs[:, 1]
+        low += high  # a + b
+        high *= -2
+        high += low  # a - b
+        width *= 2
+    return narrow
+
+
 def basic_test_prob_fourier(f: BooleanFunction) -> float:
     """Acceptance probability from the closed-form spectral identity.
 
     p = 1/2 + 1/2 Σ_α f̂(α)^3 2^{-|α|} (1 + Σ_{β ⊆ α} f̂(β)); the derivation
-    needs E f = 0 and f(1⃗+y) = -f(y), so the input must be folded.
+    needs E f = 0 and f(1⃗+y) = -f(y), so the input must be folded.  Both
+    factors come from integer transforms run in _FOURIER_BLOCK-entry blocks:
+
+    - 2^n·f̂(α', α_n) = 2H(α') where |α| is odd, else 0, with H the transform
+      of the x_n = 0 half (``_folded_counts``).  Each 2^14-entry half-block
+      of H serves the α-blocks at α_n = 0 and α_n = 1.
+    - Σ_{β ⊆ α} (-1)^{β·x} = 2^{|α|}·[x ∩ α = ∅], so Σ_{β ⊆ α} 2^n·f̂(β) =
+      2^{|α|}·Sub(1⃗ + α) with Sub = ``_subset_sums`` of f's own table, read
+      reversed from the complement block.
+
+    Each transform runs its stages on the bits above the block once, on a
+    narrow copy (``_top_stages``), and its low stages in int32 one block at
+    a time.  Only the copies (1.5 bytes an entry at n = 20) and a few blocks
+    of int32s and float64s are live, about 2.5 bytes an entry at n = 20.
     """
     require_folded(f)
     n = f.n
-    size = 1 << n
-    counts = spectrum_counts(f)
-    zeta = _subset_sums(counts.copy())
-    # Each block's terms carry the whole-array pipeline's floats: both
-    # divisions by 2^n are exact (the int32 sums are the float64 transforms'
-    # integers), and c*c*c and pow give the exact cube while |count| <= 2^17;
-    # beyond, pow (which can round ties differently) keeps coeffs**3's floats.
-    # A block at a multiple of its size has weights 2^{-|j|} 2^{-|start|},
-    # exact products of powers of two.  Only the int32 counts, their subset
-    # sums ζ and one block of float64s are live.  numpy sums a contiguous
-    # float64 array of 2^m >= 2^8 entries pairwise, halving at every level, so
-    # joining the aligned block sums pairwise gives terms.sum()'s float.
-    block = min(size, _FOURIER_BLOCK)
-    levels = np.exp2(-np.arange(n + 1.0))
-    block_weights = levels.take(hamming_weights(block.bit_length() - 1))
+    size, half = 1 << n, 1 << (n - 1)
+    block, half_block = min(size, _FOURIER_BLOCK), min(half, _FOURIER_BLOCK)
+    lower = _top_stages(f.table[:half], half_block, True)
+    table = _top_stages(f.table, block, False)
+    # Each block's terms are 2^n times the whole-array pipeline's floats: c =
+    # counts / 2^n and ζ / 2^n = Sub / 2^{n-|α|} are exact integers scaled by
+    # powers of two, and c*c*c and pow give the exact cube while |count| <=
+    # 2^17; beyond, pow (which can round ties differently) keeps coeffs**3's
+    # floats.  A block at a multiple of its size has weights 2^{n-|j|}
+    # 2^{-|start|} = 2^{n-|α|}, exact products of powers of two, and scaling
+    # by 2^n commutes with every rounding, far from underflow and overflow.
+    # numpy sums a contiguous float64 array of 2^m >= 2^8 entries pairwise,
+    # halving at every level, so joining the aligned block sums pairwise
+    # gives the whole term array's sum.
+    ranks = hamming_weights(block.bit_length() - 1)
+    block_weights = np.exp2(np.arange(n, -1.0, -1.0)).take(ranks)  # 2^{n-|j|}
+    odd = ranks[:half_block] & 1
+    halves = np.empty(2 * half_block, dtype=np.int32)  # counts / 2 at α_n = 0, 1
+    parts = list(halves.reshape(-1, block))  # their α-blocks: one, or one each
     weights, c, t = np.empty(block), np.empty(block), np.empty(block)
     sums = np.empty(size // block)
-    for start in range(0, size, block):
-        part = counts[start : start + block]
-        np.divide(part, size, out=c)
-        np.multiply(c, c, out=t)
-        t *= c
-        wide = np.abs(part) > 1 << 17
-        t[wide] = c[wide] ** 3
-        np.multiply(block_weights, levels[bin(start).count("1")], out=weights)
-        t *= weights
-        np.divide(zeta[start : start + block], size, out=c)
-        c += 1.0
-        t *= c
-        sums[start // block] = t.sum()
+    for low in range(0, half, half_block):
+        h = _butterfly(lower[low : low + half_block].astype(np.int32))
+        odd_part, rest = halves[:half_block], halves[half_block:]
+        if bin(low).count("1") % 2:
+            odd_part, rest = rest, odd_part
+        np.multiply(h, odd, out=odd_part)
+        np.subtract(h, odd_part, out=rest)
+        for part, start in zip(parts, (low, half + low)):
+            np.divide(part, half, out=c)
+            np.multiply(c, c, out=t)
+            t *= c
+            wide = np.abs(part) > 1 << 16
+            t[wide] = c[wide] ** 3
+            np.multiply(block_weights, 0.5 ** bin(start).count("1"), out=weights)
+            t *= weights
+            sub = table[size - start - block : size - start].astype(np.int32)
+            np.divide(_subset_sums(sub)[::-1], weights, out=c)
+            c += 1.0
+            t *= c
+            sums[start // block] = t.sum()
     while sums.size > 1:
         sums = sums[0::2] + sums[1::2]
-    return 0.5 + 0.5 * float(sums[0])
+    return 0.5 + 0.5 * float(sums[0] / size)
 
 
 def _htest_verdicts(shift_tables, sign_tables, edges, xs, ys, zv, ze):
@@ -251,28 +298,46 @@ def _htest_verdicts(shift_tables, sign_tables, edges, xs, ys, zv, ze):
     return ~bad
 
 
-def _verdict_tables(fam: FunctionFamily):
-    """_htest_verdicts' shift and sign tables.
+class _PointReader:
+    """One of _htest_verdicts' tables, computed at the points it is read:
+    ``take(p)`` is S.take(p) for a vertex member (``shift``), with the shift
+    table S[p] = p + [f(p) = -1]·1⃗, and (f.table < 0).take(p) for an edge
+    member.  S is [f < 0]·1⃗ XOR-ed in place with the points; a ufunc
+    ``where=`` mask took over ten times as long."""
 
-    A vertex member f gives the uint32 shift table S[p] = p + [f(p) = -1]·1⃗,
-    and an edge member the bool sign table f < 0; members are folded, so
-    f.table is their folded view.  A member that several slots share is
-    converted once.  Each shift table is one fresh array, [f < 0]·1⃗ XOR-ed
-    in place with an index array that all of them share; a ufunc ``where=``
-    mask took over ten times as long.
+    __slots__ = ("table", "shift")
+
+    def __init__(self, table: np.ndarray, shift: bool):
+        self.table, self.shift = table, shift
+
+    def take(self, points: np.ndarray) -> np.ndarray:
+        negative = self.table.take(points) < 0
+        if not self.shift:
+            return negative
+        s = np.multiply(negative, self.table.size - 1, dtype=np.uint32)
+        s ^= points
+        return s
+
+
+def _verdict_tables(fam: FunctionFamily, trials: int):
+    """_htest_verdicts' uint32 shift tables (one per vertex) and bool sign
+    tables (one per edge), or readers of them, for a call of ``trials`` draws.
+
+    Members are folded, so f.table is their folded view.  A call reads each
+    vertex table at 2·trials points, so each 2^n-entry table is built, as
+    its reader taken at every point, only when 2·trials >= 2^n; below that
+    the kernel gets the ``_PointReader``s, which read f.table at the draw
+    points.  A member that several vertex (or edge) slots share gets one.
     """
     k = fam.hypergraph.k
-    index = np.arange(1 << fam.n, dtype=np.uint32)
-    shifts, signs = {}, {}
-    for f in fam.members[:k]:
-        if id(f) not in shifts:
-            shifts[id(f)] = table = np.multiply(f.table < 0, index.size - 1, dtype=np.uint32)
-            table ^= index
-    for f in fam.members[k:]:
-        if id(f) not in signs:
-            signs[id(f)] = f.table < 0
-    return ([shifts[id(f)] for f in fam.members[:k]],
-            [signs[id(f)] for f in fam.members[k:]])
+    readers = {}
+    for slot, f in enumerate(fam.members):
+        readers.setdefault((id(f), slot < k), _PointReader(f.table, slot < k))
+    if 2 * trials >= 1 << fam.n:
+        index = np.arange(1 << fam.n, dtype=np.uint32)
+        readers = {key: reader.take(index) for key, reader in readers.items()}
+    return ([readers[id(f), True] for f in fam.members[:k]],
+            [readers[id(f), False] for f in fam.members[k:]])
 
 
 def htest_prob_exact(
@@ -320,9 +385,10 @@ def htest_prob_mc(
     shape (m, j) for each j in turn as column views of one random_raw block;
     test_htest_mc_stream_and_verdicts_are_pinned pins them.  The kernel's
     uint32 shift tables and bool sign tables are built once per call, not
-    once per chunk.
+    once per chunk, and only when 2·trials >= 2^n: a call with fewer draws
+    reads f.table at its draw points (``_verdict_tables``).
     """
-    shifts, signs = _verdict_tables(fam)
+    shifts, signs = _verdict_tables(fam, trials)
     edges = fam.hypergraph.edges
     cols = (fam.hypergraph.k,) * 3 + (len(edges),)
     accepts = 0

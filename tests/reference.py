@@ -5,6 +5,8 @@ the queries.  ``run_basic_test`` and ``run_hypergraph_test`` run one draw of
 each tester through such oracles and return a ``TestTranscript``: the two
 passes' ``QueryRecord``s, the verdict and the query count.  The package's
 exact, spectral and Monte Carlo routes are checked against these runs.
+``whole_array_basic_fourier`` is the spectral basic-test route on whole 2^n
+arrays, which the blocked route must match bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dictatest.functions import BooleanFunction
+from dictatest.fourier import _subset_sums, hamming_weights, spectrum_counts
+from dictatest.functions import BooleanFunction, require_folded
 from dictatest.testers import FunctionFamily, member_labels
 
 
@@ -147,3 +150,38 @@ def run_hypergraph_test(
 
     total = sum(o.query_count for o in oracles)
     return TestTranscript(tuple(pass1), tuple(pass2), verdict, total)
+
+
+def whole_array_basic_fourier(f: BooleanFunction) -> float:
+    """p = 1/2 + 1/2 Σ_α f̂(α)^3 2^{-|α|} (1 + Σ_{β ⊆ α} f̂(β)) from the int32
+    counts c = ``spectrum_counts(f)`` and their subset sums ζ, each held
+    whole: each 2^14-entry block's float64 terms are c·c·c/2^{3n} (the pow
+    cube where |c| > 2^17), times 2^{-|α|} and (1 + ζ/2^n), and the aligned
+    block sums are joined pairwise, which is numpy's sum of the whole term
+    array."""
+    require_folded(f)
+    n = f.n
+    size = 1 << n
+    counts = spectrum_counts(f)
+    zeta = _subset_sums(counts.copy())
+    block = min(size, 1 << 14)
+    levels = np.exp2(-np.arange(n + 1.0))
+    block_weights = levels.take(hamming_weights(block.bit_length() - 1))
+    weights, c, t = np.empty(block), np.empty(block), np.empty(block)
+    sums = np.empty(size // block)
+    for start in range(0, size, block):
+        part = counts[start : start + block]
+        np.divide(part, size, out=c)
+        np.multiply(c, c, out=t)
+        t *= c
+        wide = np.abs(part) > 1 << 17
+        t[wide] = c[wide] ** 3
+        np.multiply(block_weights, levels[bin(start).count("1")], out=weights)
+        t *= weights
+        np.divide(zeta[start : start + block], size, out=c)
+        c += 1.0
+        t *= c
+        sums[start // block] = t.sum()
+    while sums.size > 1:
+        sums = sums[0::2] + sums[1::2]
+    return 0.5 + 0.5 * float(sums[0])

@@ -94,10 +94,12 @@ def test_noisy_dictator_zero_noise_is_exact():
 @pytest.mark.parametrize("n, i, rho, seed", [
     (1, 1, 0.5, 0), (4, 2, 0.1, 7), (9, 9, 0.3, (3, 1)),
     (14, 3, 0.05, (2, 14, 1)), (17, 11, 0.25, 5), (20, 1, 0.5, (2**40, 3)),
+    (18, 7, 0.1, 11),
 ])
 def test_noisy_dictator_flips_are_the_seeds_random_stream(n, i, rho, seed):
     """noisy_dictator's x_1 = 1 half is the dictator's half, negated exactly
-    where rng.random(2^{n-1}) < rho on the seed's stream."""
+    where rng.random(2^{n-1}) < rho on the seed's stream, one call for the
+    whole half.  n = 17, 18 and 20 draw one, two and eight flip chunks."""
     flips = derive_rng(*seed_key(seed)).random(1 << (n - 1)) < rho
     base = dictator(n, i).table[1::2]
     f = noisy_dictator(n, i, rho, seed)

@@ -44,7 +44,12 @@ from dictatest.testers import (
     noisy_spectrum_law_deviation,
     query_budget,
 )
-from reference import FoldedOracle, run_basic_test, run_hypergraph_test
+from reference import (
+    FoldedOracle,
+    run_basic_test,
+    run_hypergraph_test,
+    whole_array_basic_fourier,
+)
 
 EDGE_12 = Hypergraph(2, [frozenset({1, 2})])
 PATH_3 = Hypergraph(3, [frozenset({1, 2}), frozenset({2, 3})])
@@ -551,22 +556,49 @@ def test_htest_kernel_accepts_every_dictator_draw(n):
 
 
 def test_verdict_tables_are_shift_and_sign_tables_built_once_per_member():
-    """A vertex gets S[p] = p + [f(p) = -1]·1⃗ in uint32 and an edge gets
-    f < 0, each from its member's folded view; members that share a function
-    share its table."""
+    """From 2·trials >= 2^n on, a vertex gets S[p] = p + [f(p) = -1]·1⃗ in
+    uint32 and an edge gets f < 0, each from its member's folded view; below
+    it each gets a reader whose ``take`` reads the same values.  Members that
+    share a function share its table or reader, in vertex and edge slots
+    apart."""
     n, h = 5, complete_hypergraph(3)
     f, g = random_folded(n, 1), random_folded(n, 2)
     fam = FunctionFamily(h, [f, g, f, g, f, f, g])
     idx = np.arange(1 << n)
-    shifts, signs = _verdict_tables(fam)
-    assert len(shifts) == h.k and len(signs) == len(h.edges)
-    for table, member in zip(shifts, fam.members[: h.k]):
-        assert table.dtype == np.uint32
-        t = folded_table(member)
-        assert np.array_equal(table, np.where(t < 0, idx ^ ((1 << n) - 1), idx))
-    for table, member in zip(signs, fam.members[h.k :]):
-        assert table.dtype == bool and np.array_equal(table, folded_table(member) < 0)
-    assert shifts[0] is shifts[2] and signs[1] is signs[2]
+    points = np.arange(1 << n, dtype=np.uint32)[::-1]  # every point, read in another order
+    for trials in (16, 15):
+        shifts, signs = _verdict_tables(fam, trials)
+        assert len(shifts) == h.k and len(signs) == len(h.edges)
+        assert shifts[0] is shifts[2] and signs[1] is signs[2]
+        readers = [t for t in shifts + signs if isinstance(t, testers._PointReader)]
+        assert len(readers) == (0 if trials == 16 else h.t)
+        if readers:
+            shifts = [t.take(points)[::-1] for t in shifts]
+            signs = [t.take(points)[::-1] for t in signs]
+        for table, member in zip(shifts, fam.members[: h.k]):
+            assert table.dtype == np.uint32
+            t = folded_table(member)
+            assert np.array_equal(table, np.where(t < 0, idx ^ ((1 << n) - 1), idx))
+        for table, member in zip(signs, fam.members[h.k :]):
+            assert table.dtype == bool and np.array_equal(table, folded_table(member) < 0)
+
+
+@pytest.mark.parametrize("trials", [2047, 2048])
+def test_htest_mc_counts_the_same_on_both_sides_of_the_table_switch(trials):
+    """At n = 12 a call of 2047 draws reads the members at its draw points
+    and one of 2048 builds the 2^12-entry tables; either count equals the
+    kernel's on both representations over the same draws."""
+    n, h = 12, complete_hypergraph(3)
+    fam = random_family(h, n, 12)
+    readers = _verdict_tables(fam, trials)[0]
+    assert isinstance(readers[0], testers._PointReader) == (trials == 2047)
+    cols = (h.k,) * 3 + (len(h.edges),)
+    estimate = htest_prob_mc(fam, trials, 6)[0]
+    for tables in (True, False):
+        accepts = sum(int(np.count_nonzero(kernel_verdicts(fam, *draws, tables)))
+                      for draws in rng_module.mc_draws(trials, 6, n, cols))
+        assert 0 < accepts < trials
+        assert accepts / trials == estimate
 
 
 def test_htest_mc_validation_and_determinism():
@@ -621,12 +653,14 @@ def reference_verdicts(vertex_tables, edge_tables, edges, xs, ys, zv, ze):
     return ok
 
 
-def kernel_verdicts(fam, xs, ys, zv, ze):
-    """_htest_verdicts on _verdict_tables' tables, with the draws cast to
-    uint32 and broadcast to one shape."""
+def kernel_verdicts(fam, xs, ys, zv, ze, tables=True):
+    """_htest_verdicts on _verdict_tables' 2^n-entry tables, or on its point
+    readers if not ``tables``, with the draws cast to uint32 and broadcast to
+    one shape."""
     k = fam.hypergraph.k
     draws = np.broadcast_arrays(*(np.asarray(d, dtype=np.uint32) for d in (*xs, *ys, *zv, *ze)))
-    return _htest_verdicts(*_verdict_tables(fam), fam.hypergraph.edges,
+    trials = 1 << (fam.n - 1) if tables else (1 << (fam.n - 1)) - 1
+    return _htest_verdicts(*_verdict_tables(fam, trials), fam.hypergraph.edges,
                            draws[:k], draws[k:2 * k], draws[2 * k:3 * k], draws[3 * k:])
 
 
@@ -650,6 +684,7 @@ def test_verdict_kernel_matches_oracle_run_draw_for_draw():
                     ok = kernel_verdicts(fam, xs, ys, zv, ze)
                     assert ok.shape == (1,)
                     assert bool(ok[0]) == expected
+                    assert np.array_equal(ok, kernel_verdicts(fam, xs, ys, zv, ze, False))
                     assert np.array_equal(ok, reference_verdicts(*tables, xs, ys, zv, ze))
                     verdicts.add(expected)
                 assert verdicts == {True, False}
@@ -675,14 +710,15 @@ def verdict_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(verdict_cases())
-def test_verdict_kernel_equals_reference_property(case):
+@given(verdict_cases(), st.booleans())
+def test_verdict_kernel_equals_reference_property(case, tables):
+    """On the 2^n tables and on the point readers alike."""
     fam, dtype, seed = case
     h = fam.hypergraph
     rng = derive_rng(91, seed)
     draws = rng.integers(0, 1 << fam.n, size=(3 * h.k + len(h.edges), 512), dtype=dtype)
     xs, ys, zv, ze = np.split(draws, [h.k, 2 * h.k, 3 * h.k])
-    ok = kernel_verdicts(fam, xs, ys, zv, ze)
+    ok = kernel_verdicts(fam, xs, ys, zv, ze, tables)
     assert np.array_equal(ok, reference_verdicts(*int8_tables(fam), xs, ys, zv, ze))
 
 
@@ -972,6 +1008,19 @@ def test_basic_fourier_equals_the_float64_formula(n):
         assert np.all(c * c * c != c**3)
 
 
+# n = 15 is the first size with two α-blocks, 16 the first with two H
+# half-blocks, 21 the first whose subset sums' top stages run in int16, and
+# 24 the dimension cap.  A dictator's top-stage sums reach 2^t, the most
+# that the narrow dtype must hold.
+@pytest.mark.parametrize("n", [*range(1, 17), 18, 20, 21, 24])
+def test_basic_fourier_blocks_equal_the_whole_array_route(n):
+    fs = [random_folded(n, 40 + n), noisy_dictator(n, max(1, n - 2), 0.1, n), dictator(n, 1)]
+    if n % 2:
+        fs.append(majority(n))
+    for f in fs:
+        assert basic_test_prob_fourier(f) == whole_array_basic_fourier(f)
+
+
 def traced_peak(call, *args, **kwargs):
     """Peak bytes numpy and Python allocate during one call, by tracemalloc."""
     tracemalloc.start()
@@ -982,15 +1031,31 @@ def traced_peak(call, *args, **kwargs):
         tracemalloc.stop()
 
 
-def test_basic_fourier_traced_peak_stays_under_10_bytes_per_entry():
-    """Beside the int32 counts and their subset sums only one block of
-    float64 terms is live, about 8.6 bytes an entry at n = 20; a full 2^n
-    float64 term array reads 12.5."""
+def test_basic_fourier_traced_peak_stays_under_4_bytes_per_entry():
+    """Only the narrow copies of the table and its lower half and a few
+    2^14-entry blocks are live, about 2.5 bytes an entry at n = 20; the whole
+    int32 counts and their subset sums read 8.6."""
     n = 20
     for spec in ("random:5", "noisydict:1:0.1:22"):
         f = parse_fnspec(spec, n)
         assert f.folded  # computed before tracing, as require_folded would
-        assert traced_peak(basic_test_prob_fourier, f) < 10 << n, spec
+        assert traced_peak(basic_test_prob_fourier, f) < 4 << n, spec
+
+
+def test_htest_mc_few_draws_traced_peak_stays_under_1_byte_per_entry():
+    """2000 draws at n = 19 read 4000 points of each vertex table, so the
+    members are read at the draw points: about 0.3 bytes an entry, where the
+    shift and sign tables read 13."""
+    n = 19
+    fam = random_family(complete_hypergraph(2), n, 19)
+    assert traced_peak(htest_prob_mc, fam, 2000, 3) < 1 << n
+
+
+def test_noisy_dictator_traced_peak_stays_under_3_bytes_per_entry():
+    """The flips are drawn 2^16 at a time, so no 2^{n-1} float64 array is
+    live: about 2 bytes an entry at n = 20, where the whole draw read 6."""
+    n = 20
+    assert traced_peak(noisy_dictator, n, 3, 0.1, 22) < 3 << n
 
 
 def test_basic_exact_traced_peak_stays_under_26_bytes_per_entry():
